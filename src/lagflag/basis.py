@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
+from . import counting
 from .diagrams import DOWN, ShiftedDiagram, boundary, class_sets, classify
 from .errors import DomainError
 from .flags import (
@@ -132,6 +133,37 @@ def _mu_scheme(diag: ShiftedDiagram, n: int) -> FlagDescriptor:
     return lf_a(diag, w)
 
 
+def summand_role(
+    even_frame: bool, twist: Twist, full_top: bool, almost_even: bool, k_even: bool
+) -> tuple[Kind, MapLabel] | None:
+    """The summand a diagram of the given class contributes, if any.
+
+    Even frames take GW atoms from the almost even diagrams whose first step
+    matches the twist (full top row for Delta, empty right column for O);
+    odd frames take them from every almost even diagram under O and from
+    none under Delta.  A K-even diagram that yields no GW atom yields a K
+    atom.
+    """
+    if even_frame and twist is Twist.DELTA:
+        if almost_even and full_top:
+            return Kind.GW, MapLabel.XI1
+        if k_even:
+            return Kind.K, MapLabel.MU1
+    elif even_frame:
+        if almost_even and not full_top:
+            return Kind.GW, MapLabel.XI0
+        if k_even:
+            return Kind.K, MapLabel.MU0
+    elif twist is Twist.TRIVIAL:
+        if almost_even:
+            return Kind.GW, MapLabel.XI0
+        if k_even:
+            return Kind.K, MapLabel.MU0
+    elif k_even:
+        return Kind.K, MapLabel.MU1
+    return None
+
+
 def gw_basis(n: int, twist: Twist) -> Decomposition:
     """Hermitian decomposition of frame ``n`` with the given twist.
 
@@ -147,39 +179,23 @@ def gw_basis(n: int, twist: Twist) -> Decomposition:
 
     summands: list[Summand] = []
     for diag in sets.all_diagrams:
-        full_top = diag.steps[0] == DOWN
+        role = summand_role(
+            even_frame, twist, diag.steps[0] == DOWN, diag in almost, diag in k_even
+        )
+        if role is None:
+            continue
+        kind, label = role
+        if kind is Kind.K:
+            summands.append(Summand(kind, diag, _mu_scheme(diag, n), label))
+            continue
         l = boundary(diag).segment_count
-        if even_frame and twist is Twist.DELTA:
-            if diag in almost and full_top:
-                summands.append(
-                    Summand(Kind.GW, diag, lf_a(diag, l), MapLabel.XI1, shift=diag.weight)
-                )
-            elif diag in k_even:
-                summands.append(Summand(Kind.K, diag, _mu_scheme(diag, n), MapLabel.MU1))
-        elif even_frame:
-            if diag in almost and not full_top:
-                summands.append(
-                    Summand(
-                        Kind.GW,
-                        diag,
-                        lf_b(diag, l),
-                        MapLabel.XI0,
-                        shift=diag.weight,
-                        base_twist=1,
-                    )
-                )
-            elif diag in k_even:
-                summands.append(Summand(Kind.K, diag, _mu_scheme(diag, n), MapLabel.MU0))
-        elif twist is Twist.TRIVIAL:
-            if diag in almost:
-                summands.append(
-                    Summand(Kind.GW, diag, lf_a(diag, l), MapLabel.XI0, shift=diag.weight)
-                )
-            elif diag in k_even:
-                summands.append(Summand(Kind.K, diag, _mu_scheme(diag, n), MapLabel.MU0))
+        if even_frame and twist is Twist.TRIVIAL:
+            # even frame under O: the type-1 construction, with a residual det twist
+            summands.append(
+                Summand(kind, diag, lf_b(diag, l), label, shift=diag.weight, base_twist=1)
+            )
         else:
-            if diag in k_even:
-                summands.append(Summand(Kind.K, diag, _mu_scheme(diag, n), MapLabel.MU1))
+            summands.append(Summand(kind, diag, lf_a(diag, l), label, shift=diag.weight))
 
     return Decomposition(n, twist, Theory.GW, tuple(summands))
 
@@ -207,7 +223,7 @@ def _atom_key(atom: Atom) -> tuple[str, int]:
     return (kind, -1 if shift is None else shift)
 
 
-def _first_mismatch(lhs: Counter, rhs: Counter) -> Atom | None:
+def first_mismatch(lhs: Counter, rhs: Counter) -> Atom | None:
     for atom in sorted(set(lhs) | set(rhs), key=_atom_key):
         if lhs[atom] != rhs[atom]:
             return atom
@@ -251,7 +267,7 @@ class RecursionReport:
 
 
 def _case(label: str, description: str, lhs: Counter, rhs: Counter) -> CaseResult:
-    mismatch = _first_mismatch(lhs, rhs)
+    mismatch = first_mismatch(lhs, rhs)
     freeze = lambda c: tuple(sorted(c.items(), key=lambda kv: _atom_key(kv[0])))
     return CaseResult(label, description, mismatch is None, freeze(lhs), freeze(rhs), mismatch)
 
@@ -269,15 +285,15 @@ def verify_recursions(n: int) -> RecursionReport:
     notes: list[str] = []
     cases: list[CaseResult] = []
     if n % 2 == 0:
-        prev_o = atom_multiset(gw_basis(n - 1, Twist.TRIVIAL))
-        prev_d = atom_multiset(gw_basis(n - 1, Twist.DELTA))
+        prev_o = counting.gw_atoms(n - 1, Twist.TRIVIAL)
+        prev_d = counting.gw_atoms(n - 1, Twist.DELTA)
         if n - 1 == 1:
             notes.append("frame 1 decompositions are the definitional base")
         cases.append(
             _case(
                 "a",
                 f"Delta({n}) = shift(O({n - 1}), +{n}) + Delta({n - 1})",
-                atom_multiset(gw_basis(n, Twist.DELTA)),
+                counting.gw_atoms(n, Twist.DELTA),
                 _shifted(prev_o, n) + prev_d,
             )
         )
@@ -285,13 +301,13 @@ def verify_recursions(n: int) -> RecursionReport:
             _case(
                 "b",
                 f"O({n}) = shift(Delta({n - 1}), +{n}) + O({n - 1})",
-                atom_multiset(gw_basis(n, Twist.TRIVIAL)),
+                counting.gw_atoms(n, Twist.TRIVIAL),
                 _shifted(prev_d, n) + prev_o,
             )
         )
     else:
-        prev_o = atom_multiset(gw_basis(n - 2, Twist.TRIVIAL)) if n > 2 else Counter()
-        prev_d = atom_multiset(gw_basis(n - 2, Twist.DELTA)) if n > 2 else Counter()
+        prev_o = counting.gw_atoms(n - 2, Twist.TRIVIAL)
+        prev_d = counting.gw_atoms(n - 2, Twist.DELTA)
         if n - 2 == 1:
             notes.append("frame 1 decompositions are the definitional base")
         k_block = Counter({("K", None): 2 ** (n - 2)})
@@ -299,7 +315,7 @@ def verify_recursions(n: int) -> RecursionReport:
             _case(
                 "c",
                 f"O({n}) = shift(O({n - 2}), +{2 * n - 1}) + {2 ** (n - 2)}*K + O({n - 2})",
-                atom_multiset(gw_basis(n, Twist.TRIVIAL)),
+                counting.gw_atoms(n, Twist.TRIVIAL),
                 _shifted(prev_o, 2 * n - 1) + k_block + prev_o,
             )
         )
@@ -307,7 +323,7 @@ def verify_recursions(n: int) -> RecursionReport:
             _case(
                 "d",
                 f"Delta({n}) = shift(Delta({n - 2}), +{2 * n - 1}) + {2 ** (n - 2)}*K + Delta({n - 2})",
-                atom_multiset(gw_basis(n, Twist.DELTA)),
+                counting.gw_atoms(n, Twist.DELTA),
                 _shifted(prev_d, 2 * n - 1) + k_block + prev_d,
             )
         )
@@ -400,14 +416,13 @@ class WittTable:
 
 
 def witt_table(n: int, twist: Twist) -> WittTable:
-    decomp = gw_basis(n, twist)
     counts: Counter = Counter()
     k_count = 0
-    for summand in decomp.summands:
-        if summand.kind is Kind.GW:
-            counts[summand.shift % 4] += 1
+    for (kind, shift), count in counting.gw_atoms(n, twist).items():
+        if kind == Kind.GW.value:
+            counts[shift % 4] += count
         else:
-            k_count += 1
+            k_count += count
     return WittTable(
         n=n,
         twist=twist,

@@ -4,7 +4,8 @@ basis generation and the exact verification suites.
 Every command writes deterministic output; identical invocations produce
 byte-identical text.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.  The environment variable ``LAGFLAG_MAX_N`` overrides the frame-size
-bounds (default 16 for enumeration-style commands, 10 for ``verify``).
+bounds (default 16 for enumeration-style commands and for ``recursion`` and
+``witt``, which count without enumerating; 10 for ``verify``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections import Counter
 from math import comb
 
 from . import basis as basis_mod
+from . import counting as counting_mod
 from . import diagrams as diag_mod
 from . import flags as flags_mod
 from . import marking as marking_mod
@@ -50,6 +52,21 @@ def _parse_int_tuple(raw: str | None) -> tuple[int, ...]:
         return tuple(int(chunk) for chunk in raw.split(","))
     except ValueError:
         raise DomainError(f"expected comma-separated integers, got {raw!r}") from None
+
+
+def _parse_half_rank(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"--half-rank must be an integer, got {raw!r}") from None
+
+
+def _check_frame(n: int) -> None:
+    bound = _bound(ENUMERATE_BOUND)
+    if n > bound:
+        raise DomainError(
+            f"frame size {n} is above the bound {bound} (LAGFLAG_MAX_N raises it)"
+        )
 
 
 def _parse_diagram(steps: str, bound: int) -> diag_mod.ShiftedDiagram:
@@ -121,7 +138,7 @@ def _scheme_from_args(args) -> flags_mod.FlagDescriptor:
     if args.d is None or args.half_rank is None:
         raise DomainError("scheme needs --name, --diagram, or --d with --half-rank")
     return flags_mod.FlagDescriptor(
-        int(args.half_rank),
+        _parse_half_rank(args.half_rank),
         _parse_int_tuple(args.d),
         _parse_int_tuple(args.e),
         _parse_int_tuple(args.t),
@@ -178,7 +195,7 @@ def _cmd_canonical(args, out) -> int:
         elt = pic_mod.canonical_sheaf_in_n(d, e, t)
         half_rank: str | int = "N"
     else:
-        desc = flags_mod.FlagDescriptor(int(args.half_rank), d, e, t)
+        desc = flags_mod.FlagDescriptor(_parse_half_rank(args.half_rank), d, e, t)
         elt = pic_mod.canonical_sheaf(desc)
         half_rank = desc.half_rank
     if args.format == "json":
@@ -258,6 +275,7 @@ def _cmd_basis(args, out) -> int:
 
 
 def _cmd_recursion(args, out) -> int:
+    _check_frame(args.n)
     report = basis_mod.verify_recursions(args.n)
     if args.format == "json":
         _emit_json(report.to_json(), out)
@@ -271,6 +289,7 @@ def _cmd_recursion(args, out) -> int:
 
 
 def _cmd_witt(args, out) -> int:
+    _check_frame(args.n)
     table = basis_mod.witt_table(args.n, pic_mod.Twist(args.twist))
     if args.format == "json":
         _emit_json(table.to_json(), out)
@@ -554,6 +573,15 @@ def _suite_twist_alignment(max_n: int):
 
 def _suite_recursions(max_n: int):
     for n in range(2, min(max_n, 10) + 1):
+        for twist in pic_mod.Twist:
+            counted = counting_mod.gw_atoms(n, twist)
+            enumerated = basis_mod.atom_multiset(basis_mod.gw_basis(n, twist))
+            if counted != enumerated:
+                atom = basis_mod.first_mismatch(counted, enumerated)
+                return False, (
+                    f"frame {n} twist {twist.value}: counted and enumerated atoms "
+                    f"differ at {atom}"
+                )
         report = basis_mod.verify_recursions(n)
         if not report.passed:
             bad = next(c for c in report.cases if not c.passed)
@@ -606,6 +634,9 @@ def _cmd_verify(args, out) -> int:
     max_n = args.max_n if args.max_n is not None else bound
     if max_n > bound:
         raise DomainError(f"--max-n {max_n} is above the configured bound {bound}")
+    if max_n < 3:
+        # below 3 the odd-frame suites would loop over empty ranges
+        raise DomainError(f"--max-n must be at least 3, got {max_n}")
     all_ok = True
     for name, suite in SUITES:
         ok, detail = suite(max_n)

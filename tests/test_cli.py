@@ -163,3 +163,72 @@ def test_env_bound_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["enumerate", "-n", "17", "--format", "csv"])
     assert code == 0
     assert out.count("\n") == 2**17 + 1
+
+
+@pytest.mark.parametrize("argv", [["recursion", "-n", "17"], ["witt", "-n", "17"]])
+def test_counting_commands_check_the_bound_first(capsys, monkeypatch, argv):
+    monkeypatch.delenv("LAGFLAG_MAX_N", raising=False)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("lagflag: error: frame size 17 is above the bound 16")
+
+
+def test_counting_commands_follow_env_bound(capsys, monkeypatch):
+    monkeypatch.setenv("LAGFLAG_MAX_N", "32")
+    code, out, _ = run(capsys, ["recursion", "-n", "32"])
+    assert code == 0
+    assert out.count("PASS") == 2
+    code, out, _ = run(capsys, ["witt", "-n", "32", "--twist", "Delta"])
+    assert code == 0
+    assert out.startswith("witt table n=32 twist=Delta\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witt", "-n", "0"],
+        ["recursion", "-n", "1"],
+        ["verify", "--max-n", "-3"],
+        ["verify", "--max-n", "2"],
+    ],
+)
+def test_small_frames_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("lagflag: error:")
+
+
+def test_canonical_rejects_non_integer_half_rank(capsys):
+    code, _, err = run(capsys, ["canonical", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "x"])
+    assert code == 2
+    assert err == "lagflag: error: --half-rank must be an integer, got 'x'\n"
+
+
+def test_scheme_rejects_non_integer_half_rank(capsys):
+    code, _, err = run(capsys, ["scheme", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "2.5"])
+    assert code == 2
+    assert err == "lagflag: error: --half-rank must be an integer, got '2.5'\n"
+
+
+def test_verify_names_counting_mismatch(capsys, monkeypatch):
+    from collections import Counter
+
+    from lagflag import counting
+
+    real = counting.gw_atoms
+
+    def off_by_one(n, twist):
+        atoms = real(n, twist)
+        if n == 3 and twist.value == "Delta":
+            atoms = atoms + Counter({("GW", 7): 1})
+        return atoms
+
+    monkeypatch.setattr(counting, "gw_atoms", off_by_one)
+    code, out, _ = run(capsys, ["verify", "--max-n", "4"])
+    assert code == 1
+    assert (
+        "FAIL recursions: frame 3 twist Delta: counted and enumerated atoms differ at ('GW', 7)"
+        in out
+    )

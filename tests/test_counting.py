@@ -1,0 +1,50 @@
+"""The counting engine against enumeration and against the closed form."""
+
+from collections import Counter
+
+import pytest
+
+from lagflag import DomainError, Kind, Twist, atom_multiset, gw_basis, verify_recursions, witt_table
+from lagflag.counting import class_weights, gw_atoms
+
+
+def _product_coefficients(n):
+    """Coefficients of prod_{i=1..n} (1 + q**i)."""
+    poly = [1]
+    for i in range(1, n + 1):
+        poly = [a + b for a, b in zip(poly + [0] * i, [0] * i + poly)]
+    return poly
+
+
+def _witt_by_enumeration(decomp):
+    degrees = Counter(s.shift % 4 for s in decomp.summands if s.kind is Kind.GW)
+    k_count = sum(1 for s in decomp.summands if s.kind is Kind.K)
+    return tuple(sorted(degrees.items())), k_count
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("twist", list(Twist))
+def test_counting_matches_enumeration(n, twist):
+    decomp = gw_basis(n, twist)
+    assert gw_atoms(n, twist) == atom_multiset(decomp)
+    table = witt_table(n, twist)
+    assert (table.degrees, table.k_count) == _witt_by_enumeration(decomp)
+
+
+def test_class_tables_sum_to_generating_function():
+    for n in range(1, 41):
+        total = [0] * (n * (n + 1) // 2 + 1)
+        for coeffs in class_weights(n).values():
+            total = [a + b for a, b in zip(total, coeffs)]
+        assert total == _product_coefficients(n), n
+
+
+@pytest.mark.parametrize("n", range(17, 25))
+def test_recursions_beyond_the_enumeration_bound(n):
+    assert verify_recursions(n).passed
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_gw_atoms_rejects_empty_frame(n):
+    with pytest.raises(DomainError):
+        gw_atoms(n, Twist.TRIVIAL)
