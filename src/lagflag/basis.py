@@ -18,7 +18,7 @@ from enum import Enum
 from math import comb
 
 from . import counting
-from .diagrams import DOWN, ShiftedDiagram, boundary, class_sets, classify
+from .diagrams import DOWN, ShiftedDiagram, boundary, classify, enumerate_diagrams
 from .errors import DomainError
 from .flags import (
     FlagDescriptor,
@@ -26,13 +26,8 @@ from .flags import (
     relative_dimension,
     validate,
 )
-from .marking import lf_a, lf_b, lf_ktheory
-from .picard import Twist, TwistVariant, twist_alignment
-
-
-class Theory(str, Enum):
-    K = "K"
-    GW = "GW"
+from .marking import lf_ktheory, padded_scheme, uses_type1
+from .picard import Twist, scheme_alignment
 
 
 class Kind(str, Enum):
@@ -86,7 +81,7 @@ class Summand:
 class Decomposition:
     n: int
     twist: Twist
-    theory: Theory
+    theory: Kind
     summands: tuple[Summand, ...]
 
     def to_json(self) -> dict:
@@ -102,7 +97,7 @@ class Decomposition:
         return cls(
             n=payload["n"],
             twist=Twist(payload["twist"]),
-            theory=Theory(payload["theory"]),
+            theory=Kind(payload["theory"]),
             summands=tuple(Summand.from_json(s) for s in payload["summands"]),
         )
 
@@ -116,21 +111,12 @@ def k_basis(n: int) -> Decomposition:
         # base itself, carried by the k = 0 descriptor at half rank 0.
         scheme = FlagDescriptor(0, (0,), (), ())
         summand = Summand(Kind.K, ShiftedDiagram(0, ""), scheme, MapLabel.PHI)
-        return Decomposition(0, Twist.TRIVIAL, Theory.K, (summand,))
-    sets = class_sets(n)
+        return Decomposition(0, Twist.TRIVIAL, Kind.K, (summand,))
     summands = tuple(
         Summand(Kind.K, diag, lf_ktheory(diag), MapLabel.PHI)
-        for diag in sets.all_diagrams
+        for diag in enumerate_diagrams(n)
     )
-    return Decomposition(n, Twist.TRIVIAL, Theory.K, summands)
-
-
-def _mu_scheme(diag: ShiftedDiagram, n: int) -> FlagDescriptor:
-    """Scheme of a K-even summand; cut at the diagram's index."""
-    w = classify(diag).index_w
-    if n % 2 == 0 and diag.steps[0] != DOWN:
-        return lf_b(diag, w)
-    return lf_a(diag, w)
+    return Decomposition(n, Twist.TRIVIAL, Kind.K, summands)
 
 
 def summand_role(
@@ -172,32 +158,26 @@ def gw_basis(n: int, twist: Twist) -> Decomposition:
     """
     if n < 1:
         raise DomainError(f"the Hermitian decomposition needs frame size >= 1, got {n}")
-    sets = class_sets(n)
-    almost = set(sets.almost_even)
-    k_even = set(sets.k_even)
     even_frame = n % 2 == 0
-
     summands: list[Summand] = []
-    for diag in sets.all_diagrams:
+    for diag in enumerate_diagrams(n):
+        cls = classify(diag)
         role = summand_role(
-            even_frame, twist, diag.steps[0] == DOWN, diag in almost, diag in k_even
+            even_frame, twist, diag.steps[0] == DOWN, cls.is_almost_even, cls.is_k_even
         )
         if role is None:
             continue
         kind, label = role
         if kind is Kind.K:
-            summands.append(Summand(kind, diag, _mu_scheme(diag, n), label))
+            summands.append(Summand(kind, diag, padded_scheme(diag, cls.index_w), label))
             continue
-        l = boundary(diag).segment_count
-        if even_frame and twist is Twist.TRIVIAL:
-            # even frame under O: the type-1 construction, with a residual det twist
-            summands.append(
-                Summand(kind, diag, lf_b(diag, l), label, shift=diag.weight, base_twist=1)
-            )
-        else:
-            summands.append(Summand(kind, diag, lf_a(diag, l), label, shift=diag.weight))
-
-    return Decomposition(n, twist, Theory.GW, tuple(summands))
+        scheme = padded_scheme(diag, boundary(diag).segment_count)
+        # the type-1 construction leaves a residual det twist
+        base_twist = 1 if uses_type1(diag) else None
+        summands.append(
+            Summand(kind, diag, scheme, label, shift=diag.weight, base_twist=base_twist)
+        )
+    return Decomposition(n, twist, Kind.GW, tuple(summands))
 
 
 Atom = tuple[str, int | None]  # ("K", None) or ("GW", shift)
@@ -359,7 +339,8 @@ def verify_geometry(n: int) -> GeometryReport:
 
     Every summand's descriptor must be valid and Gorenstein.  Unpadded and
     pushforward summands must lose exactly the diagram's weight in relative
-    dimension, and pushforward summands must pass the twist-parity check.
+    dimension, and the scheme each pushforward (GW) summand carries must
+    pass the twist-parity check.
     """
     if n < 1:
         raise DomainError(f"frame size must be >= 1, got {n}")
@@ -383,13 +364,8 @@ def verify_geometry(n: int) -> GeometryReport:
                 expected = ambient_dim - summand.source_diagram.weight
                 if dim != expected:
                     failures.append(f"{tag}: dimension {dim}, expected {expected}")
-            if summand.map_label in (MapLabel.XI0, MapLabel.XI1):
-                variant = (
-                    TwistVariant.XI1
-                    if summand.map_label is MapLabel.XI1
-                    else TwistVariant.XI0
-                )
-                result = twist_alignment(summand.source_diagram, variant, n)
+            if summand.kind is Kind.GW:
+                result = scheme_alignment(summand.source_diagram, summand.scheme)
                 if not result.ok:
                     failures.append(
                         f"{tag}: twist parity {result.parity}, required {result.required}"

@@ -4,8 +4,10 @@ basis generation and the exact verification suites.
 Every command writes deterministic output; identical invocations produce
 byte-identical text.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.  The environment variable ``LAGFLAG_MAX_N`` overrides the frame-size
-bounds (default 16 for enumeration-style commands and for ``recursion`` and
-``witt``, which count without enumerating; 10 for ``verify``).
+bounds (default 16 for ``enumerate``, ``basis``, the diagram arguments of
+``classify`` and ``scheme``, and for ``recursion`` and ``witt``, which count
+without enumerating; 10 for ``verify``).  Each command checks its bound
+before any work; the library itself has no frame limit.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def _parse_diagram(steps: str, bound: int) -> diag_mod.ShiftedDiagram:
 
 
 def _cmd_enumerate(args, out) -> int:
-    bound = _bound(ENUMERATE_BOUND)
-    diagrams = diag_mod.enumerate_diagrams(args.n, max_n=bound)
+    _check_frame(args.n)
+    diagrams = diag_mod.enumerate_diagrams(args.n)
     if args.format == "json":
         _emit_json([d.to_json() for d in diagrams], out)
     elif args.format == "csv":
@@ -111,7 +113,7 @@ def _cmd_classify(args, out) -> int:
         print(f"n            {diagram.n}", file=out)
         print(f"parts        {list(diagram.parts)}", file=out)
         print(f"weight       {diagram.weight}", file=out)
-        segs = " ".join(f"{o.value}:{ln}" for o, ln in b.segments)
+        segs = " ".join(f"{step}:{ln}" for step, ln in b.segments)
         print(f"boundary     {segs}", file=out)
         print(f"index        {cls.index_w}", file=out)
         print(f"almost_even  {str(cls.is_almost_even).lower()}", file=out)
@@ -208,15 +210,11 @@ def _cmd_canonical(args, out) -> int:
     return 0
 
 
-def _alignment_flag(summand, n: int) -> str:
-    if summand.map_label not in (basis_mod.MapLabel.XI0, basis_mod.MapLabel.XI1):
+def _parity_flag(summand) -> str:
+    """Whether a GW summand's own scheme passes the twist-parity check."""
+    if summand.kind is not basis_mod.Kind.GW:
         return ""
-    variant = (
-        pic_mod.TwistVariant.XI1
-        if summand.map_label is basis_mod.MapLabel.XI1
-        else pic_mod.TwistVariant.XI0
-    )
-    result = pic_mod.twist_alignment(summand.source_diagram, variant, n)
+    result = pic_mod.scheme_alignment(summand.source_diagram, summand.scheme)
     return str(result.ok).lower()
 
 
@@ -241,13 +239,14 @@ def _decomposition_csv(decomp: basis_mod.Decomposition) -> str:
                 str(s.scheme),
                 flags_mod.relative_dimension(s.scheme),
                 flags_mod.component_count(s.scheme),
-                _alignment_flag(s, decomp.n),
+                _parity_flag(s),
             ]
         )
     return buffer.getvalue()
 
 
 def _cmd_basis(args, out) -> int:
+    _check_frame(args.n)
     twist = pic_mod.Twist(args.twist)
     if args.theory == "k":
         decomp = basis_mod.k_basis(args.n)
@@ -345,17 +344,13 @@ def _suite_boundary(max_n: int):
             b = diag_mod.boundary(d)
             if sum(b.lengths) != n:
                 return False, f"{d.steps}: segment lengths sum to {sum(b.lengths)}"
-            for idx, (orient, length) in enumerate(b.segments, start=1):
-                vertical = orient is diag_mod.Orientation.VERTICAL
-                if vertical != (idx % 2 == 1):
+            for idx, (step, length) in enumerate(b.segments, start=1):
+                if (step == diag_mod.DOWN) != (idx % 2 == 1):
                     return False, f"{d.steps}: segment {idx} has wrong orientation"
                 if idx >= 2 and length < 1:
                     return False, f"{d.steps}: segment {idx} has length {length}"
             # round trip: concatenating the runs recovers the walk
-            rebuilt = "".join(
-                ("V" if o is diag_mod.Orientation.VERTICAL else "H") * ln
-                for o, ln in b.segments
-            )
+            rebuilt = "".join(step * ln for step, ln in b.segments)
             if rebuilt != d.steps:
                 return False, f"{d.steps}: boundary does not reconcatenate"
     return True, ""

@@ -28,9 +28,6 @@ from .errors import DomainError
 DOWN = "V"
 LEFT = "H"
 
-#: Largest frame size `enumerate_diagrams` accepts by default (2**n growth).
-DEFAULT_MAX_FRAME = 16
-
 
 @dataclass(frozen=True)
 class ShiftedDiagram:
@@ -106,37 +103,24 @@ class ShiftedDiagram:
         return self.steps
 
 
-def enumerate_diagrams(n: int, *, max_n: int = DEFAULT_MAX_FRAME) -> list[ShiftedDiagram]:
+def enumerate_diagrams(n: int) -> list[ShiftedDiagram]:
     """All ``2**n`` diagrams in frame ``n``, lexicographic with ``V`` before ``H``."""
     if n < 0:
         raise DomainError(f"frame size must be non-negative, got {n}")
-    if n > max_n:
-        raise DomainError(
-            f"frame size {n} exceeds the enumeration limit {max_n} (2**n diagrams)"
-        )
     return [ShiftedDiagram(n, "".join(c)) for c in product((DOWN, LEFT), repeat=n)]
-
-
-def weight(diagram: ShiftedDiagram) -> int:
-    """Number of boxes; equals the sum of the row lengths."""
-    return diagram.weight
-
-
-class Orientation(str, Enum):
-    VERTICAL = "V"
-    HORIZONTAL = "H"
 
 
 @dataclass(frozen=True)
 class Boundary:
     """Run-length decomposition of a boundary walk into alternating segments.
 
-    ``segments[i]`` is the pair (orientation, length) of the ``i+1``-st
-    segment.  The first segment is vertical and is the only one whose length
-    may be zero; the lengths sum to the frame size.
+    ``segments[i]`` is the pair (step, length) of the ``i+1``-st segment,
+    where the step is `DOWN` for a vertical segment and `LEFT` for a
+    horizontal one.  The first segment is vertical and is the only one whose
+    length may be zero; the lengths sum to the frame size.
     """
 
-    segments: tuple[tuple[Orientation, int], ...]
+    segments: tuple[tuple[str, int], ...]
 
     @property
     def segment_count(self) -> int:
@@ -166,22 +150,21 @@ class Boundary:
         return tuple(range(2, self.segment_count + 1, 2))
 
     def to_json(self) -> list:
-        return [[orient.value, length] for orient, length in self.segments]
+        return [[step, length] for step, length in self.segments]
 
 
 def boundary(diagram: ShiftedDiagram) -> Boundary:
     """Segment decomposition of the diagram's boundary walk."""
-    segments: list[tuple[Orientation, int]] = []
+    segments: list[tuple[str, int]] = []
     steps = diagram.steps
     if steps and steps[0] == LEFT:
-        segments.append((Orientation.VERTICAL, 0))
+        segments.append((DOWN, 0))
     i = 0
     while i < len(steps):
         j = i
         while j < len(steps) and steps[j] == steps[i]:
             j += 1
-        orient = Orientation.VERTICAL if steps[i] == DOWN else Orientation.HORIZONTAL
-        segments.append((orient, j - i))
+        segments.append((steps[i], j - i))
         i = j
     return Boundary(tuple(segments))
 
@@ -298,9 +281,9 @@ class ClassSets:
         return tuple(d for d in self.family(name) if d.steps.startswith(prefix))
 
 
-def class_sets(n: int, *, max_n: int = DEFAULT_MAX_FRAME) -> ClassSets:
+def class_sets(n: int) -> ClassSets:
     """Enumerate frame ``n`` and split it into the U/A/E families."""
-    diagrams = tuple(enumerate_diagrams(n, max_n=max_n))
+    diagrams = tuple(enumerate_diagrams(n))
     if n == 0:
         # Degenerate base: the empty frame has one diagram, taken to lie in
         # every family so the recursion bases are bookkept uniformly.

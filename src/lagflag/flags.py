@@ -22,8 +22,9 @@ class FlagDescriptor:
     """The data (half_rank, d, e, t) of a generalized Lagrangian flag scheme.
 
     ``d`` has ``k+1`` entries and ``e``, ``t`` have ``k`` each.  Construction
-    only checks shapes; the defining inequalities are checked by `validate`,
-    which reports violations as data rather than raising.
+    checks that every value is a plain ``int`` (not a bool) and checks shapes;
+    the defining inequalities are checked by `validate`, which reports
+    violations as data rather than raising.
     """
 
     half_rank: int
@@ -35,6 +36,11 @@ class FlagDescriptor:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "e", tuple(self.e))
         object.__setattr__(self, "t", tuple(self.t))
+        for value in (self.half_rank, *self.d, *self.e, *self.t):
+            if type(value) is not int:  # rejects bools too
+                raise DomainError(
+                    f"descriptor values must be integers, got {value!r} in {self}"
+                )
         if len(self.d) == 0:
             raise DomainError("d must have at least one entry")
         if len(self.e) != len(self.d) - 1 or len(self.t) != len(self.e):

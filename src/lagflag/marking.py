@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .diagrams import Boundary, ShiftedDiagram, boundary
+from .diagrams import LEFT, Boundary, ShiftedDiagram, boundary
 from .errors import DescriptorError, DomainError
 from .flags import FlagDescriptor, validate
 
@@ -247,6 +247,25 @@ def lf_a(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
 
 def lf_b(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
     return lf_descriptor_type1(diagram, selection_S_tilde(diagram, w))
+
+
+def uses_type1(diagram: ShiftedDiagram) -> bool:
+    """Whether the basis gives the diagram the type-1 construction `lf_b`.
+
+    It does exactly when the frame is even and the walk starts with ``H``
+    (an empty right column); every other diagram gets the type-0
+    construction `lf_a`.
+    """
+    return diagram.n % 2 == 0 and diagram.steps.startswith(LEFT)
+
+
+def padded_scheme(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
+    """The padded scheme a basis summand of the diagram carries, cut at ``w``.
+
+    GW summands cut at the last segment and K summands at the index; the
+    construction is chosen by `uses_type1`.
+    """
+    return lf_b(diagram, w) if uses_type1(diagram) else lf_a(diagram, w)
 
 
 def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 from .diagrams import DOWN, ShiftedDiagram, boundary, classify
 from .errors import DomainError, UnsupportedError
 from .flags import FlagDescriptor, is_gorenstein
-from .marking import lf_a, lf_b
+from .marking import padded_scheme, uses_type1
 
 
 @dataclass(frozen=True)
@@ -308,22 +308,6 @@ def canonical_sheaf_in_n(
     return canonical_exponents(d, e, t, SYMBOLIC_N)
 
 
-def relative_canonical_over_LG(desc: FlagDescriptor, original_n: int) -> PicElement:
-    """Canonical sheaf relative to the ambient Grassmannian of frame ``original_n``.
-
-    Only meaningful for padded descriptors (half rank = original frame + 1).
-    Subtracts ``(original_n + 1) * Delta(0)``: the ambient Grassmannian's own
-    canonical sheaf is the (frame+1)-st power of its tautological determinant,
-    which pulls back to ``Delta(0)`` up to base classes.
-    """
-    if desc.half_rank != original_n + 1:
-        raise DomainError(
-            f"descriptor has half rank {desc.half_rank}; a padded descriptor for "
-            f"frame {original_n} must have half rank {original_n + 1}"
-        )
-    return canonical_sheaf(desc) - (original_n + 1) * PicElement({delta(0): 1})
-
-
 def mod2_reduce(elt: PicElement, desc: FlagDescriptor) -> ParityClass:
     """Exponents mod 2, with the base-trivial generators deleted.
 
@@ -406,18 +390,6 @@ def classify_connecting(c1: int, c2: int, lam1: int, lam2: int) -> ConnectingCas
     return ConnectingCase.NEEDS_PADDING
 
 
-def wedge_pushforward_rank(i: int, k: int, l: int, n: int) -> int:
-    """Rank of the i-th derived pushforward of the k-th wedge twisted by -l.
-
-    For the universal subbundle of a rank n+1 Grassmannian of n-planes this
-    is 1 exactly on the diagonal i = k = l and 0 otherwise.
-    """
-    for name, value in (("i", i), ("k", k), ("l", l)):
-        if not 0 <= value <= n:
-            raise DomainError(f"index {name} = {value} out of range 0..{n}")
-    return 1 if i == k == l else 0
-
-
 class TwistVariant(str, Enum):
     """Which pushforward family a diagram's scheme feeds (plain or twisted)."""
 
@@ -441,37 +413,37 @@ class AlignmentResult:
         }
 
 
+def scheme_alignment(diagram: ShiftedDiagram, scheme: FlagDescriptor) -> AlignmentResult:
+    """Check the mod-2 condition that makes a summand's pushforward well-defined.
+
+    Reduces the canonical-sheaf parity of ``scheme``, the scheme a summand
+    of ``diagram`` carries, and compares it against the class the
+    pushforward needs: ``Delta(0)`` when the diagram takes the type-1
+    construction (even frame, empty right column) and zero otherwise.
+    """
+    parity = mod2_reduce(canonical_sheaf(scheme), scheme)
+    required = ParityClass(frozenset({delta(0)}) if uses_type1(diagram) else frozenset())
+    return AlignmentResult(parity == required, parity, required, scheme)
+
+
 def twist_alignment(
     diagram: ShiftedDiagram, variant: TwistVariant, n: int
 ) -> AlignmentResult:
-    """Check the mod-2 condition that makes a diagram's pushforward well-defined.
+    """`scheme_alignment` of the padded scheme the basis builds for a diagram.
 
-    Builds the padded scheme the basis uses for the diagram, reduces its
-    canonical-sheaf parity, and compares against the class forced by the
-    frame parity and the twist variant: zero for odd frames and for twisted
-    even frames, ``Delta(0)`` for untwisted even frames (empty right column).
+    The diagram must be almost even and lie in frame ``n``.  Its variant is
+    ``Xi1`` for even frames with a full top row and ``Xi0`` otherwise.
     """
     if diagram.n != n:
         raise DomainError(f"diagram lives in frame {diagram.n}, not {n}")
-    cls = classify(diagram)
-    if not cls.is_almost_even:
+    if not classify(diagram).is_almost_even:
         raise DomainError(f"{diagram.steps!r} is not almost even")
     full_top = diagram.steps[0] == DOWN
-    l = boundary(diagram).segment_count
-    if n % 2 == 1:
-        if variant is not TwistVariant.XI0:
-            raise DomainError("odd frames use variant Xi0")
-        scheme = lf_a(diagram, l)
-        required = ParityClass.zero()
-    elif full_top:
-        if variant is not TwistVariant.XI1:
-            raise DomainError("even frames with a full top row use variant Xi1")
-        scheme = lf_a(diagram, l)
-        required = ParityClass.zero()
-    else:
-        if variant is not TwistVariant.XI0:
-            raise DomainError("even frames with an empty right column use variant Xi0")
-        scheme = lf_b(diagram, l)
-        required = ParityClass(frozenset({delta(0)}))
-    parity = mod2_reduce(canonical_sheaf(scheme), scheme)
-    return AlignmentResult(parity == required, parity, required, scheme)
+    expected = TwistVariant.XI1 if n % 2 == 0 and full_top else TwistVariant.XI0
+    if variant is not expected:
+        raise DomainError(
+            f"{diagram.steps!r} in frame {n} uses variant {expected.value}, "
+            f"not {variant.value}"
+        )
+    scheme = padded_scheme(diagram, boundary(diagram).segment_count)
+    return scheme_alignment(diagram, scheme)

@@ -182,6 +182,31 @@ def test_geometry_n2_details():
     assert relative_dimension(hh.scheme) == 3
 
 
+def test_geometry_audits_the_scheme_a_summand_carries(monkeypatch):
+    from dataclasses import replace
+
+    from lagflag import ShiftedDiagram, basis, lf_a
+
+    real = basis.gw_basis
+    hv = ShiftedDiagram(2, "HV")
+    wrong = lf_a(hv, 2)  # type 0, where frame 2 under O needs type 1
+    assert str(wrong) == "LF[1,3](1)_[1]@3"
+
+    def gw_basis_with_wrong_scheme(n, twist):
+        decomp = real(n, twist)
+        if (n, twist) != (2, Twist.TRIVIAL):
+            return decomp
+        summands = tuple(
+            replace(s, scheme=wrong) if s.source_diagram == hv else s
+            for s in decomp.summands
+        )
+        return replace(decomp, summands=summands)
+
+    monkeypatch.setattr(basis, "gw_basis", gw_basis_with_wrong_scheme)
+    report = verify_geometry(2)
+    assert report.failures == ("O/xi0(HV): twist parity 0, required Delta(0)",)
+
+
 # --------------------------------------------------------------------------
 # witt tables
 

@@ -159,13 +159,19 @@ def test_env_bound_override(capsys, monkeypatch):
     monkeypatch.setenv("LAGFLAG_MAX_N", "4")
     code, _, err = run(capsys, ["enumerate", "-n", "5"])
     assert code == 2
+    code, out, err = run(capsys, ["basis", "-n", "5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("lagflag: error: frame size 5 is above the bound 4")
     monkeypatch.setenv("LAGFLAG_MAX_N", "18")
     code, out, _ = run(capsys, ["enumerate", "-n", "17", "--format", "csv"])
     assert code == 0
     assert out.count("\n") == 2**17 + 1
 
 
-@pytest.mark.parametrize("argv", [["recursion", "-n", "17"], ["witt", "-n", "17"]])
+@pytest.mark.parametrize(
+    "argv", [["recursion", "-n", "17"], ["witt", "-n", "17"], ["basis", "-n", "17"]]
+)
 def test_counting_commands_check_the_bound_first(capsys, monkeypatch, argv):
     monkeypatch.delenv("LAGFLAG_MAX_N", raising=False)
     code, out, err = run(capsys, argv)

@@ -70,6 +70,13 @@ def test_shape_mismatch_is_construction_error():
         FlagDescriptor(3, (), (), ())
 
 
+def test_non_integer_values_are_construction_errors():
+    with pytest.raises(DomainError):
+        FlagDescriptor(3, (1.5, 2), (0,), (1,))
+    with pytest.raises(DomainError):
+        FlagDescriptor(True, (0,), (), ())
+
+
 def test_regular_and_gorenstein_examples():
     b2 = FlagDescriptor(2, (0, 1), (0,), (1,))
     assert is_regular(b2) and is_gorenstein(b2)

@@ -31,9 +31,7 @@ from lagflag import (
     lf_b,
     mod2_reduce,
     nabla,
-    relative_canonical_over_LG,
     twist_alignment,
-    wedge_pushforward_rank,
 )
 
 n = SYMBOLIC_N
@@ -144,21 +142,6 @@ def test_canonical_sheaf_requires_gorenstein():
         canonical_sheaf(FlagDescriptor(4, (2, 3), (0,), (1,)))
     with pytest.raises(UnsupportedError):
         canonical_sheaf_in_n((2, 3), (0,), (1,))
-
-
-def test_relative_canonical_examples():
-    scheme = lf_a(ShiftedDiagram(2, "VH"), 2)
-    rel = relative_canonical_over_LG(scheme, 2)
-    assert rel.exponent(delta(0)) == -1
-
-    scheme = lf_b(ShiftedDiagram(2, "HH"), 2)
-    rel = relative_canonical_over_LG(scheme, 2)
-    assert rel.exponent(delta(0)) == -2
-    assert rel.exponent(nabla(0)) == 2
-    assert rel.exponent(delta(1)) == 0
-
-    with pytest.raises(DomainError):
-        relative_canonical_over_LG(FlagDescriptor(2, (0, 1), (0,), (1,)), 2)
 
 
 # --------------------------------------------------------------------------
@@ -272,16 +255,6 @@ def test_connecting_case_table(frame):
     for twist in (Twist.TRIVIAL, Twist.DELTA):
         lam1, lam2 = lambda_pair(twist)
         assert classify_connecting(frame, 2, lam1, lam2) is expected[(frame % 2, twist)]
-
-
-def test_wedge_pushforward_rank():
-    assert wedge_pushforward_rank(2, 2, 2, 5) == 1
-    assert wedge_pushforward_rank(0, 0, 0, 3) == 1
-    assert wedge_pushforward_rank(1, 2, 1, 4) == 0
-    with pytest.raises(DomainError):
-        wedge_pushforward_rank(5, 2, 2, 4)
-    with pytest.raises(DomainError):
-        wedge_pushforward_rank(-1, 0, 0, 4)
 
 
 def test_parity_class_rendering():
