@@ -19,7 +19,7 @@ from math import comb
 
 from . import counting
 from .diagrams import DOWN, ShiftedDiagram, boundary, classify, enumerate_diagrams
-from .errors import DomainError
+from .errors import DomainError, _json_field, _json_int
 from .flags import (
     FlagDescriptor,
     is_gorenstein,
@@ -66,14 +66,18 @@ class Summand:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Summand":
-        steps = payload["diagram"]
+        def optional_int(value):
+            return None if value is None else _json_int(value)
+
         return cls(
-            kind=Kind(payload["kind"]),
-            source_diagram=ShiftedDiagram(len(steps), steps),
-            scheme=FlagDescriptor.from_json(payload["scheme"]),
-            map_label=MapLabel(payload["map"]),
-            shift=payload.get("shift"),
-            base_twist=payload.get("base_twist"),
+            kind=_json_field(payload, "kind", Kind),
+            source_diagram=_json_field(
+                payload, "diagram", lambda steps: ShiftedDiagram(len(steps), steps)
+            ),
+            scheme=FlagDescriptor.from_json(_json_field(payload, "scheme")),
+            map_label=_json_field(payload, "map", MapLabel),
+            shift=_json_field(payload, "shift", optional_int, default=None),
+            base_twist=_json_field(payload, "base_twist", optional_int, default=None),
         )
 
 
@@ -94,12 +98,19 @@ class Decomposition:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Decomposition":
-        return cls(
-            n=payload["n"],
-            twist=Twist(payload["twist"]),
-            theory=Kind(payload["theory"]),
-            summands=tuple(Summand.from_json(s) for s in payload["summands"]),
+        decomposition = cls(
+            n=_json_field(payload, "n", _json_int),
+            twist=_json_field(payload, "twist", Twist),
+            theory=_json_field(payload, "theory", Kind),
+            summands=tuple(
+                Summand.from_json(s) for s in _json_field(payload, "summands", list)
+            ),
         )
+        n = decomposition.n
+        for diagram in (summand.source_diagram for summand in decomposition.summands):
+            if diagram.n != n:
+                raise DomainError(f"summand diagram {diagram.steps!r} is not in frame {n}")
+        return decomposition
 
 
 def k_basis(n: int) -> Decomposition:

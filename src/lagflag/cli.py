@@ -1,5 +1,5 @@
 """Command-line frontend: enumeration, classification, scheme inspection,
-basis generation and the exact verification suites.
+basis generation, and ``verify``, which runs the suites of `lagflag.verify`.
 
 Every command writes deterministic output; identical invocations produce
 byte-identical text.  Exit codes: 0 success, 1 verification failure, 2 usage
@@ -18,16 +18,14 @@ import io
 import json
 import os
 import sys
-from collections import Counter
-from math import comb
 
 from . import basis as basis_mod
-from . import counting as counting_mod
 from . import diagrams as diag_mod
 from . import flags as flags_mod
 from . import marking as marking_mod
 from . import picard as pic_mod
 from .errors import DomainError, LagflagError
+from .verify import SUITES
 
 ENUMERATE_BOUND = 16
 VERIFY_BOUND = 10
@@ -309,321 +307,6 @@ def _cmd_classify_connecting(args, out) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _genfunc_coefficients(n: int) -> list[int]:
-    poly = [1]
-    for i in range(1, n + 1):
-        new = poly + [0] * i
-        for j, c in enumerate(poly):
-            new[j + i] += c
-        poly = new
-    return poly
-
-
-def _suite_counting(max_n: int):
-    for n in range(0, min(max_n, 16) + 1):
-        diagrams = diag_mod.enumerate_diagrams(n)
-        if len(diagrams) != 2**n:
-            return False, f"frame {n}: {len(diagrams)} diagrams, expected {2 ** n}"
-        if len(set(d.steps for d in diagrams)) != len(diagrams):
-            return False, f"frame {n}: duplicate diagrams"
-        expected = _genfunc_coefficients(n)
-        counts = Counter(d.weight for d in diagrams)
-        actual = [counts.get(w, 0) for w in range(len(expected))]
-        if actual != expected:
-            return False, f"frame {n}: weight generating function mismatch"
-    return True, ""
-
-
-def _suite_boundary(max_n: int):
-    for n in range(0, min(max_n, 12) + 1):
-        for d in diag_mod.enumerate_diagrams(n):
-            b = diag_mod.boundary(d)
-            if sum(b.lengths) != n:
-                return False, f"{d.steps}: segment lengths sum to {sum(b.lengths)}"
-            for idx, (step, length) in enumerate(b.segments, start=1):
-                if (step == diag_mod.DOWN) != (idx % 2 == 1):
-                    return False, f"{d.steps}: segment {idx} has wrong orientation"
-                if idx >= 2 and length < 1:
-                    return False, f"{d.steps}: segment {idx} has length {length}"
-            # round trip: concatenating the runs recovers the walk
-            rebuilt = "".join(step * ln for step, ln in b.segments)
-            if rebuilt != d.steps:
-                return False, f"{d.steps}: boundary does not reconcatenate"
-    return True, ""
-
-
-def _suite_class_partitions(max_n: int):
-    for n in range(3, min(max_n, 11) + 1, 2):
-        sets = diag_mod.class_sets(n)
-        a = set(sets.refine("A"))
-        if a != set(sets.refine("A", "rr")) | set(sets.refine("A", "cc")):
-            return False, f"frame {n}: A is not A^rr + A^cc"
-        e = set(sets.refine("E"))
-        split = (
-            set(sets.refine("E", "rr"))
-            | set(sets.refine("E", "cr"))
-            | set(sets.refine("E", "cc"))
-        )
-        if e != split:
-            return False, f"frame {n}: E is not E^rr + E^cr + E^cc"
-    return True, ""
-
-
-def _check_bijection(source, target, op):
-    image = [op(d) for d in source]
-    return len(set(image)) == len(image) and set(image) == set(target)
-
-
-def _suite_bijections(max_n: int):
-    top = diag_mod.delete_top_row
-    col = diag_mod.delete_right_column
-    for n in range(1, min(max_n, 12) + 1):
-        sets = diag_mod.class_sets(n)
-        prev = diag_mod.class_sets(n - 1)
-        if not _check_bijection(sets.refine("U", "r"), prev.all_diagrams, top):
-            return False, f"frame {n}: row deletion is not a bijection onto frame {n - 1}"
-        if not _check_bijection(sets.refine("U", "c"), prev.all_diagrams, col):
-            return False, f"frame {n}: column deletion is not a bijection"
-        for d in sets.refine("U", "r"):
-            if d.weight != top(d).weight + n:
-                return False, f"{d.steps}: weight does not drop by {n} under row deletion"
-        for d in sets.refine("U", "c"):
-            if d.weight != col(d).weight:
-                return False, f"{d.steps}: weight changes under column deletion"
-    for n in range(3, min(max_n, 11) + 1, 2):
-        sets = diag_mod.class_sets(n)
-        prev2 = diag_mod.class_sets(n - 2)
-        pairs = [
-            ("E", "rr", prev2.refine("E"), lambda d: top(top(d))),
-            ("E", "cr", prev2.all_diagrams, lambda d: top(col(d))),
-            ("E", "cc", prev2.refine("E"), lambda d: col(col(d))),
-            ("A", "rr", prev2.refine("A"), lambda d: top(top(d))),
-            ("A", "cc", prev2.refine("A"), lambda d: col(col(d))),
-        ]
-        for family, letters, target, op in pairs:
-            if not _check_bijection(sets.refine(family, letters), target, op):
-                return False, f"frame {n}: {family}^{letters} deletion is not a bijection"
-    return True, ""
-
-
-def _basis_selections(diagram, n):
-    """Selections used by the basis engine for one diagram."""
-    cls = diag_mod.classify(diagram)
-    l = diag_mod.boundary(diagram).segment_count
-    out = [marking_mod.selection_S(diagram, l), marking_mod.selection_S(diagram, cls.index_w)]
-    if diagram.steps[0] == "H":
-        out.append(marking_mod.selection_S_tilde(diagram, l))
-        out.append(marking_mod.selection_S_tilde(diagram, cls.index_w))
-    rules = {
-        t: marking_mod.SelectionRule.ALL_POINTS
-        for t in diag_mod.boundary(diagram).horizontal_indices()
-    }
-    out.append(marking_mod.marked_points(diagram, rules))
-    return out
-
-
-def _suite_marking(max_n: int):
-    for n in range(1, min(max_n, 10) + 1):
-        for diagram in diag_mod.enumerate_diagrams(n):
-            for sel in _basis_selections(diagram, n):
-                data = marking_mod.tuples(diagram, sel)
-                if any(ti not in (1, 2) for ti in data.t):
-                    return False, f"{diagram.steps}: t entries outside {{1,2}}"
-                for j in range(data.k):
-                    if data.d[j + 1] - data.d[j] < data.t[j]:
-                        return False, f"{diagram.steps}: d gaps do not dominate t"
-            # unpadded distance tuples transform correctly under deletions
-            d_all = marking_mod.lf_ktheory(diagram).d
-            if diagram.steps[0] == "H" and n >= 2:
-                smaller = marking_mod.lf_ktheory(diag_mod.delete_right_column(diagram)).d
-                if d_all[0] != 0 or tuple(x - 1 for x in d_all[1:]) != smaller:
-                    return False, f"{diagram.steps}: column deletion breaks distances"
-            if diagram.steps[0] == "V" and n >= 2:
-                smaller = marking_mod.lf_ktheory(diag_mod.delete_top_row(diagram)).d
-                if tuple(x - 1 for x in d_all) != smaller:
-                    return False, f"{diagram.steps}: row deletion breaks distances"
-    return True, ""
-
-
-def _suite_descriptor_dimensions(max_n: int):
-    for n in range(1, min(max_n, 8) + 1):
-        ambient = comb(n + 1, 2)
-        for diagram in diag_mod.enumerate_diagrams(n):
-            desc = marking_mod.lf_ktheory(diagram)
-            if flags_mod.relative_dimension(desc) != ambient - diagram.weight:
-                return False, f"{diagram.steps}: K-theory scheme dimension is off"
-            if flags_mod.component_count(desc) != 1:
-                return False, f"{diagram.steps}: K-theory scheme is not irreducible"
-    return True, ""
-
-
-def _gorenstein_descriptors(max_half_rank: int):
-    for n in range(1, max_half_rank + 1):
-        for k in range(0, 3):
-            for d in _tuples_nondecreasing(n, k + 1):
-                for t in _tuples_any(2, k, lo=1):
-                    for gaps in _tuples_any(1, k, lo=0):
-                        e = tuple(d[i] - gaps[i] for i in range(k))
-                        desc = flags_mod.FlagDescriptor(n, d, e, t)
-                        if flags_mod.is_valid(desc):
-                            yield desc
-
-
-def _tuples_nondecreasing(bound, length, start=0):
-    if length == 0:
-        yield ()
-        return
-    for first in range(start, bound + 1):
-        for rest in _tuples_nondecreasing(bound, length - 1, first):
-            yield (first,) + rest
-
-
-def _tuples_any(bound, length, lo):
-    if length == 0:
-        yield ()
-        return
-    for first in range(lo, bound + 1):
-        for rest in _tuples_any(bound, length - 1, lo):
-            yield (first,) + rest
-
-
-def _suite_dimension_e_independence(max_n: int):
-    cap = min(max_n, 6)
-    for desc in _gorenstein_descriptors(cap):
-        if desc.k >= 1 and desc.d[0] - desc.e[0] == 1:
-            raised = flags_mod.FlagDescriptor(
-                desc.half_rank, desc.d, (desc.d[0],) + desc.e[1:], desc.t
-            )
-            if not flags_mod.is_valid(raised):
-                continue
-            if flags_mod.relative_dimension(desc) != flags_mod.relative_dimension(raised):
-                return False, f"{desc}: dimension changed when raising e_0"
-    return True, ""
-
-
-def _suite_canonical_goldens(max_n: int):
-    n = pic_mod.SYMBOLIC_N
-    cases = [
-        (
-            (1, 2),
-            (0,),
-            (1,),
-            {
-                pic_mod.delta(0): 1,
-                pic_mod.nabla(0): n - 1,
-                pic_mod.det_v(2): 1 - n,
-                pic_mod.det_v(1): -1,
-            },
-        ),
-        (
-            (1, 3),
-            (0,),
-            (2,),
-            {
-                pic_mod.delta(0): 2,
-                pic_mod.nabla(0): n - 2,
-                pic_mod.det_v(3): 2 - n,
-                pic_mod.det_v(1): -2,
-            },
-        ),
-        (
-            (0, 2),
-            (0,),
-            (2,),
-            {
-                pic_mod.delta(0): 3,
-                pic_mod.delta(1): 1,
-                pic_mod.nabla(0): n - 3,
-                pic_mod.det_v(2): 1 - n,
-                pic_mod.det_v(0): -2,
-            },
-        ),
-    ]
-    for d, e, t, expected in cases:
-        actual = pic_mod.canonical_sheaf_in_n(d, e, t)
-        if actual != pic_mod.PicElement(expected):
-            return False, f"canonical sheaf of d={d}, e={e}, t={t} is {actual}"
-    return True, ""
-
-
-def _suite_twist_alignment(max_n: int):
-    for n in range(1, min(max_n, 8) + 1):
-        sets = diag_mod.class_sets(n)
-        for diagram in sets.almost_even:
-            if n % 2 == 0 and diagram.steps[0] == "V":
-                variant = pic_mod.TwistVariant.XI1
-            else:
-                variant = pic_mod.TwistVariant.XI0
-            result = pic_mod.twist_alignment(diagram, variant, n)
-            if not result.ok:
-                return False, (
-                    f"{diagram.steps}: parity {result.parity}, required {result.required}"
-                )
-    return True, ""
-
-
-def _suite_recursions(max_n: int):
-    for n in range(2, min(max_n, 10) + 1):
-        for twist in pic_mod.Twist:
-            counted = counting_mod.gw_atoms(n, twist)
-            enumerated = basis_mod.atom_multiset(basis_mod.gw_basis(n, twist))
-            if counted != enumerated:
-                atom = basis_mod.first_mismatch(counted, enumerated)
-                return False, (
-                    f"frame {n} twist {twist.value}: counted and enumerated atoms "
-                    f"differ at {atom}"
-                )
-        report = basis_mod.verify_recursions(n)
-        if not report.passed:
-            bad = next(c for c in report.cases if not c.passed)
-            return False, f"frame {n} case ({bad.label}) mismatch at {bad.first_mismatch}"
-    return True, ""
-
-
-def _suite_geometry(max_n: int):
-    for n in range(1, min(max_n, 8) + 1):
-        report = basis_mod.verify_geometry(n)
-        if not report.passed:
-            return False, f"frame {n}: {report.failures[0]}"
-    return True, ""
-
-
-def _suite_connecting(max_n: int):
-    expected = {
-        (0, pic_mod.Twist.DELTA): pic_mod.ConnectingCase.SPLIT_CASE_I,
-        (0, pic_mod.Twist.TRIVIAL): pic_mod.ConnectingCase.NEEDS_PADDING,
-        (1, pic_mod.Twist.TRIVIAL): pic_mod.ConnectingCase.ETA_CASE_II,
-        (1, pic_mod.Twist.DELTA): pic_mod.ConnectingCase.ETA_CASE_III,
-    }
-    for n in range(2, min(max_n, 10) + 1):
-        for twist in (pic_mod.Twist.TRIVIAL, pic_mod.Twist.DELTA):
-            lam1, lam2 = pic_mod.lambda_pair(twist)
-            case = pic_mod.classify_connecting(n, 2, lam1, lam2)
-            if case is not expected[(n % 2, twist)]:
-                return False, f"n={n} twist={twist.value}: got {case.value}"
-    return True, ""
-
-
-SUITES = (
-    ("counting", _suite_counting),
-    ("boundary-structure", _suite_boundary),
-    ("class-partitions", _suite_class_partitions),
-    ("deletion-bijections", _suite_bijections),
-    ("marking-tuples", _suite_marking),
-    ("descriptor-dimensions", _suite_descriptor_dimensions),
-    ("dimension-e-independence", _suite_dimension_e_independence),
-    ("canonical-goldens", _suite_canonical_goldens),
-    ("twist-alignment", _suite_twist_alignment),
-    ("recursions", _suite_recursions),
-    ("geometry", _suite_geometry),
-    ("connecting-case-table", _suite_connecting),
-)
-
-
 def _cmd_verify(args, out) -> int:
     bound = _bound(VERIFY_BOUND)
     max_n = args.max_n if args.max_n is not None else bound
@@ -633,7 +316,7 @@ def _cmd_verify(args, out) -> int:
         # below 3 the odd-frame suites would loop over empty ranges
         raise DomainError(f"--max-n must be at least 3, got {max_n}")
     all_ok = True
-    for name, suite in SUITES:
+    for name, suite in SUITES:  # this module's binding, so a wrapper set here is used
         ok, detail = suite(max_n)
         all_ok = all_ok and ok
         status = "ok  " if ok else "FAIL"

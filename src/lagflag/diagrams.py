@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from .errors import DomainError
+from .errors import DomainError, _json_field
 
 DOWN = "V"
 LEFT = "H"
@@ -37,6 +37,10 @@ class ShiftedDiagram:
     steps: str
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:  # rejects bools too
+            raise DomainError(f"frame size n must be an integer, got {self.n!r}")
+        if type(self.steps) is not str:
+            raise DomainError(f"steps must be a string, got {self.steps!r}")
         if self.n < 0:
             raise DomainError(f"frame size must be non-negative, got {self.n}")
         if len(self.steps) != self.n:
@@ -90,13 +94,13 @@ class ShiftedDiagram:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ShiftedDiagram":
-        diagram = cls(payload["n"], payload["steps"])
-        if "parts" in payload and tuple(payload["parts"]) != diagram.parts:
-            raise DomainError(
-                f"parts {payload['parts']} do not match steps {payload['steps']!r}"
-            )
-        if "weight" in payload and payload["weight"] != diagram.weight:
-            raise DomainError(f"weight {payload['weight']} does not match steps")
+        diagram = cls(_json_field(payload, "n"), _json_field(payload, "steps"))
+        parts = _json_field(payload, "parts", tuple, default=diagram.parts)
+        if parts != diagram.parts:
+            raise DomainError(f"parts {list(parts)} do not match steps {diagram.steps!r}")
+        weight = _json_field(payload, "weight", default=diagram.weight)
+        if weight != diagram.weight:
+            raise DomainError(f"weight {weight} does not match steps")
         return diagram
 
     def __str__(self) -> str:

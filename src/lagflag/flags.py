@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DescriptorError, DomainError, UnsupportedError
+from .errors import DescriptorError, DomainError, UnsupportedError, _json_field
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,10 @@ class FlagDescriptor:
     @classmethod
     def from_json(cls, payload: dict) -> "FlagDescriptor":
         return cls(
-            payload["half_rank"],
-            tuple(payload["d"]),
-            tuple(payload["e"]),
-            tuple(payload["t"]),
+            _json_field(payload, "half_rank"),
+            _json_field(payload, "d", tuple),
+            _json_field(payload, "e", tuple),
+            _json_field(payload, "t", tuple),
         )
 
     def __str__(self) -> str:

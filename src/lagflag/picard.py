@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagrams import DOWN, ShiftedDiagram, boundary, classify
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError, _json_field
 from .flags import FlagDescriptor, is_gorenstein
 from .marking import padded_scheme, uses_type1
 
@@ -222,16 +222,28 @@ class PicElement:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PicElement":
-        def decode(value):
-            return affine(value[0], value[1]) if isinstance(value, list) else value
+        def decode(value) -> Exponent:
+            if type(value) is list and len(value) == 2 and all(type(v) is int for v in value):
+                return affine(value[0], value[1])
+            if type(value) is not int:
+                raise ValueError(value)
+            return value
 
         items: list[tuple[Generator, Exponent]] = []
         for kind in ("Delta", "Nabla", "DetV"):
-            for index, value in payload.get(kind, {}).items():
-                items.append((Generator(kind, int(index)), decode(value)))
+            table = _json_field(payload, kind, default={})
+            try:
+                if type(table) is not dict:
+                    raise ValueError(table)
+                for index, value in table.items():
+                    items.append((Generator(kind, int(index)), decode(value)))
+            except (TypeError, ValueError):
+                raise DomainError(f"bad value for key {kind!r}: {table!r}") from None
+        unknown = [key for key in payload if key not in _KIND_ORDER]
+        if unknown:
+            raise DomainError(f"unknown key {unknown[0]!r}")
         for kind in ("AmbientDelta", "E1", "E2"):
-            if kind in payload:
-                items.append((Generator(kind), decode(payload[kind])))
+            items.append((Generator(kind), _json_field(payload, kind, decode, default=0)))
         return cls(items)
 
     def __str__(self) -> str:

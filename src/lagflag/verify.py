@@ -1,0 +1,275 @@
+"""The exact verification suites that ``lagflag verify`` runs.
+
+Each suite checks one identity of the paper over every frame up to
+``max_n``, capped at a size of its own, and returns ``(ok, detail)``: on
+failure, ``detail`` names the first frame, diagram, descriptor or case that
+broke.  `SUITES` lists the suites by name, in the order ``verify`` runs them.
+
+Library functions are called through their modules (``diagrams.boundary``,
+not a ``from`` import), so a wrapper or test double installed on a module is
+the one the suites call.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations_with_replacement, product
+from math import comb
+
+from . import basis, counting, diagrams, flags, marking, picard
+
+
+def _genfunc_coefficients(n: int) -> list[int]:
+    """Coefficients of the weight generating function prod_{i=1..n} (1 + q**i)."""
+    poly = [1]
+    for i in range(1, n + 1):
+        poly = [a + b for a, b in zip(poly + [0] * i, [0] * i + poly)]
+    return poly
+
+
+def _suite_counting(max_n: int):
+    for n in range(0, min(max_n, 16) + 1):
+        frame = diagrams.enumerate_diagrams(n)
+        if len(frame) != 2**n:
+            return False, f"frame {n}: {len(frame)} diagrams, expected {2 ** n}"
+        if len(set(d.steps for d in frame)) != len(frame):
+            return False, f"frame {n}: duplicate diagrams"
+        expected = _genfunc_coefficients(n)
+        counts = Counter(d.weight for d in frame)
+        actual = [counts.get(w, 0) for w in range(len(expected))]
+        if actual != expected:
+            return False, f"frame {n}: weight generating function mismatch"
+    return True, ""
+
+
+def _suite_boundary(max_n: int):
+    for n in range(0, min(max_n, 12) + 1):
+        for d in diagrams.enumerate_diagrams(n):
+            b = diagrams.boundary(d)
+            if sum(b.lengths) != n:
+                return False, f"{d.steps}: segment lengths sum to {sum(b.lengths)}"
+            for idx, (step, length) in enumerate(b.segments, start=1):
+                if (step == diagrams.DOWN) != (idx % 2 == 1):
+                    return False, f"{d.steps}: segment {idx} has wrong orientation"
+                if idx >= 2 and length < 1:
+                    return False, f"{d.steps}: segment {idx} has length {length}"
+            # round trip: concatenating the runs recovers the walk
+            rebuilt = "".join(step * ln for step, ln in b.segments)
+            if rebuilt != d.steps:
+                return False, f"{d.steps}: boundary does not reconcatenate"
+    return True, ""
+
+
+def _suite_class_partitions(max_n: int):
+    for n in range(3, min(max_n, 11) + 1, 2):
+        sets = diagrams.class_sets(n)
+        a = set(sets.refine("A"))
+        if a != set(sets.refine("A", "rr")) | set(sets.refine("A", "cc")):
+            return False, f"frame {n}: A is not A^rr + A^cc"
+        e = set(sets.refine("E"))
+        if e != set().union(*(sets.refine("E", letters) for letters in ("rr", "cr", "cc"))):
+            return False, f"frame {n}: E is not E^rr + E^cr + E^cc"
+    return True, ""
+
+
+def _check_bijection(source, target, op):
+    image = [op(d) for d in source]
+    return len(set(image)) == len(image) and set(image) == set(target)
+
+
+def _suite_bijections(max_n: int):
+    top = diagrams.delete_top_row
+    col = diagrams.delete_right_column
+    for n in range(1, min(max_n, 12) + 1):
+        sets = diagrams.class_sets(n)
+        prev = diagrams.class_sets(n - 1)
+        if not _check_bijection(sets.refine("U", "r"), prev.all_diagrams, top):
+            return False, f"frame {n}: row deletion is not a bijection onto frame {n - 1}"
+        if not _check_bijection(sets.refine("U", "c"), prev.all_diagrams, col):
+            return False, f"frame {n}: column deletion is not a bijection"
+        for d in sets.refine("U", "r"):
+            if d.weight != top(d).weight + n:
+                return False, f"{d.steps}: weight does not drop by {n} under row deletion"
+        for d in sets.refine("U", "c"):
+            if d.weight != col(d).weight:
+                return False, f"{d.steps}: weight changes under column deletion"
+    for n in range(3, min(max_n, 11) + 1, 2):
+        sets = diagrams.class_sets(n)
+        prev2 = diagrams.class_sets(n - 2)
+        pairs = [
+            ("E", "rr", prev2.refine("E"), lambda d: top(top(d))),
+            ("E", "cr", prev2.all_diagrams, lambda d: top(col(d))),
+            ("E", "cc", prev2.refine("E"), lambda d: col(col(d))),
+            ("A", "rr", prev2.refine("A"), lambda d: top(top(d))),
+            ("A", "cc", prev2.refine("A"), lambda d: col(col(d))),
+        ]
+        for family, letters, target, op in pairs:
+            if not _check_bijection(sets.refine(family, letters), target, op):
+                return False, f"frame {n}: {family}^{letters} deletion is not a bijection"
+    return True, ""
+
+
+def _basis_selections(diagram):
+    """Selections used by the basis engine for one diagram."""
+    cls = diagrams.classify(diagram)
+    l = diagrams.boundary(diagram).segment_count
+    out = [marking.selection_S(diagram, l), marking.selection_S(diagram, cls.index_w)]
+    if diagram.steps[0] == "H":
+        out.append(marking.selection_S_tilde(diagram, l))
+        out.append(marking.selection_S_tilde(diagram, cls.index_w))
+    rules = {
+        t: marking.SelectionRule.ALL_POINTS
+        for t in diagrams.boundary(diagram).horizontal_indices()
+    }
+    out.append(marking.marked_points(diagram, rules))
+    return out
+
+
+def _suite_marking(max_n: int):
+    for n in range(1, min(max_n, 10) + 1):
+        for diagram in diagrams.enumerate_diagrams(n):
+            for sel in _basis_selections(diagram):
+                data = marking.tuples(diagram, sel)
+                if any(ti not in (1, 2) for ti in data.t):
+                    return False, f"{diagram.steps}: t entries outside {{1,2}}"
+                for j in range(data.k):
+                    if data.d[j + 1] - data.d[j] < data.t[j]:
+                        return False, f"{diagram.steps}: d gaps do not dominate t"
+            # unpadded distance tuples transform correctly under deletions
+            d_all = marking.lf_ktheory(diagram).d
+            if diagram.steps[0] == "H" and n >= 2:
+                smaller = marking.lf_ktheory(diagrams.delete_right_column(diagram)).d
+                if d_all[0] != 0 or tuple(x - 1 for x in d_all[1:]) != smaller:
+                    return False, f"{diagram.steps}: column deletion breaks distances"
+            if diagram.steps[0] == "V" and n >= 2:
+                smaller = marking.lf_ktheory(diagrams.delete_top_row(diagram)).d
+                if tuple(x - 1 for x in d_all) != smaller:
+                    return False, f"{diagram.steps}: row deletion breaks distances"
+    return True, ""
+
+
+def _suite_descriptor_dimensions(max_n: int):
+    for n in range(1, min(max_n, 8) + 1):
+        ambient = comb(n + 1, 2)
+        for diagram in diagrams.enumerate_diagrams(n):
+            desc = marking.lf_ktheory(diagram)
+            if flags.relative_dimension(desc) != ambient - diagram.weight:
+                return False, f"{diagram.steps}: K-theory scheme dimension is off"
+            if flags.component_count(desc) != 1:
+                return False, f"{diagram.steps}: K-theory scheme is not irreducible"
+    return True, ""
+
+
+def _gorenstein_descriptors(max_half_rank: int):
+    """Valid descriptors with k <= 2, t in {1,2} and d - e in {0,1}, in a fixed order."""
+    for n in range(1, max_half_rank + 1):
+        for k in range(0, 3):
+            for d in combinations_with_replacement(range(n + 1), k + 1):
+                for t in product((1, 2), repeat=k):
+                    for gaps in product((0, 1), repeat=k):
+                        e = tuple(d[i] - gaps[i] for i in range(k))
+                        desc = flags.FlagDescriptor(n, d, e, t)
+                        if flags.is_valid(desc):
+                            yield desc
+
+
+def _suite_dimension_e_independence(max_n: int):
+    for desc in _gorenstein_descriptors(min(max_n, 6)):
+        if desc.k >= 1 and desc.d[0] - desc.e[0] == 1:
+            raised = flags.FlagDescriptor(desc.half_rank, desc.d, (desc.d[0],) + desc.e[1:], desc.t)
+            if not flags.is_valid(raised):
+                continue
+            if flags.relative_dimension(desc) != flags.relative_dimension(raised):
+                return False, f"{desc}: dimension changed when raising e_0"
+    return True, ""
+
+
+def _suite_canonical_goldens(max_n: int):
+    n = picard.SYMBOLIC_N
+    delta, nabla, det_v = picard.delta, picard.nabla, picard.det_v
+    cases = [
+        ((1, 2), (0,), (1,), {delta(0): 1, nabla(0): n - 1, det_v(2): 1 - n, det_v(1): -1}),
+        ((1, 3), (0,), (2,), {delta(0): 2, nabla(0): n - 2, det_v(3): 2 - n, det_v(1): -2}),
+        # the two-stratum scheme with a leading zero step: the determinant factors
+        # follow the closed formula (a d_1-indexed factor and a trivial rank-0 one)
+        ((0, 2), (0,), (2,),
+         {delta(0): 3, delta(1): 1, nabla(0): n - 3, det_v(2): 1 - n, det_v(0): -2}),
+    ]
+    for d, e, t, expected in cases:
+        actual = picard.canonical_sheaf_in_n(d, e, t)
+        if actual != picard.PicElement(expected):
+            return False, f"canonical sheaf of d={d}, e={e}, t={t} is {actual}"
+    return True, ""
+
+
+def _suite_twist_alignment(max_n: int):
+    for n in range(1, min(max_n, 8) + 1):
+        for diagram in diagrams.class_sets(n).almost_even:
+            if n % 2 == 0 and diagram.steps[0] == "V":
+                variant = picard.TwistVariant.XI1
+            else:
+                variant = picard.TwistVariant.XI0
+            result = picard.twist_alignment(diagram, variant, n)
+            if not result.ok:
+                return False, (
+                    f"{diagram.steps}: parity {result.parity}, required {result.required}"
+                )
+    return True, ""
+
+
+def _suite_recursions(max_n: int):
+    for n in range(2, min(max_n, 10) + 1):
+        for twist in picard.Twist:
+            counted = counting.gw_atoms(n, twist)
+            enumerated = basis.atom_multiset(basis.gw_basis(n, twist))
+            if counted != enumerated:
+                atom = basis.first_mismatch(counted, enumerated)
+                return False, (
+                    f"frame {n} twist {twist.value}: counted and enumerated atoms "
+                    f"differ at {atom}"
+                )
+        report = basis.verify_recursions(n)
+        if not report.passed:
+            bad = next(c for c in report.cases if not c.passed)
+            return False, f"frame {n} case ({bad.label}) mismatch at {bad.first_mismatch}"
+    return True, ""
+
+
+def _suite_geometry(max_n: int):
+    for n in range(1, min(max_n, 8) + 1):
+        report = basis.verify_geometry(n)
+        if not report.passed:
+            return False, f"frame {n}: {report.failures[0]}"
+    return True, ""
+
+
+def _suite_connecting(max_n: int):
+    expected = {
+        (0, picard.Twist.DELTA): picard.ConnectingCase.SPLIT_CASE_I,
+        (0, picard.Twist.TRIVIAL): picard.ConnectingCase.NEEDS_PADDING,
+        (1, picard.Twist.TRIVIAL): picard.ConnectingCase.ETA_CASE_II,
+        (1, picard.Twist.DELTA): picard.ConnectingCase.ETA_CASE_III,
+    }
+    for n in range(2, min(max_n, 10) + 1):
+        for twist in (picard.Twist.TRIVIAL, picard.Twist.DELTA):
+            lam1, lam2 = picard.lambda_pair(twist)
+            case = picard.classify_connecting(n, 2, lam1, lam2)
+            if case is not expected[(n % 2, twist)]:
+                return False, f"n={n} twist={twist.value}: got {case.value}"
+    return True, ""
+
+
+SUITES = (
+    ("counting", _suite_counting),
+    ("boundary-structure", _suite_boundary),
+    ("class-partitions", _suite_class_partitions),
+    ("deletion-bijections", _suite_bijections),
+    ("marking-tuples", _suite_marking),
+    ("descriptor-dimensions", _suite_descriptor_dimensions),
+    ("dimension-e-independence", _suite_dimension_e_independence),
+    ("canonical-goldens", _suite_canonical_goldens),
+    ("twist-alignment", _suite_twist_alignment),
+    ("recursions", _suite_recursions),
+    ("geometry", _suite_geometry),
+    ("connecting-case-table", _suite_connecting),
+)

@@ -1,43 +1,35 @@
 """Acceptance suite: one test per criterion, exact equality throughout.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
-criterion.  Everything here is exact integer combinatorics and completes in
-seconds.
+criterion.  Criteria 1, 2 and 4 to 7 run the suites of `lagflag.verify`, the
+checks behind ``lagflag verify``, over the frame ranges they state.
+Everything here is exact integer combinatorics and completes in seconds.
 """
 
 import random
 from collections import Counter
 from math import comb
 
-import pytest
 
 from lagflag import (
     AMBIENT_DELTA,
     E1,
     E2,
-    ConnectingCase,
     FlagDescriptor,
     PicElement,
-    SYMBOLIC_N,
     ShiftedDiagram,
     Twist,
     TwistVariant,
     atom_multiset,
     canonical_sheaf,
-    canonical_sheaf_in_n,
     class_sets,
-    classify_connecting,
     component_count,
-    delete_right_column,
-    delete_top_row,
     delta,
     det_v,
-    enumerate_diagrams,
     gw_basis,
     is_gorenstein,
     is_regular,
     is_valid,
-    lambda_pair,
     lf_b,
     lf_ktheory,
     mod2_reduce,
@@ -45,11 +37,11 @@ from lagflag import (
     relative_dimension,
     twist_alignment,
     validate,
-    verify_recursions,
 )
+from lagflag import verify
 from lagflag.cli import main as cli_main
 
-n = SYMBOLIC_N
+SUITE = dict(verify.SUITES)
 
 
 def _report(number: int, text: str) -> None:
@@ -57,33 +49,14 @@ def _report(number: int, text: str) -> None:
 
 
 def test_criterion_1_canonical_sheaf_goldens():
-    assert canonical_sheaf_in_n((1, 2), (0,), (1,)) == PicElement(
-        {delta(0): 1, nabla(0): n - 1, det_v(2): 1 - n, det_v(1): -1}
-    )
-    assert canonical_sheaf_in_n((1, 3), (0,), (2,)) == PicElement(
-        {delta(0): 2, nabla(0): n - 2, det_v(3): 2 - n, det_v(1): -2}
-    )
-    third = canonical_sheaf_in_n((0, 2), (0,), (2,))
-    assert third.exponent(delta(0)) == 3
-    assert third.exponent(delta(1)) == 1
-    assert third.exponent(nabla(0)) == n - 3
-    # determinant factors per the closed formula
-    assert third.exponent(det_v(2)) == 1 - n
-    assert third.exponent(det_v(0)) == -2
-    assert third == PicElement(
-        {delta(0): 3, delta(1): 1, nabla(0): n - 3, det_v(2): 1 - n, det_v(0): -2}
-    )
+    assert SUITE["canonical-goldens"](3) == (True, "")
     _report(1, "canonical-sheaf exponent vectors match exactly as functions of n")
 
 
 def test_criterion_2_dimension_formula():
     for frame in range(0, 21):
         assert relative_dimension(FlagDescriptor(frame, (0,), (), ())) == comb(frame + 1, 2)
-    for frame in range(1, 9):
-        ambient = comb(frame + 1, 2)
-        for diagram in enumerate_diagrams(frame):
-            desc = lf_ktheory(diagram)
-            assert relative_dimension(desc) == ambient - diagram.weight
+    assert SUITE["descriptor-dimensions"](8) == (True, "")
     _report(2, "dimension formula exact for k=0 (n<=20) and all 2^n diagrams (n<=8)")
 
 
@@ -107,20 +80,12 @@ def test_criterion_3_q3_example():
 
 
 def test_criterion_4_twist_alignment():
-    for frame in range(1, 9):
-        for diagram in class_sets(frame).almost_even:
-            if frame % 2 == 0 and diagram.steps[0] == "V":
-                variant = TwistVariant.XI1
-            else:
-                variant = TwistVariant.XI0
-            assert twist_alignment(diagram, variant, frame).ok, (frame, diagram.steps)
+    assert SUITE["twist-alignment"](8) == (True, "")
     _report(4, "twist alignment holds for every almost-even diagram, frames 1..8")
 
 
 def test_criterion_5_recursion_identities():
-    for frame in range(2, 11):
-        report = verify_recursions(frame)
-        assert report.passed, (frame, [c.label for c in report.cases if not c.passed])
+    assert SUITE["recursions"](10) == (True, "")
     assert len(class_sets(3).k_even) == 4
     assert atom_multiset(gw_basis(2, Twist.DELTA)) == Counter(
         {("K", None): 1, ("GW", 2): 1, ("GW", 3): 1}
@@ -132,56 +97,13 @@ def test_criterion_5_recursion_identities():
 
 
 def test_criterion_6_counting_and_bijections():
-    for frame in range(0, 17):
-        diagrams = enumerate_diagrams(frame)
-        assert len(diagrams) == 2**frame
-        poly = [1]
-        for i in range(1, frame + 1):
-            out = [0] * (len(poly) + i)
-            for j, c in enumerate(poly):
-                out[j] += c
-                out[j + i] += c
-            poly = out
-        counts = Counter(d.weight for d in diagrams)
-        assert [counts.get(w, 0) for w in range(len(poly))] == poly
-
-    def bijects(source, op, target):
-        image = [op(d).steps for d in source]
-        assert len(set(image)) == len(image)
-        assert set(image) == {d.steps for d in target}
-
-    for frame in range(1, 13):
-        sets = class_sets(frame)
-        prev = class_sets(frame - 1)
-        bijects(sets.refine("U", "r"), delete_top_row, prev.all_diagrams)
-        bijects(sets.refine("U", "c"), delete_right_column, prev.all_diagrams)
-
-    ii = lambda d: delete_top_row(delete_top_row(d))
-    iv = lambda d: delete_top_row(delete_right_column(d))
-    vv = lambda d: delete_right_column(delete_right_column(d))
-    for frame in range(3, 12, 2):
-        sets = class_sets(frame)
-        prev = class_sets(frame - 2)
-        bijects(sets.refine("E", "rr"), ii, prev.k_even)
-        bijects(sets.refine("E", "cr"), iv, prev.all_diagrams)
-        bijects(sets.refine("E", "cc"), vv, prev.k_even)
-        bijects(sets.refine("A", "rr"), ii, prev.almost_even)
-        bijects(sets.refine("A", "cc"), vv, prev.almost_even)
+    assert SUITE["counting"](16) == (True, "")
+    assert SUITE["deletion-bijections"](12) == (True, "")
     _report(6, "2^n counting and generating function (n<=16); deletion bijections (n<=12)")
 
 
 def test_criterion_7_connecting_classifier():
-    expected = {
-        (0, Twist.DELTA): ConnectingCase.SPLIT_CASE_I,
-        (0, Twist.TRIVIAL): ConnectingCase.NEEDS_PADDING,
-        (1, Twist.TRIVIAL): ConnectingCase.ETA_CASE_II,
-        (1, Twist.DELTA): ConnectingCase.ETA_CASE_III,
-    }
-    for frame in range(2, 11):
-        for twist in (Twist.TRIVIAL, Twist.DELTA):
-            lam1, lam2 = lambda_pair(twist)
-            case = classify_connecting(frame, 2, lam1, lam2)
-            assert case is expected[(frame % 2, twist)], (frame, twist)
+    assert SUITE["connecting-case-table"](10) == (True, "")
     _report(7, "connecting-homomorphism case table reproduced for frames 2..10")
 
 

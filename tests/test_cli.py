@@ -1,13 +1,27 @@
 """CLI behavior: golden output, determinism, exit codes, JSON round-trips."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from lagflag import (
+    Decomposition,
+    DomainError,
+    FlagDescriptor,
+    PicElement,
+    ShiftedDiagram,
+    Summand,
+    Twist,
+    gw_basis,
+)
 from lagflag.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+SUMMAND = {"kind": "GW", "shift": 1, "diagram": "VH", "map": "xi0", "base_twist": None,
+           "scheme": {"half_rank": 3, "d": [1, 2], "e": [0], "t": [1]}}
 
 
 def run(capsys, argv):
@@ -67,8 +81,6 @@ def test_byte_identical_across_runs(capsys, argv):
 
 
 def test_json_outputs_round_trip(capsys):
-    from lagflag import Decomposition, PicElement, ShiftedDiagram, gw_basis, Twist
-
     _, out, _ = run(capsys, ["basis", "-n", "2", "--twist", "O", "--format", "json"])
     payload = json.loads(out)
     assert payload["twist"] == "O"
@@ -92,6 +104,50 @@ def test_json_outputs_round_trip(capsys):
     _, out, _ = run(capsys, ["scheme", "--name", "B2", "-n", "2", "--format", "json"])
     payload = json.loads(out)
     assert payload["report"]["relative_dimension"] == 3
+
+
+@pytest.mark.parametrize(
+    "parser,payload,message",
+    [
+        (ShiftedDiagram.from_json, {"steps": "VH"}, "missing key 'n'"),
+        (ShiftedDiagram.from_json, {"n": "2", "steps": "VH"}, "n must be an integer, got '2'"),
+        (ShiftedDiagram.from_json, {"n": True, "steps": "V"}, "n must be an integer, got True"),
+        (ShiftedDiagram.from_json, {"n": 2, "steps": ["V", "H"]}, "steps must be a string"),
+        (ShiftedDiagram.from_json, ["n", 2], "expected a JSON object"),
+        (ShiftedDiagram.from_json, {"n": 1, "steps": "V", "parts": 1}, "key 'parts': 1"),
+        (Decomposition.from_json, {"n": 1}, "missing key 'twist'"),
+        (Decomposition.from_json, {"n": "x"}, "bad value for key 'n': 'x'"),
+        (Decomposition.from_json, {"n": True}, "bad value for key 'n': True"),
+        (
+            Decomposition.from_json,
+            {"n": 3, "twist": "O", "theory": "GW", "summands": [SUMMAND]},
+            "summand diagram 'VH' is not in frame 3",
+        ),
+        (Summand.from_json, {**SUMMAND, "shift": "1"}, "bad value for key 'shift': '1'"),
+        (Summand.from_json, {**SUMMAND, "base_twist": 1.0}, "bad value for key 'base_twist': 1.0"),
+        (Decomposition.from_json, {"n": 1, "twist": "X"}, "bad value for key 'twist': 'X'"),
+        (
+            Decomposition.from_json,
+            {"n": 1, "twist": "O", "theory": "K", "summands": [{"kind": "K", "diagram": 3}]},
+            "bad value for key 'diagram': 3",
+        ),
+        (
+            FlagDescriptor.from_json,
+            {"half_rank": 3, "d": 3, "e": [], "t": []},
+            "bad value for key 'd': 3",
+        ),
+        (FlagDescriptor.from_json, {"half_rank": 3, "d": [1]}, "missing key 'e'"),
+        (PicElement.from_json, {"Delta": {"x": 1}}, "bad value for key 'Delta'"),
+        (PicElement.from_json, {"Nabla": {"0": [1]}}, "bad value for key 'Nabla'"),
+        (PicElement.from_json, {"E1": "a"}, "bad value for key 'E1': 'a'"),
+        (PicElement.from_json, {"Delta": [["0", 1]]}, "bad value for key 'Delta'"),
+        (PicElement.from_json, {"delta": {"0": 1}}, "unknown key 'delta'"),
+        (PicElement.from_json, "E1", "expected a JSON object"),
+    ],
+)
+def test_from_json_rejects_bad_payloads(parser, payload, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        parser(payload)
 
 
 def test_empty_list_emits_json_brackets(capsys):
@@ -132,6 +188,12 @@ def test_verify_exit_zero(capsys):
     code, out, _ = run(capsys, ["verify", "--max-n", "3"])
     assert code == 0
     assert "all suites passed" in out
+
+
+def test_verify_golden(capsys):
+    code, out, err = run(capsys, ["verify", "--max-n", "8"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "verify_n8.txt").read_text()
 
 
 def test_usage_errors_exit_two(capsys):

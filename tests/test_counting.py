@@ -6,14 +6,7 @@ import pytest
 
 from lagflag import DomainError, Kind, Twist, atom_multiset, gw_basis, verify_recursions, witt_table
 from lagflag.counting import class_weights, gw_atoms
-
-
-def _product_coefficients(n):
-    """Coefficients of prod_{i=1..n} (1 + q**i)."""
-    poly = [1]
-    for i in range(1, n + 1):
-        poly = [a + b for a, b in zip(poly + [0] * i, [0] * i + poly)]
-    return poly
+from lagflag.verify import _genfunc_coefficients
 
 
 def _witt_by_enumeration(decomp):
@@ -36,7 +29,7 @@ def test_class_tables_sum_to_generating_function():
         total = [0] * (n * (n + 1) // 2 + 1)
         for coeffs in class_weights(n).values():
             total = [a + b for a, b in zip(total, coeffs)]
-        assert total == _product_coefficients(n), n
+        assert total == _genfunc_coefficients(n), n
 
 
 @pytest.mark.parametrize("n", range(17, 25))

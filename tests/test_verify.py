@@ -1,0 +1,115 @@
+"""The suites of `lagflag.verify` see a broken identity, at the top of their range.
+
+The other test files delegate to these suites, so a suite that looped over
+an empty or shortened range would pass them vacuously.  Each case breaks one
+library function on its module, only at the largest frame or the last case
+a delegating test relies on, and expects the suite to fail there and name it.
+"""
+
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from lagflag import counting, diagrams, flags, marking, picard, verify
+
+SUITE = dict(verify.SUITES)
+
+
+def _drop_last_at_16(real):
+    return lambda n: real(n)[:-1] if n == 16 else real(n)
+
+
+def _extra_almost_even_at_9(real):
+    def class_sets(n):
+        sets = real(n)
+        if n != 9:
+            return sets
+        extra = next(d for d in sets.all_diagrams if d.steps.startswith("VH"))
+        return dataclasses.replace(sets, almost_even=sets.almost_even + (extra,))
+
+    return class_sets
+
+
+def _collide_at_12(real):
+    collide = diagrams.ShiftedDiagram(12, "H" * 12)
+    other = diagrams.ShiftedDiagram(12, "HV" + "H" * 10)
+    return lambda d: real(other) if d == collide else real(d)
+
+
+def _shift_distances_at_8(real):
+    def lf_ktheory(d):
+        desc = real(d)
+        return dataclasses.replace(desc, d=(1,) + desc.d[1:]) if d.steps == "H" * 8 else desc
+
+    return lf_ktheory
+
+
+def _off_by_one_at_half_rank_8(real):
+    return lambda desc: real(desc) + (desc.half_rank == 8)
+
+
+def _off_by_one_when_raised_at_half_rank_6(real):
+    return lambda desc: real(desc) + (desc.half_rank == 6 and desc.e[:1] == desc.d[:1])
+
+
+def _wrong_third_golden(real):
+    extra = picard.PicElement({picard.E1: 1})
+    return lambda d, e, t: real(d, e, t) + extra if d == (0, 2) else real(d, e, t)
+
+
+def _misaligned_at_8(real):
+    def twist_alignment(d, variant, n):
+        result = real(d, variant, n)
+        if d.steps != "H" * 8:
+            return result
+        return dataclasses.replace(result, ok=False, required=picard.ParityClass.zero())
+
+    return twist_alignment
+
+
+def _extra_atom_at_10(real):
+    extra = Counter({("GW", 99): 1})
+    return lambda n, twist: real(n, twist) + extra if n == 10 else real(n, twist)
+
+
+def _wrong_case_at_10(real):
+    split = picard.ConnectingCase.SPLIT_CASE_I
+    return lambda n, c2, lam1, lam2: split if n == 10 else real(n, c2, lam1, lam2)
+
+
+CASES = [
+    ("counting", 16, diagrams, "enumerate_diagrams", _drop_last_at_16,
+     "frame 16: 65535 diagrams, expected 65536"),
+    ("class-partitions", 9, diagrams, "class_sets", _extra_almost_even_at_9,
+     "frame 9: A is not A^rr + A^cc"),
+    ("deletion-bijections", 12, diagrams, "delete_right_column", _collide_at_12,
+     "frame 12: column deletion is not a bijection"),
+    ("marking-tuples", 8, marking, "lf_ktheory", _shift_distances_at_8,
+     "HHHHHHHH: column deletion breaks distances"),
+    ("descriptor-dimensions", 8, flags, "relative_dimension", _off_by_one_at_half_rank_8,
+     "VVVVVVVV: K-theory scheme dimension is off"),
+    ("dimension-e-independence", 6, flags, "relative_dimension",
+     _off_by_one_when_raised_at_half_rank_6,
+     "LF[1,1](0)_[1]@6: dimension changed when raising e_0"),
+    ("canonical-goldens", 3, picard, "canonical_sheaf_in_n", _wrong_third_golden,
+     "canonical sheaf of d=(0, 2), e=(0,), t=(2,) is "),
+    ("twist-alignment", 8, picard, "twist_alignment", _misaligned_at_8,
+     "HHHHHHHH: parity Delta(0), required 0"),
+    ("recursions", 10, counting, "gw_atoms", _extra_atom_at_10,
+     "frame 10 twist O: counted and enumerated atoms differ at ('GW', 99)"),
+    ("connecting-case-table", 10, picard, "classify_connecting", _wrong_case_at_10,
+     "n=10 twist=O: got SplitCaseI"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,max_n,module,name,breaker,detail", CASES, ids=[case[0] for case in CASES]
+)
+def test_suite_fails_at_the_top_of_its_range(
+    monkeypatch, suite, max_n, module, name, breaker, detail
+):
+    monkeypatch.setattr(module, name, breaker(getattr(module, name)))
+    ok, got = SUITE[suite](max_n)
+    assert not ok
+    assert got.startswith(detail)
