@@ -121,10 +121,13 @@ class Boundary:
     ``segments[i]`` is the pair (step, length) of the ``i+1``-st segment,
     where the step is `DOWN` for a vertical segment and `LEFT` for a
     horizontal one.  The first segment is vertical and is the only one whose
-    length may be zero; the lengths sum to the frame size.
+    length may be zero; the lengths sum to the frame size.  ``ends[i]`` is
+    the boundary distance from the origin to the end of that segment, so
+    segment ``t`` (1-based) starts at ``ends[t-2]`` (at 0 when ``t`` is 1).
     """
 
     segments: tuple[tuple[str, int], ...]
+    ends: tuple[int, ...]
 
     @property
     def segment_count(self) -> int:
@@ -134,43 +137,23 @@ class Boundary:
     def lengths(self) -> tuple[int, ...]:
         return tuple(length for _, length in self.segments)
 
-    def length(self, t: int) -> int:
-        """Length of segment ``t`` (1-based)."""
-        if not 1 <= t <= self.segment_count:
-            raise DomainError(f"segment index {t} out of range 1..{self.segment_count}")
-        return self.segments[t - 1][1]
-
-    def cumulative(self, t: int) -> int:
-        """Boundary distance from the origin to the end of segment ``t``.
-
-        ``cumulative(0)`` is 0 (the origin itself).
-        """
-        if not 0 <= t <= self.segment_count:
-            raise DomainError(f"segment index {t} out of range 0..{self.segment_count}")
-        return sum(length for _, length in self.segments[:t])
-
-    def horizontal_indices(self) -> tuple[int, ...]:
-        """1-based indices of the horizontal segments (the even indices)."""
-        return tuple(range(2, self.segment_count + 1, 2))
-
     def to_json(self) -> list:
         return [[step, length] for step, length in self.segments]
 
 
 def boundary(diagram: ShiftedDiagram) -> Boundary:
-    """Segment decomposition of the diagram's boundary walk."""
-    segments: list[tuple[str, int]] = []
+    """Segment decomposition of the diagram's boundary walk, read in one pass."""
     steps = diagram.steps
-    if steps and steps[0] == LEFT:
-        segments.append((DOWN, 0))
-    i = 0
-    while i < len(steps):
-        j = i
-        while j < len(steps) and steps[j] == steps[i]:
-            j += 1
-        segments.append((steps[i], j - i))
-        i = j
-    return Boundary(tuple(segments))
+    # a walk that starts with H opens with a vertical segment of length zero
+    ends = [0] if steps.startswith(LEFT) else []
+    ends += [i for i in range(1, len(steps)) if steps[i] != steps[i - 1]]
+    if steps:
+        ends.append(len(steps))
+    segments = tuple(
+        (LEFT if t % 2 else DOWN, end - start)
+        for t, (start, end) in enumerate(zip([0] + ends, ends))
+    )
+    return Boundary(segments, tuple(ends))
 
 
 class RowType(str, Enum):
@@ -182,8 +165,8 @@ class RowType(str, Enum):
 class DiagramClass:
     """Classification data of a diagram.
 
-    ``index_w`` is the least segment count ``t`` whose cumulative boundary
-    length is nonzero and congruent to the frame size mod 2.  A diagram is
+    ``index_w`` is the least segment index ``t`` whose end lies at a nonzero
+    boundary distance congruent to the frame size mod 2.  A diagram is
     almost even when the index equals the number of segments, and K-even
     when the index is even.
     """
@@ -208,13 +191,8 @@ def classify(diagram: ShiftedDiagram) -> DiagramClass:
         raise DomainError("classification needs a frame of size at least 1")
     b = boundary(diagram)
     l = b.segment_count
-    index = None
-    for t in range(1, l + 1):
-        c = b.cumulative(t)
-        if c != 0 and c % 2 == diagram.n % 2:
-            index = t
-            break
-    assert index is not None  # cumulative(l) == n always matches
+    # the last segment ends at n itself, so the scan always stops
+    index = next(t for t, end in enumerate(b.ends, 1) if end and end % 2 == diagram.n % 2)
     row = RowType.FULL_TOP_ROW if diagram.steps[0] == DOWN else RowType.EMPTY_RIGHT_COLUMN
     return DiagramClass(
         index_w=index,

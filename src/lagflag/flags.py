@@ -183,8 +183,7 @@ def relative_dimension(desc: FlagDescriptor) -> int:
     ``(half_rank - t_i - d_i) * t_i + C(t_i + 1, 2)``.  Note the formula does
     not involve ``e``.
     """
-    _require_valid(desc)
-    if not is_gorenstein(desc):
+    if not is_gorenstein(desc):  # raises DescriptorError on an invalid descriptor
         raise UnsupportedError(
             f"relative dimension is only asserted for Gorenstein descriptors "
             f"(d_i - e_i <= 1); got {desc}"
@@ -198,7 +197,6 @@ def relative_dimension(desc: FlagDescriptor) -> int:
 
 def component_count(desc: FlagDescriptor) -> int:
     """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
-    _require_valid(desc)
     if not is_gorenstein(desc):
         raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
     s = sum(1 for i in range(desc.k) if desc.d[i] - desc.e[i] == 1)
@@ -230,7 +228,6 @@ class SchemeReport:
 
 
 def scheme_report(desc: FlagDescriptor) -> SchemeReport:
-    _require_valid(desc)
     gor = is_gorenstein(desc)
     return SchemeReport(
         regular=is_regular(desc),

@@ -23,8 +23,8 @@ from enum import Enum
 from typing import Mapping
 
 from .diagrams import LEFT, Boundary, ShiftedDiagram, boundary
-from .errors import DescriptorError, DomainError
-from .flags import FlagDescriptor, validate
+from .errors import DomainError
+from .flags import FlagDescriptor, _require_valid
 
 
 class SelectionRule(Enum):
@@ -73,10 +73,14 @@ class SegmentSelection:
 
 @dataclass(frozen=True)
 class MarkedSelection:
-    """Selected points of one diagram, grouped per horizontal segment."""
+    """Selected points of one diagram, grouped per horizontal segment.
+
+    ``boundary`` is the diagram's boundary the selection was read from.
+    """
 
     diagram: ShiftedDiagram
     per_segment: tuple[SegmentSelection, ...]
+    boundary: Boundary
 
     @property
     def points(self) -> tuple[MarkedPoint, ...]:
@@ -98,8 +102,13 @@ def marked_points(
     rule for a vertical or out-of-range segment is a domain error, as is a
     missing one.
     """
-    b = boundary(diagram)
-    horizontal = b.horizontal_indices()
+    return _select(diagram, boundary(diagram), rules)
+
+
+def _select(
+    diagram: ShiftedDiagram, b: Boundary, rules: Mapping[int, SelectionRule]
+) -> MarkedSelection:
+    horizontal = range(2, b.segment_count + 1, 2)
     extra = set(rules) - set(horizontal)
     if extra:
         raise DomainError(
@@ -110,39 +119,41 @@ def marked_points(
     if missing:
         raise DomainError(f"missing selection rules for segments {sorted(missing)}")
     per_segment = tuple(
-        SegmentSelection(t, rules[t], rules[t].offsets(b.length(t))) for t in horizontal
+        SegmentSelection(t, rules[t], rules[t].offsets(b.segments[t - 1][1]))
+        for t in horizontal
     )
-    return MarkedSelection(diagram, per_segment)
+    return MarkedSelection(diagram, per_segment, b)
+
+
+def _cutoff_rules(b: Boundary, w: int) -> dict[int, SelectionRule]:
+    """Rule 2 on the horizontal segments up to ``w``, rule 1 beyond."""
+    if w < 0:
+        raise DomainError(f"selection cutoff must be non-negative, got {w}")
+    return {
+        t: SelectionRule.EVEN_POINTS if t <= w else SelectionRule.ALL_POINTS
+        for t in range(2, b.segment_count + 1, 2)
+    }
 
 
 def selection_S(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
-    """Rule-2 points on segments up to ``w``, rule-1 points beyond."""
-    if w < 0:
-        raise DomainError(f"selection cutoff must be non-negative, got {w}")
+    """Rule-2 points on segments up to ``w``, rule-1 points beyond.
+
+    With ``w = 0`` every special marked point is selected.
+    """
     b = boundary(diagram)
-    rules = {
-        t: SelectionRule.EVEN_POINTS if t <= w else SelectionRule.ALL_POINTS
-        for t in b.horizontal_indices()
-    }
-    return marked_points(diagram, rules)
+    return _select(diagram, b, _cutoff_rules(b, w))
 
 
 def selection_S_tilde(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
     """Like `selection_S` but the first horizontal segment uses rule 3."""
-    if w < 0:
-        raise DomainError(f"selection cutoff must be non-negative, got {w}")
     b = boundary(diagram)
-    horizontal = b.horizontal_indices()
-    if 2 not in horizontal:
+    rules = _cutoff_rules(b, w)
+    if 2 not in rules:
         raise DomainError(
             f"{diagram.steps!r} has no horizontal segment s_2; rule 3 has nowhere to apply"
         )
-    rules = {
-        t: SelectionRule.EVEN_POINTS if t <= w else SelectionRule.ALL_POINTS
-        for t in horizontal
-    }
     rules[2] = SelectionRule.ODD_PLUS_FIRST
-    return marked_points(diagram, rules)
+    return _select(diagram, b, rules)
 
 
 @dataclass(frozen=True)
@@ -167,10 +178,6 @@ class TupleData:
         }
 
 
-def _distance(b: Boundary, point: MarkedPoint) -> int:
-    return b.cumulative(point.segment - 1) + point.offset
-
-
 def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
     """Distance and horizontal-gap tuples of a selection.
 
@@ -181,21 +188,22 @@ def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
     """
     if sel.diagram != diagram:
         raise DomainError("selection was built for a different diagram")
-    b = boundary(diagram)
+    b = sel.boundary
     odd_segments = b.segment_count % 2 == 1
     points = sel.points
-    d = [_distance(b, p) for p in points]
+    # a horizontal segment t >= 2 starts where segment t - 1 ends
+    d = [b.ends[p.segment - 2] + p.offset for p in points]
     gaps: list[int] = []
     for prev, cur in zip(points, points[1:]):
         if prev.segment == cur.segment:
             gaps.append(cur.offset - prev.offset)
         else:
-            gaps.append((b.length(prev.segment) - prev.offset) + cur.offset)
+            gaps.append((b.segments[prev.segment - 1][1] - prev.offset) + cur.offset)
     if odd_segments:
         d.append(diagram.n)
         if points:
             last = points[-1]
-            gaps.append(b.length(last.segment) - last.offset)
+            gaps.append(b.segments[last.segment - 1][1] - last.offset)
     if not d:
         raise DomainError(
             f"selection on {diagram.steps!r} yields no tuple entries (empty frame)"
@@ -213,13 +221,7 @@ def _padded_descriptor(
     if drop_first_e:
         e[0] -= 1
     desc = FlagDescriptor(diagram.n + 1, d, tuple(e), data.t)
-    errors = [v for v in validate(desc) if v.severity == "error"]
-    if errors:
-        raise DescriptorError(
-            f"constructed descriptor {desc} is invalid: "
-            + "; ".join(v.message for v in errors),
-            violations=errors,
-        )
+    _require_valid(desc)
     return desc
 
 
@@ -271,16 +273,12 @@ def padded_scheme(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
 def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:
     """Unpadded descriptor of the K-theory model attached to a diagram.
 
-    Selects every special marked point, so all ``t`` entries come out 1, and
-    keeps the frame size as the half rank.
+    Selects every special marked point (``selection_S`` with cutoff 0), so
+    all ``t`` entries come out 1, and keeps the frame size as the half rank.
     """
     if diagram.n < 1:
         raise DomainError("the K-theory descriptor needs a frame of size at least 1")
-    b = boundary(diagram)
-    rules = {t: SelectionRule.ALL_POINTS for t in b.horizontal_indices()}
-    data = tuples(diagram, marked_points(diagram, rules))
+    data = tuples(diagram, selection_S(diagram, 0))
     desc = FlagDescriptor(diagram.n, data.d, data.e, data.t)
-    errors = [v for v in validate(desc) if v.severity == "error"]
-    if errors:  # pragma: no cover - the construction never produces one
-        raise DescriptorError(f"descriptor {desc} invalid", violations=errors)
+    _require_valid(desc)
     return desc

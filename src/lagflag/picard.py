@@ -311,11 +311,14 @@ def canonical_sheaf(desc: FlagDescriptor) -> PicElement:
 def canonical_sheaf_in_n(
     d: tuple[int, ...], e: tuple[int, ...], t: tuple[int, ...]
 ) -> PicElement:
-    """Canonical sheaf with the half rank kept symbolic."""
-    d, e, t = tuple(d), tuple(e), tuple(t)
-    if len(e) != len(d) - 1 or len(t) != len(e):
-        raise DomainError("shape mismatch between d, e and t")
-    if not all(0 <= d[i] - e[i] <= 1 for i in range(len(e))):
+    """Canonical sheaf with the half rank kept symbolic.
+
+    The tuples are validated at the least half rank that meets every bound
+    involving it, so exactly the constraints among ``d``, ``e`` and ``t``
+    themselves are checked.
+    """
+    least = max((0, *d, *(ei + ti for ei, ti in zip(e, t))))
+    if not is_gorenstein(FlagDescriptor(least, d, e, t)):
         raise UnsupportedError("the canonical-sheaf formula needs d_i - e_i in {0, 1}")
     return canonical_exponents(d, e, t, SYMBOLIC_N)
 

@@ -80,9 +80,9 @@ def _check_bijection(source, target, op):
 def _suite_bijections(max_n: int):
     top = diagrams.delete_top_row
     col = diagrams.delete_right_column
+    frames = [diagrams.class_sets(n) for n in range(0, min(max_n, 12) + 1)]
     for n in range(1, min(max_n, 12) + 1):
-        sets = diagrams.class_sets(n)
-        prev = diagrams.class_sets(n - 1)
+        sets, prev = frames[n], frames[n - 1]
         if not _check_bijection(sets.refine("U", "r"), prev.all_diagrams, top):
             return False, f"frame {n}: row deletion is not a bijection onto frame {n - 1}"
         if not _check_bijection(sets.refine("U", "c"), prev.all_diagrams, col):
@@ -94,8 +94,7 @@ def _suite_bijections(max_n: int):
             if d.weight != col(d).weight:
                 return False, f"{d.steps}: weight changes under column deletion"
     for n in range(3, min(max_n, 11) + 1, 2):
-        sets = diagrams.class_sets(n)
-        prev2 = diagrams.class_sets(n - 2)
+        sets, prev2 = frames[n], frames[n - 2]
         pairs = [
             ("E", "rr", prev2.refine("E"), lambda d: top(top(d))),
             ("E", "cr", prev2.all_diagrams, lambda d: top(col(d))),
@@ -111,18 +110,12 @@ def _suite_bijections(max_n: int):
 
 def _basis_selections(diagram):
     """Selections used by the basis engine for one diagram."""
-    cls = diagrams.classify(diagram)
-    l = diagrams.boundary(diagram).segment_count
-    out = [marking.selection_S(diagram, l), marking.selection_S(diagram, cls.index_w)]
+    every_point = marking.selection_S(diagram, 0)
+    cutoffs = (every_point.boundary.segment_count, diagrams.classify(diagram).index_w)
+    out = [marking.selection_S(diagram, w) for w in cutoffs]
     if diagram.steps[0] == "H":
-        out.append(marking.selection_S_tilde(diagram, l))
-        out.append(marking.selection_S_tilde(diagram, cls.index_w))
-    rules = {
-        t: marking.SelectionRule.ALL_POINTS
-        for t in diagrams.boundary(diagram).horizontal_indices()
-    }
-    out.append(marking.marked_points(diagram, rules))
-    return out
+        out += [marking.selection_S_tilde(diagram, w) for w in cutoffs]
+    return out + [every_point]
 
 
 def _suite_marking(max_n: int):

@@ -5,8 +5,13 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lagflag import (
+    AMBIENT_DELTA,
+    E1,
+    E2,
     Decomposition,
     DomainError,
     FlagDescriptor,
@@ -14,7 +19,13 @@ from lagflag import (
     ShiftedDiagram,
     Summand,
     Twist,
+    affine,
+    delta,
+    det_v,
     gw_basis,
+    k_basis,
+    nabla,
+    verify,
 )
 from lagflag.cli import main
 
@@ -104,6 +115,43 @@ def test_json_outputs_round_trip(capsys):
     _, out, _ = run(capsys, ["scheme", "--name", "B2", "-n", "2", "--format", "json"])
     payload = json.loads(out)
     assert payload["report"]["relative_dimension"] == 3
+
+
+def assert_round_trips(value):
+    assert type(value).from_json(json.loads(json.dumps(value.to_json()))) == value
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.text("VH", min_size=n, max_size=n)))
+def test_diagram_json_round_trip(steps):
+    assert_round_trips(ShiftedDiagram(len(steps), steps))
+
+
+@given(st.sampled_from(list(verify._gorenstein_descriptors(6))))
+def test_descriptor_json_round_trip(desc):
+    assert_round_trips(desc)
+
+
+exponents = st.one_of(
+    st.integers(-50, 50), st.builds(affine, st.integers(-3, 3), st.integers(-50, 50))
+)
+generators = st.sampled_from(
+    [delta(0), delta(2), nabla(0), nabla(1), det_v(0), det_v(3), AMBIENT_DELTA, E1, E2]
+)
+
+
+@given(st.builds(PicElement, st.dictionaries(generators, exponents, max_size=6)))
+def test_pic_element_json_round_trip(elt):
+    assert_round_trips(elt)
+
+
+@given(
+    st.one_of(
+        st.builds(gw_basis, st.integers(1, 6), st.sampled_from(Twist)),
+        st.builds(k_basis, st.integers(0, 6)),
+    )
+)
+def test_decomposition_json_round_trip(decomp):
+    assert_round_trips(decomp)
 
 
 @pytest.mark.parametrize(
@@ -278,6 +326,22 @@ def test_scheme_rejects_non_integer_half_rank(capsys):
     code, _, err = run(capsys, ["scheme", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "2.5"])
     assert code == 2
     assert err == "lagflag: error: --half-rank must be an integer, got '2.5'\n"
+
+
+@pytest.mark.parametrize(
+    "tuples,message",
+    [
+        (["--d=-1"], "d_0 = -1 is negative"),
+        (["--d=1,2", "--e=0", "--t=0"], "t_0 = 0 is not positive"),
+        (["--d=2,1", "--e=1", "--t=1"], "d_0 = 2 > d_1 = 1"),
+    ],
+)
+def test_symbolic_canonical_rejects_what_every_half_rank_rejects(capsys, tuples, message):
+    for half_rank in ("3", "N"):
+        code, out, err = run(capsys, ["canonical", *tuples, "--half-rank", half_rank])
+        assert (code, out) == (2, "")
+        assert err.startswith("lagflag: error:") and err.count("\n") == 1
+        assert message in err
 
 
 def test_verify_names_counting_mismatch(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from lagflag import (
     SelectionRule,
     ShiftedDiagram,
     boundary,
+    classify,
     enumerate_diagrams,
     is_valid,
     lf_a,
@@ -27,8 +28,10 @@ from lagflag import (
     selection_S,
     selection_S_tilde,
     tuples,
+    uses_type1,
     validate,
 )
+from lagflag import diagrams, marking
 from lagflag.verify import SUITES, _basis_selections
 
 # --------------------------------------------------------------------------
@@ -177,6 +180,47 @@ def test_tuples_against_oracle_exhaustive(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_distance_tuples_under_deletions(n):
     assert dict(SUITES)["marking-tuples"](n) == (True, "")
+
+
+def count_boundary_calls(monkeypatch, module):
+    """Wrap ``module.boundary`` so that each call is recorded in the returned list."""
+    calls = []
+    real = module.boundary
+
+    def counted(diagram):
+        calls.append(diagram)
+        return real(diagram)
+
+    monkeypatch.setattr(module, "boundary", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_construction_reads_the_walk_once(monkeypatch, n):
+    marking_calls = count_boundary_calls(monkeypatch, marking)
+    diagram_calls = count_boundary_calls(monkeypatch, diagrams)
+    for diagram in enumerate_diagrams(n):
+        l = boundary(diagram).segment_count
+        builds = [
+            lambda: lf_a(diagram, l),
+            lambda: lf_ktheory(diagram),
+            lambda: selection_S(diagram, 1),
+        ]
+        if "H" in diagram.steps:
+            builds.append(lambda: selection_S_tilde(diagram, 1))
+        if uses_type1(diagram):
+            builds.append(lambda: lf_b(diagram, l))
+        for build in builds:
+            marking_calls.clear()
+            build()
+            assert marking_calls == [diagram]
+        sel = selection_S(diagram, 0)
+        marking_calls.clear()
+        tuples(diagram, sel)
+        assert marking_calls == []
+        diagram_calls.clear()
+        classify(diagram)
+        assert diagram_calls == [diagram]
 
 
 # --------------------------------------------------------------------------
