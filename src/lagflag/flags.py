@@ -155,24 +155,32 @@ def is_valid(desc: FlagDescriptor) -> bool:
     return not any(v.severity == "error" for v in validate(desc))
 
 
-def _require_valid(desc: FlagDescriptor) -> None:
+def _require_valid(desc: FlagDescriptor, shown: str | None = None) -> FlagDescriptor:
+    """Return ``desc``, or raise `DescriptorError` naming it (as ``shown`` if given)."""
     bad = [v for v in validate(desc) if v.severity == "error"]
     if bad:
         raise DescriptorError(
-            f"invalid descriptor {desc}: " + "; ".join(v.message for v in bad),
+            f"invalid descriptor {shown or desc}: " + "; ".join(v.message for v in bad),
             violations=bad,
         )
+    return desc
 
 
 def is_regular(desc: FlagDescriptor) -> bool:
     """True when ``d`` with its last entry dropped equals ``e`` componentwise."""
-    _require_valid(desc)
+    return _regular(_require_valid(desc))
+
+
+def _regular(desc: FlagDescriptor) -> bool:
     return desc.d[: desc.k] == desc.e
 
 
 def is_gorenstein(desc: FlagDescriptor) -> bool:
     """True when ``0 <= d_i - e_i <= 1`` for all ``i < k``."""
-    _require_valid(desc)
+    return _gorenstein(_require_valid(desc))
+
+
+def _gorenstein(desc: FlagDescriptor) -> bool:
     return all(0 <= desc.d[i] - desc.e[i] <= 1 for i in range(desc.k))
 
 
@@ -188,6 +196,10 @@ def relative_dimension(desc: FlagDescriptor) -> int:
             f"relative dimension is only asserted for Gorenstein descriptors "
             f"(d_i - e_i <= 1); got {desc}"
         )
+    return _relative_dimension(desc)
+
+
+def _relative_dimension(desc: FlagDescriptor) -> int:
     n = desc.half_rank
     total = comb(n - desc.d[desc.k] + 1, 2)
     for i in range(desc.k):
@@ -199,8 +211,11 @@ def component_count(desc: FlagDescriptor) -> int:
     """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
     if not is_gorenstein(desc):
         raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
-    s = sum(1 for i in range(desc.k) if desc.d[i] - desc.e[i] == 1)
-    return 2**s
+    return _component_count(desc)
+
+
+def _component_count(desc: FlagDescriptor) -> int:
+    return 2 ** sum(1 for i in range(desc.k) if desc.d[i] - desc.e[i] == 1)
 
 
 @dataclass(frozen=True)
@@ -228,12 +243,13 @@ class SchemeReport:
 
 
 def scheme_report(desc: FlagDescriptor) -> SchemeReport:
-    gor = is_gorenstein(desc)
+    """Every predicate and closed form of the descriptor, validated once."""
+    gor = _gorenstein(_require_valid(desc))
     return SchemeReport(
-        regular=is_regular(desc),
+        regular=_regular(desc),
         gorenstein=gor,
-        relative_dimension=relative_dimension(desc) if gor else None,
-        component_count=component_count(desc) if gor else None,
+        relative_dimension=_relative_dimension(desc) if gor else None,
+        component_count=_component_count(desc) if gor else None,
         # The structure-map pushforward of the structure sheaf is the base's
         # structure sheaf in the Gorenstein regime with every t_i equal to 1.
         reduced_with_trivial_pushforward=gor and all(ti == 1 for ti in desc.t),
@@ -261,5 +277,4 @@ def named_scheme(name: str, n: int) -> FlagDescriptor:
         desc = FlagDescriptor(n, (i,), (), ())
     else:
         raise DomainError(f"unknown scheme name {name!r}; expected B2, E2, F2 or LF_<i>")
-    _require_valid(desc)
-    return desc
+    return _require_valid(desc)

@@ -13,14 +13,16 @@ rules, and the chosen points turn into descriptor tuples:
 
 The padded constructions shift the frame up by one (``half_rank = n + 1``)
 and adjust the tuples entrywise; they are the intermediate schemes used by
-the additive-basis maps.
+the additive-basis maps.  Each construction reads the boundary once and goes
+straight from the rules (`_cutoff_rules`) to the tuples (`_entries`);
+`selection_S`, `selection_S_tilde` and `tuples` show the steps between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .diagrams import LEFT, Boundary, ShiftedDiagram, boundary
 from .errors import DomainError
@@ -50,14 +52,6 @@ class SelectionRule(Enum):
 
 
 @dataclass(frozen=True)
-class MarkedPoint:
-    """A selected point: segment index (even, 1-based) and offset within it."""
-
-    segment: int
-    offset: int
-
-
-@dataclass(frozen=True)
 class SegmentSelection:
     segment: int
     rule: SelectionRule
@@ -83,14 +77,65 @@ class MarkedSelection:
     boundary: Boundary
 
     @property
-    def points(self) -> tuple[MarkedPoint, ...]:
-        """All selected points, by segment then by offset (right to left)."""
-        return tuple(
-            MarkedPoint(seg.segment, o) for seg in self.per_segment for o in seg.offsets
-        )
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """All selected ``(segment, offset)`` pairs, by segment then offset."""
+        return tuple((seg.segment, o) for seg in self.per_segment for o in seg.offsets)
 
     def to_json(self) -> list:
         return [seg.to_json() for seg in self.per_segment]
+
+
+def _cutoff_rules(
+    diagram: ShiftedDiagram, b: Boundary, w: int, tilde: bool = False
+) -> dict[int, SelectionRule]:
+    """Rule 2 on the horizontal segments up to ``w``, rule 1 beyond.
+
+    With ``tilde`` the first horizontal segment takes rule 3; it must exist.
+    """
+    if w < 0:
+        raise DomainError(f"selection cutoff must be non-negative, got {w}")
+    rules = {
+        s: SelectionRule.EVEN_POINTS if s <= w else SelectionRule.ALL_POINTS
+        for s in range(2, b.segment_count + 1, 2)
+    }
+    if tilde and 2 not in rules:
+        raise DomainError(
+            f"{diagram.steps!r} has no horizontal segment s_2; rule 3 has nowhere to apply"
+        )
+    if tilde:
+        rules[2] = SelectionRule.ODD_PLUS_FIRST
+    return rules
+
+
+def _offsets(b: Boundary, rules: Mapping[int, SelectionRule]) -> list:
+    """``(segment, offsets)`` pairs of the ruled segments, in order."""
+    return [(s, rules[s].offsets(b.segments[s - 1][1])) for s in sorted(rules)]
+
+
+def _entries(diagram: ShiftedDiagram, b: Boundary, segment_offsets: Iterable) -> tuple:
+    """``d`` and ``t`` of the marks at the given ``(segment, offsets)`` pairs.
+
+    The pairs cover every horizontal segment in order.  A mark at offset
+    ``o`` on segment ``s`` has ``d = ends[s-2] + o``, and ``t`` steps
+    between the marks' horizontal positions (``H`` steps before ``s``, plus
+    ``o``).  An odd segment count appends the frame size to ``d`` and the
+    run to the last ``H`` to ``t``.
+    """
+    d, positions, h_steps = [], [], 0
+    for s, offsets in segment_offsets:
+        start = b.ends[s - 2]  # a horizontal segment s >= 2 starts where s - 1 ends
+        for o in offsets:
+            d.append(start + o)
+            positions.append(h_steps + o)
+        h_steps += b.segments[s - 1][1]
+    if b.segment_count % 2 == 1:
+        d.append(diagram.n)
+        positions.append(h_steps)
+    if not d:
+        raise DomainError(
+            f"selection on {diagram.steps!r} yields no tuple entries (empty frame)"
+        )
+    return d, [cur - prev for prev, cur in zip(positions, positions[1:])]
 
 
 def marked_points(
@@ -119,20 +164,9 @@ def _select(
     if missing:
         raise DomainError(f"missing selection rules for segments {sorted(missing)}")
     per_segment = tuple(
-        SegmentSelection(t, rules[t], rules[t].offsets(b.segments[t - 1][1]))
-        for t in horizontal
+        SegmentSelection(s, rules[s], offsets) for s, offsets in _offsets(b, rules)
     )
     return MarkedSelection(diagram, per_segment, b)
-
-
-def _cutoff_rules(b: Boundary, w: int) -> dict[int, SelectionRule]:
-    """Rule 2 on the horizontal segments up to ``w``, rule 1 beyond."""
-    if w < 0:
-        raise DomainError(f"selection cutoff must be non-negative, got {w}")
-    return {
-        t: SelectionRule.EVEN_POINTS if t <= w else SelectionRule.ALL_POINTS
-        for t in range(2, b.segment_count + 1, 2)
-    }
 
 
 def selection_S(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
@@ -141,19 +175,13 @@ def selection_S(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
     With ``w = 0`` every special marked point is selected.
     """
     b = boundary(diagram)
-    return _select(diagram, b, _cutoff_rules(b, w))
+    return _select(diagram, b, _cutoff_rules(diagram, b, w))
 
 
 def selection_S_tilde(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
     """Like `selection_S` but the first horizontal segment uses rule 3."""
     b = boundary(diagram)
-    rules = _cutoff_rules(b, w)
-    if 2 not in rules:
-        raise DomainError(
-            f"{diagram.steps!r} has no horizontal segment s_2; rule 3 has nowhere to apply"
-        )
-    rules[2] = SelectionRule.ODD_PLUS_FIRST
-    return _select(diagram, b, rules)
+    return _select(diagram, b, _cutoff_rules(diagram, b, w, tilde=True))
 
 
 @dataclass(frozen=True)
@@ -179,76 +207,33 @@ class TupleData:
 
 
 def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
-    """Distance and horizontal-gap tuples of a selection.
-
-    The ``t`` entry between consecutive marks counts horizontal unit steps
-    only; with an odd segment count the final entry runs from the last mark
-    to the terminal point of the last horizontal segment, and the frame size
-    is appended to ``d``.
-    """
+    """Distance and horizontal-gap tuples of a selection (see `_entries`)."""
     if sel.diagram != diagram:
         raise DomainError("selection was built for a different diagram")
     b = sel.boundary
-    odd_segments = b.segment_count % 2 == 1
-    points = sel.points
-    # a horizontal segment t >= 2 starts where segment t - 1 ends
-    d = [b.ends[p.segment - 2] + p.offset for p in points]
-    gaps: list[int] = []
-    for prev, cur in zip(points, points[1:]):
-        if prev.segment == cur.segment:
-            gaps.append(cur.offset - prev.offset)
-        else:
-            gaps.append((b.segments[prev.segment - 1][1] - prev.offset) + cur.offset)
-    if odd_segments:
-        d.append(diagram.n)
-        if points:
-            last = points[-1]
-            gaps.append(b.segments[last.segment - 1][1] - last.offset)
-    if not d:
-        raise DomainError(
-            f"selection on {diagram.steps!r} yields no tuple entries (empty frame)"
-        )
-    return TupleData(
-        d=tuple(d), e=tuple(d[:-1]), t=tuple(gaps), appended_n=odd_segments
-    )
-
-
-def _padded_descriptor(
-    diagram: ShiftedDiagram, data: TupleData, *, drop_first_e: bool
-) -> FlagDescriptor:
-    d = tuple(x + 1 for x in data.d)
-    e = [data.e[i] + 2 - data.t[i] for i in range(data.k)]
-    if drop_first_e:
-        e[0] -= 1
-    desc = FlagDescriptor(diagram.n + 1, d, tuple(e), data.t)
-    _require_valid(desc)
-    return desc
-
-
-def lf_descriptor_type0(diagram: ShiftedDiagram, sel: MarkedSelection) -> FlagDescriptor:
-    """Padded descriptor with ``d+1`` and ``e+2-t``; half rank grows by one."""
-    return _padded_descriptor(diagram, tuples(diagram, sel), drop_first_e=False)
-
-
-def lf_descriptor_type1(diagram: ShiftedDiagram, sel: MarkedSelection) -> FlagDescriptor:
-    """Like type 0 but with the first ``e`` entry lowered by one more.
-
-    Requires at least one intermediate stratum (``k >= 1``).
-    """
-    data = tuples(diagram, sel)
-    if data.k < 1:
-        raise DomainError(
-            f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
-        )
-    return _padded_descriptor(diagram, data, drop_first_e=True)
+    d, t = _entries(diagram, b, ((s.segment, s.offsets) for s in sel.per_segment))
+    return TupleData(tuple(d), tuple(d[:-1]), tuple(t), b.segment_count % 2 == 1)
 
 
 def lf_a(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
-    return lf_descriptor_type0(diagram, selection_S(diagram, w))
+    """Padded type-0 descriptor of `selection_S` cut at ``w``: ``d+1``, ``e+2-t``."""
+    b = boundary(diagram)
+    d, t = _entries(diagram, b, _offsets(b, _cutoff_rules(diagram, b, w)))
+    e = [di + 2 - ti for di, ti in zip(d, t)]
+    return _require_valid(FlagDescriptor(diagram.n + 1, [di + 1 for di in d], e, t))
 
 
 def lf_b(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
-    return lf_descriptor_type1(diagram, selection_S_tilde(diagram, w))
+    """Like `lf_a` on `selection_S_tilde`, first ``e`` one lower; needs ``k >= 1``."""
+    b = boundary(diagram)
+    d, t = _entries(diagram, b, _offsets(b, _cutoff_rules(diagram, b, w, tilde=True)))
+    if not t:
+        raise DomainError(
+            f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
+        )
+    e = [di + 2 - ti for di, ti in zip(d, t)]
+    e[0] -= 1
+    return _require_valid(FlagDescriptor(diagram.n + 1, [di + 1 for di in d], e, t))
 
 
 def uses_type1(diagram: ShiftedDiagram) -> bool:
@@ -278,7 +263,6 @@ def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:
     """
     if diagram.n < 1:
         raise DomainError("the K-theory descriptor needs a frame of size at least 1")
-    data = tuples(diagram, selection_S(diagram, 0))
-    desc = FlagDescriptor(diagram.n, data.d, data.e, data.t)
-    _require_valid(desc)
-    return desc
+    b = boundary(diagram)
+    d, t = _entries(diagram, b, _offsets(b, _cutoff_rules(diagram, b, 0)))
+    return _require_valid(FlagDescriptor(diagram.n, d, d[:-1], t))

@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagrams import DOWN, ShiftedDiagram, boundary, classify
 from .errors import DomainError, UnsupportedError, _json_field
-from .flags import FlagDescriptor, is_gorenstein
+from .flags import FlagDescriptor, _gorenstein, _require_valid, is_gorenstein
 from .marking import padded_scheme, uses_type1
 
 
@@ -315,10 +315,12 @@ def canonical_sheaf_in_n(
 
     The tuples are validated at the least half rank that meets every bound
     involving it, so exactly the constraints among ``d``, ``e`` and ``t``
-    themselves are checked.
+    themselves are checked; a violation names the descriptor at ``@N``.
     """
     least = max((0, *d, *(ei + ti for ei, ti in zip(e, t))))
-    if not is_gorenstein(FlagDescriptor(least, d, e, t)):
+    probe = FlagDescriptor(least, d, e, t)
+    _require_valid(probe, shown=str(probe).rpartition("@")[0] + "@N")
+    if not _gorenstein(probe):
         raise UnsupportedError("the canonical-sheaf formula needs d_i - e_i in {0, 1}")
     return canonical_exponents(d, e, t, SYMBOLIC_N)
 

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lagflag import (
@@ -342,6 +342,9 @@ def test_symbolic_canonical_rejects_what_every_half_rank_rejects(capsys, tuples,
         assert (code, out) == (2, "")
         assert err.startswith("lagflag: error:") and err.count("\n") == 1
         assert message in err
+        # the descriptor is named at the half rank the user gave
+        assert f"@{half_rank}: " in err
+        assert half_rank != "N" or re.search(r"@\d", err) is None
 
 
 def test_verify_names_counting_mismatch(capsys, monkeypatch):
@@ -364,3 +367,101 @@ def test_verify_names_counting_mismatch(capsys, monkeypatch):
         "FAIL recursions: frame 3 twist Delta: counted and enumerated atoms differ at ('GW', 7)"
         in out
     )
+
+
+# --------------------------------------------------------------------------
+# any argv: success, exit 1 on a failed check, or exit 2 with one error line
+
+JUNK = st.sampled_from(["", "x", "2.5", "N", "1,,2", "-"])
+
+
+def value(strategy):
+    """Mostly a value of the strategy, one time in four a junk string."""
+    return st.integers(0, 3).flatmap(lambda i: strategy if i else JUNK)
+
+
+SIZES = value(st.integers(-2, 8).map(str))
+INTS = value(st.lists(st.integers(-2, 8).map(str), max_size=4).map(",".join))
+WALKS = value(st.text("VHvhx", max_size=8))
+FORMATS = value(st.sampled_from(["text", "json", "csv"]))
+TWISTS = value(st.sampled_from(["O", "Delta"]))
+NAMES = value(st.sampled_from(["B2", "E2", "F2", "LF_0", "LF_3", "LF_x"]))
+#: Per command, the options it requires and those it may take.
+OPTIONS = {
+    "enumerate": ({"-n": SIZES}, {"--format": FORMATS}),
+    "classify": ({"diagram": WALKS}, {"--format": FORMATS}),
+    "scheme": (
+        {},
+        {
+            "--name": NAMES,
+            "-n": SIZES,
+            "--diagram": WALKS,
+            "--construction": value(st.sampled_from(["ktheory", "a", "b"])),
+            "--w": SIZES,
+            "--d": INTS,
+            "--e": INTS,
+            "--t": INTS,
+            "--half-rank": SIZES,
+            "--format": FORMATS,
+        },
+    ),
+    "canonical": (
+        {"--d": INTS, "--half-rank": st.one_of(SIZES, st.just("n"))},
+        {"--e": INTS, "--t": INTS, "--format": FORMATS},
+    ),
+    "basis": (
+        {"-n": SIZES},
+        {
+            "--twist": TWISTS,
+            "--theory": value(st.sampled_from(["k", "gw"])),
+            "--format": FORMATS,
+        },
+    ),
+    "recursion": ({"-n": SIZES}, {"--format": FORMATS}),
+    "verify": ({}, {"--max-n": SIZES}),
+    "witt": ({"-n": SIZES}, {"--twist": TWISTS, "--format": FORMATS}),
+    "classify-connecting": ({"--c1": SIZES, "--c2": SIZES, "--lam": INTS}, {}),
+}
+
+
+def tokens(option, val):
+    if option == "diagram":  # the positional argument of classify
+        return [val]
+    return [f"{option}={val}"] if option.startswith("--") else [option, val]
+
+
+def argv_of(command):
+    required, optional = OPTIONS[command]
+    chosen = st.fixed_dictionaries(required, optional=optional)
+
+    def argv(opts):
+        return [command] + [tok for opt, val in opts.items() for tok in tokens(opt, val)]
+
+    return chosen.map(argv)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.sampled_from(sorted(OPTIONS)).flatmap(argv_of))
+def test_any_argv_succeeds_fails_a_check_or_is_a_usage_error(capsys, argv):
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as mp:
+        # a bound below the drawn sizes keeps verify small and reaches the bound checks
+        mp.setenv("LAGFLAG_MAX_N", "6")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    err = capsys.readouterr().err
+    if code == 2:
+        # argparse names the subcommand in its own errors: "lagflag basis: error:"
+        error = re.compile(rf"lagflag( {re.escape(argv[0])})?: error: ")
+        lines = err.splitlines()
+        assert [line for line in lines if error.match(line)] == [lines[-1]]
+        assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+    else:
+        assert code == 0 or (code == 1 and argv[0] in ("scheme", "recursion", "verify"))
+        assert err == ""

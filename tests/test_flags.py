@@ -141,6 +141,46 @@ def test_scheme_report():
     assert report.relative_dimension is None and report.component_count is None
 
 
+def test_scheme_report_validates_once(monkeypatch):
+    from lagflag import flags
+
+    calls = []
+    real = flags.validate
+
+    def counted(desc):
+        calls.append(desc)
+        return real(desc)
+
+    monkeypatch.setattr(flags, "validate", counted)
+    gorenstein, not_gorenstein = (3, (1, 2), (0,), (1,)), (4, (2, 3), (0,), (1,))
+    for desc in (FlagDescriptor(*gorenstein), FlagDescriptor(*not_gorenstein)):
+        calls.clear()
+        scheme_report(desc)
+        assert calls == [desc]
+    with pytest.raises(DescriptorError):
+        scheme_report(FlagDescriptor(2, (0, 3), (0,), (1,)))
+
+
+def test_scheme_report_agrees_with_the_checked_forms():
+    descs = list(_gorenstein_descriptors(4))
+    # lowering e by one leaves many of them valid but not Gorenstein
+    descs += [
+        FlagDescriptor(d.half_rank, d.d, tuple(x - 1 for x in d.e), d.t) for d in descs
+    ]
+    for desc in filter(is_valid, descs):
+        report = scheme_report(desc)
+        assert report.regular == is_regular(desc)
+        assert report.gorenstein == is_gorenstein(desc)
+        if report.gorenstein:
+            assert report.relative_dimension == relative_dimension(desc)
+            assert report.component_count == component_count(desc)
+        else:
+            with pytest.raises(UnsupportedError):
+                relative_dimension(desc)
+            with pytest.raises(UnsupportedError):
+                component_count(desc)
+
+
 def test_regular_implies_gorenstein():
     for desc in _gorenstein_descriptors(5):
         if is_regular(desc):

@@ -21,8 +21,6 @@ from lagflag import (
     is_valid,
     lf_a,
     lf_b,
-    lf_descriptor_type0,
-    lf_descriptor_type1,
     lf_ktheory,
     marked_points,
     selection_S,
@@ -32,6 +30,8 @@ from lagflag import (
     validate,
 )
 from lagflag import diagrams, marking
+from lagflag.errors import LagflagError
+from lagflag.flags import _require_valid
 from lagflag.verify import SUITES, _basis_selections
 
 # --------------------------------------------------------------------------
@@ -96,11 +96,11 @@ def test_rule_counts():
 
 def test_marked_points_examples():
     sel = marked_points(ShiftedDiagram(3, "HHH"), {2: SelectionRule.EVEN_POINTS})
-    assert [(p.segment, p.offset) for p in sel.points] == [(2, 0), (2, 2)]
-    assert [oracle_distance("HHH", p.segment, p.offset) for p in sel.points] == [0, 2]
+    assert sel.points == ((2, 0), (2, 2))
+    assert [oracle_distance("HHH", s, o) for s, o in sel.points] == [0, 2]
 
     sel = marked_points(ShiftedDiagram(2, "VH"), {2: SelectionRule.ALL_POINTS})
-    assert [(p.segment, p.offset) for p in sel.points] == [(2, 0)]
+    assert sel.points == ((2, 0),)
     assert oracle_distance("VH", 2, 0) == 1
 
     sel = marked_points(ShiftedDiagram(3, "VVV"), {})
@@ -229,15 +229,15 @@ def test_each_construction_reads_the_walk_once(monkeypatch, n):
 
 def test_padded_descriptor_examples():
     hh = ShiftedDiagram(2, "HH")
-    desc = lf_descriptor_type1(hh, selection_S_tilde(hh, 2))
+    desc = lf_b(hh, 2)
     assert desc == FlagDescriptor(3, (1, 2), (0,), (1,))
 
     vh = ShiftedDiagram(2, "VH")
-    desc = lf_descriptor_type0(vh, selection_S(vh, 2))
+    desc = lf_a(vh, 2)
     assert desc == FlagDescriptor(3, (2,), (), ())
 
     hhv = ShiftedDiagram(3, "HHV")
-    desc = lf_descriptor_type0(hhv, selection_S(hhv, 3))
+    desc = lf_a(hhv, 3)
     assert desc == FlagDescriptor(4, (1, 4), (0,), (2,))
 
 
@@ -248,11 +248,56 @@ def test_lf_a_lf_b_examples():
 
 
 def test_lf_type1_needs_stratum():
-    vv = ShiftedDiagram(2, "VV")
-    with pytest.raises(DomainError):
-        lf_descriptor_type1(vv, selection_S(vv, 1))
-    with pytest.raises(DomainError):
-        lf_b(vv, 1)  # no horizontal segment for rule 3 either
+    # rule 3 on the single-point segment of VH leaves one mark, so k = 0
+    with pytest.raises(DomainError, match="needs k >= 1"):
+        lf_b(ShiftedDiagram(2, "VH"), 1)
+    with pytest.raises(DomainError, match="no horizontal segment s_2"):
+        lf_b(ShiftedDiagram(2, "VV"), 1)
+
+
+def outcome(build):
+    """The built descriptor, or the type and message of the error raised."""
+    try:
+        return build()
+    except LagflagError as exc:
+        return type(exc), str(exc)
+
+
+def padded_from_views(diagram, w, type1):
+    """The documented padded formula applied to the selection views."""
+    select = selection_S_tilde if type1 else selection_S
+    data = tuples(diagram, select(diagram, w))
+    if type1 and data.k < 1:
+        raise DomainError(
+            f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
+        )
+    e = [data.e[i] + 2 - data.t[i] for i in range(data.k)]
+    if type1:
+        e[0] -= 1
+    d = tuple(x + 1 for x in data.d)
+    return _require_valid(FlagDescriptor(diagram.n + 1, d, tuple(e), data.t))
+
+
+def unpadded_from_views(diagram):
+    if diagram.n < 1:
+        raise DomainError("the K-theory descriptor needs a frame of size at least 1")
+    data = tuples(diagram, selection_S(diagram, 0))
+    return _require_valid(FlagDescriptor(diagram.n, data.d, data.e, data.t))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_constructions_match_the_selection_views(n):
+    # the constructions read marks without building selections; the views
+    # and the documented formulas must give the same descriptor or error
+    for diagram in enumerate_diagrams(n):
+        for w in range(boundary(diagram).segment_count + 3):
+            for type1, build in ((False, lf_a), (True, lf_b)):
+                assert outcome(lambda: build(diagram, w)) == outcome(
+                    lambda: padded_from_views(diagram, w, type1)
+                )
+        assert outcome(lambda: lf_ktheory(diagram)) == outcome(
+            lambda: unpadded_from_views(diagram)
+        )
 
 
 def test_lf_ktheory_examples():
