@@ -20,12 +20,7 @@ from math import comb
 from . import counting
 from .diagrams import DOWN, ShiftedDiagram, boundary, classify, enumerate_diagrams
 from .errors import DomainError, _json_field, _json_int
-from .flags import (
-    FlagDescriptor,
-    is_gorenstein,
-    relative_dimension,
-    validate,
-)
+from .flags import FlagDescriptor, is_gorenstein, relative_dimension
 from .marking import lf_ktheory, padded_scheme, uses_type1
 from .picard import Twist, scheme_alignment
 
@@ -363,7 +358,7 @@ def verify_geometry(n: int) -> GeometryReport:
         for summand in decomp.summands:
             checked += 1
             tag = f"{decomp.twist.value}/{summand.map_label.value}({summand.source_diagram.steps})"
-            errors = [v for v in validate(summand.scheme) if v.severity == "error"]
+            errors = [v for v in summand.scheme.violations if v.severity == "error"]
             if errors:
                 failures.append(f"{tag}: invalid descriptor: {errors[0].message}")
                 continue

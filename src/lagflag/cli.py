@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -85,11 +84,10 @@ def _cmd_enumerate(args, out) -> int:
     if args.format == "json":
         _emit_json([d.to_json() for d in diagrams], out)
     elif args.format == "csv":
-        writer, buffer = _csv_writer()
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "steps", "parts", "weight"])
         for d in diagrams:
             writer.writerow([d.n, d.steps, " ".join(map(str, d.parts)), d.weight])
-        out.write(buffer.getvalue())
     else:
         for d in diagrams:
             parts = ",".join(map(str, d.parts))
@@ -147,7 +145,7 @@ def _scheme_from_args(args) -> flags_mod.FlagDescriptor:
 
 def _cmd_scheme(args, out) -> int:
     desc = _scheme_from_args(args)
-    violations = flags_mod.validate(desc)
+    violations = desc.violations
     errors = [v for v in violations if v.severity == "error"]
     if errors:
         payload = {
@@ -216,33 +214,6 @@ def _parity_flag(summand) -> str:
     return str(result.ok).lower()
 
 
-def _csv_writer():
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    return writer, buffer
-
-
-def _decomposition_csv(decomp: basis_mod.Decomposition) -> str:
-    writer, buffer = _csv_writer()
-    writer.writerow(
-        ["diagram", "kind", "shift", "map", "scheme", "dim", "components", "parity_ok"]
-    )
-    for s in decomp.summands:
-        writer.writerow(
-            [
-                s.source_diagram.steps,
-                s.kind.value,
-                "" if s.shift is None else s.shift,
-                s.map_label.value,
-                str(s.scheme),
-                flags_mod.relative_dimension(s.scheme),
-                flags_mod.component_count(s.scheme),
-                _parity_flag(s),
-            ]
-        )
-    return buffer.getvalue()
-
-
 def _cmd_basis(args, out) -> int:
     _check_frame(args.n)
     twist = pic_mod.Twist(args.twist)
@@ -253,7 +224,23 @@ def _cmd_basis(args, out) -> int:
     if args.format == "json":
         _emit_json(decomp.to_json(), out)
     elif args.format == "csv":
-        out.write(_decomposition_csv(decomp))
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(
+            ["diagram", "kind", "shift", "map", "scheme", "dim", "components", "parity_ok"]
+        )
+        for s in decomp.summands:
+            writer.writerow(
+                [
+                    s.source_diagram.steps,
+                    s.kind.value,
+                    "" if s.shift is None else s.shift,
+                    s.map_label.value,
+                    str(s.scheme),
+                    flags_mod.relative_dimension(s.scheme),
+                    flags_mod.component_count(s.scheme),
+                    _parity_flag(s),
+                ]
+            )
     else:
         print(
             f"{args.theory.upper()}-basis n={decomp.n} twist={decomp.twist.value} "
@@ -330,8 +317,16 @@ def _cmd_verify(args, out) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Names every usage error ``lagflag: error:``; subcommand parsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"lagflag: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lagflag",
         description="Shifted-diagram and flag-scheme calculator for Lagrangian "
         "Grassmannian K-theory bases.",

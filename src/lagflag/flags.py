@@ -11,7 +11,7 @@ bound, relative dimension, component count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .errors import DescriptorError, DomainError, UnsupportedError, _json_field
@@ -22,15 +22,17 @@ class FlagDescriptor:
     """The data (half_rank, d, e, t) of a generalized Lagrangian flag scheme.
 
     ``d`` has ``k+1`` entries and ``e``, ``t`` have ``k`` each.  Construction
-    checks that every value is a plain ``int`` (not a bool) and checks shapes;
-    the defining inequalities are checked by `validate`, which reports
-    violations as data rather than raising.
+    checks that every value is a plain ``int`` (not a bool) and checks shapes,
+    then runs `validate` once and keeps its result as ``violations``: the
+    defining inequalities are reported as data rather than raised, and every
+    checked closed form reads them instead of validating again.
     """
 
     half_rank: int
     d: tuple[int, ...]
     e: tuple[int, ...]
     t: tuple[int, ...]
+    violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", tuple(self.d))
@@ -48,6 +50,7 @@ class FlagDescriptor:
                 f"shape mismatch: len(d)={len(self.d)} needs "
                 f"len(e)=len(t)={len(self.d) - 1}, got {len(self.e)}, {len(self.t)}"
             )
+        object.__setattr__(self, "violations", tuple(validate(self)))
 
     @property
     def k(self) -> int:
@@ -152,12 +155,12 @@ def validate(desc: FlagDescriptor) -> list[Violation]:
 
 
 def is_valid(desc: FlagDescriptor) -> bool:
-    return not any(v.severity == "error" for v in validate(desc))
+    return not any(v.severity == "error" for v in desc.violations)
 
 
 def _require_valid(desc: FlagDescriptor, shown: str | None = None) -> FlagDescriptor:
     """Return ``desc``, or raise `DescriptorError` naming it (as ``shown`` if given)."""
-    bad = [v for v in validate(desc) if v.severity == "error"]
+    bad = [v for v in desc.violations if v.severity == "error"]
     if bad:
         raise DescriptorError(
             f"invalid descriptor {shown or desc}: " + "; ".join(v.message for v in bad),
@@ -168,19 +171,13 @@ def _require_valid(desc: FlagDescriptor, shown: str | None = None) -> FlagDescri
 
 def is_regular(desc: FlagDescriptor) -> bool:
     """True when ``d`` with its last entry dropped equals ``e`` componentwise."""
-    return _regular(_require_valid(desc))
-
-
-def _regular(desc: FlagDescriptor) -> bool:
+    _require_valid(desc)
     return desc.d[: desc.k] == desc.e
 
 
 def is_gorenstein(desc: FlagDescriptor) -> bool:
     """True when ``0 <= d_i - e_i <= 1`` for all ``i < k``."""
-    return _gorenstein(_require_valid(desc))
-
-
-def _gorenstein(desc: FlagDescriptor) -> bool:
+    _require_valid(desc)
     return all(0 <= desc.d[i] - desc.e[i] <= 1 for i in range(desc.k))
 
 
@@ -196,10 +193,6 @@ def relative_dimension(desc: FlagDescriptor) -> int:
             f"relative dimension is only asserted for Gorenstein descriptors "
             f"(d_i - e_i <= 1); got {desc}"
         )
-    return _relative_dimension(desc)
-
-
-def _relative_dimension(desc: FlagDescriptor) -> int:
     n = desc.half_rank
     total = comb(n - desc.d[desc.k] + 1, 2)
     for i in range(desc.k):
@@ -211,10 +204,6 @@ def component_count(desc: FlagDescriptor) -> int:
     """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
     if not is_gorenstein(desc):
         raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
-    return _component_count(desc)
-
-
-def _component_count(desc: FlagDescriptor) -> int:
     return 2 ** sum(1 for i in range(desc.k) if desc.d[i] - desc.e[i] == 1)
 
 
@@ -243,13 +232,13 @@ class SchemeReport:
 
 
 def scheme_report(desc: FlagDescriptor) -> SchemeReport:
-    """Every predicate and closed form of the descriptor, validated once."""
-    gor = _gorenstein(_require_valid(desc))
+    """Every predicate and closed form of the descriptor."""
+    gor = is_gorenstein(desc)
     return SchemeReport(
-        regular=_regular(desc),
+        regular=is_regular(desc),
         gorenstein=gor,
-        relative_dimension=_relative_dimension(desc) if gor else None,
-        component_count=_component_count(desc) if gor else None,
+        relative_dimension=relative_dimension(desc) if gor else None,
+        component_count=component_count(desc) if gor else None,
         # The structure-map pushforward of the structure sheaf is the base's
         # structure sheaf in the Gorenstein regime with every t_i equal to 1.
         reduced_with_trivial_pushforward=gor and all(ti == 1 for ti in desc.t),

@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagrams import DOWN, ShiftedDiagram, boundary, classify
 from .errors import DomainError, UnsupportedError, _json_field
-from .flags import FlagDescriptor, _gorenstein, _require_valid, is_gorenstein
+from .flags import FlagDescriptor, _require_valid, is_gorenstein
 from .marking import padded_scheme, uses_type1
 
 
@@ -320,7 +320,7 @@ def canonical_sheaf_in_n(
     least = max((0, *d, *(ei + ti for ei, ti in zip(e, t))))
     probe = FlagDescriptor(least, d, e, t)
     _require_valid(probe, shown=str(probe).rpartition("@")[0] + "@N")
-    if not _gorenstein(probe):
+    if not is_gorenstein(probe):
         raise UnsupportedError("the canonical-sheaf formula needs d_i - e_i in {0, 1}")
     return canonical_exponents(d, e, t, SYMBOLIC_N)
 

@@ -38,20 +38,23 @@ def test_validate_examples():
     }
 
 
+# each breaks the named constraint of the valid LF[1,3](1)_[1]@5
+SINGLE_VIOLATIONS = {
+    "d_nonnegative": FlagDescriptor(5, (-1, 3), (-1,), (1,)),
+    "d_leq_half_rank": FlagDescriptor(5, (1, 6), (1,), (1,)),
+    "d_nondecreasing": FlagDescriptor(5, (3, 1), (1,), (1,)),
+    "t_positive": FlagDescriptor(5, (1, 3), (1,), (0,)),
+    "e_nonnegative": FlagDescriptor(5, (1, 3), (-1,), (1,)),
+    "e_leq_d_i": FlagDescriptor(5, (1, 3), (2,), (1,)),
+    "e_leq_d_next": FlagDescriptor(5, (3, 3), (4,), (1,)),
+    "e_leq_half_rank_minus_t": FlagDescriptor(5, (1, 5), (1,), (5,)),
+}
+
+
 def test_validate_rejects_each_single_constraint():
     base = FlagDescriptor(5, (1, 3), (1,), (1,))
     assert is_valid(base)
-    cases = {
-        "d_nonnegative": FlagDescriptor(5, (-1, 3), (-1,), (1,)),
-        "d_leq_half_rank": FlagDescriptor(5, (1, 6), (1,), (1,)),
-        "d_nondecreasing": FlagDescriptor(5, (3, 1), (1,), (1,)),
-        "t_positive": FlagDescriptor(5, (1, 3), (1,), (0,)),
-        "e_nonnegative": FlagDescriptor(5, (1, 3), (-1,), (1,)),
-        "e_leq_d_i": FlagDescriptor(5, (1, 3), (2,), (1,)),
-        "e_leq_d_next": FlagDescriptor(5, (3, 3), (4,), (1,)),
-        "e_leq_half_rank_minus_t": FlagDescriptor(5, (1, 5), (1,), (5,)),
-    }
-    for constraint, desc in cases.items():
+    for constraint, desc in SINGLE_VIOLATIONS.items():
         assert constraint in errors_of(desc), constraint
 
 
@@ -153,8 +156,9 @@ def test_scheme_report_validates_once(monkeypatch):
 
     monkeypatch.setattr(flags, "validate", counted)
     gorenstein, not_gorenstein = (3, (1, 2), (0,), (1,)), (4, (2, 3), (0,), (1,))
-    for desc in (FlagDescriptor(*gorenstein), FlagDescriptor(*not_gorenstein)):
+    for fields in (gorenstein, not_gorenstein):
         calls.clear()
+        desc = FlagDescriptor(*fields)  # validated here, at construction
         scheme_report(desc)
         assert calls == [desc]
     with pytest.raises(DescriptorError):
@@ -167,6 +171,8 @@ def test_scheme_report_agrees_with_the_checked_forms():
     descs += [
         FlagDescriptor(d.half_rank, d.d, tuple(x - 1 for x in d.e), d.t) for d in descs
     ]
+    for desc in [*descs, *SINGLE_VIOLATIONS.values()]:
+        assert list(desc.violations) == validate(desc)
     for desc in filter(is_valid, descs):
         report = scheme_report(desc)
         assert report.regular == is_regular(desc)
