@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from typing import Iterator
 
 from . import counting
 from .diagrams import DOWN, ShiftedDiagram, boundary, classify, enumerate_diagrams
@@ -108,21 +109,27 @@ class Decomposition:
         return decomposition
 
 
-def k_basis(n: int) -> Decomposition:
-    """One K-atom per diagram in the frame, via the unpadded scheme."""
+def k_summands(n: int) -> Iterator[Summand]:
+    """The summands of `k_basis`, in order, built one at a time.
+
+    ``n`` is checked on the call, before the first summand is asked for.
+    """
     if n < 0:
         raise DomainError(f"frame size must be non-negative, got {n}")
     if n == 0:
         # Base of the recursion: the Grassmannian of the empty frame is the
         # base itself, carried by the k = 0 descriptor at half rank 0.
         scheme = FlagDescriptor(0, (0,), (), ())
-        summand = Summand(Kind.K, ShiftedDiagram(0, ""), scheme, MapLabel.PHI)
-        return Decomposition(0, Twist.TRIVIAL, Kind.K, (summand,))
-    summands = tuple(
+        return iter((Summand(Kind.K, ShiftedDiagram(0, ""), scheme, MapLabel.PHI),))
+    return (
         Summand(Kind.K, diag, lf_ktheory(diag), MapLabel.PHI)
         for diag in enumerate_diagrams(n)
     )
-    return Decomposition(n, Twist.TRIVIAL, Kind.K, summands)
+
+
+def k_basis(n: int) -> Decomposition:
+    """One K-atom per diagram in the frame, via the unpadded scheme."""
+    return Decomposition(n, Twist.TRIVIAL, Kind.K, tuple(k_summands(n)))
 
 
 def summand_role(
@@ -156,17 +163,18 @@ def summand_role(
     return None
 
 
-def gw_basis(n: int, twist: Twist) -> Decomposition:
-    """Hermitian decomposition of frame ``n`` with the given twist.
+def gw_summands(n: int, twist: Twist) -> Iterator[Summand]:
+    """The summands of `gw_basis`, in order, built one at a time.
 
-    Frame 1 falls through the odd-frame branch and serves as the definitional
-    base of the recursion identities.
+    ``n`` is checked on the call, before the first summand is asked for.
     """
     if n < 1:
         raise DomainError(f"the Hermitian decomposition needs frame size >= 1, got {n}")
-    even_frame = n % 2 == 0
-    summands: list[Summand] = []
-    for diag in enumerate_diagrams(n):
+    return _gw_stream(enumerate_diagrams(n), n % 2 == 0, twist)
+
+
+def _gw_stream(diagrams, even_frame: bool, twist: Twist) -> Iterator[Summand]:
+    for diag in diagrams:
         cls = classify(diag)
         role = summand_role(
             even_frame, twist, diag.steps[0] == DOWN, cls.is_almost_even, cls.is_k_even
@@ -175,15 +183,21 @@ def gw_basis(n: int, twist: Twist) -> Decomposition:
             continue
         kind, label = role
         if kind is Kind.K:
-            summands.append(Summand(kind, diag, padded_scheme(diag, cls.index_w), label))
+            yield Summand(kind, diag, padded_scheme(diag, cls.index_w), label)
             continue
         scheme = padded_scheme(diag, boundary(diag).segment_count)
         # the type-1 construction leaves a residual det twist
         base_twist = 1 if uses_type1(diag) else None
-        summands.append(
-            Summand(kind, diag, scheme, label, shift=diag.weight, base_twist=base_twist)
-        )
-    return Decomposition(n, twist, Kind.GW, tuple(summands))
+        yield Summand(kind, diag, scheme, label, shift=diag.weight, base_twist=base_twist)
+
+
+def gw_basis(n: int, twist: Twist) -> Decomposition:
+    """Hermitian decomposition of frame ``n`` with the given twist.
+
+    Frame 1 falls through the odd-frame branch and serves as the definitional
+    base of the recursion identities.
+    """
+    return Decomposition(n, twist, Kind.GW, tuple(gw_summands(n, twist)))
 
 
 Atom = tuple[str, int | None]  # ("K", None) or ("GW", shift)

@@ -19,6 +19,7 @@ import os
 import sys
 
 from . import basis as basis_mod
+from . import counting
 from . import diagrams as diag_mod
 from . import flags as flags_mod
 from . import marking as marking_mod
@@ -214,21 +215,61 @@ def _parity_flag(summand) -> str:
     return str(result.ok).lower()
 
 
+def _json_list(values) -> str:
+    """A descriptor tuple as ``json.dumps(..., indent=2)`` prints it in a summand."""
+    if not values:
+        return "[]"
+    return "[\n          " + ",\n          ".join(map(str, values)) + "\n        ]"
+
+
+def _summand_json(s) -> str:
+    """A summand as ``json.dumps(s.to_json(), indent=2)`` prints it in a decomposition.
+
+    Steps, kinds and map labels are plain ASCII words, so no string needs escaping.
+    """
+    scheme = s.scheme
+    return (
+        "    {\n"
+        f'      "kind": "{s.kind.value}",\n'
+        f'      "shift": {"null" if s.shift is None else s.shift},\n'
+        f'      "diagram": "{s.source_diagram.steps}",\n'
+        '      "scheme": {\n'
+        f'        "half_rank": {scheme.half_rank},\n'
+        f'        "d": {_json_list(scheme.d)},\n'
+        f'        "e": {_json_list(scheme.e)},\n'
+        f'        "t": {_json_list(scheme.t)}\n'
+        "      },\n"
+        f'      "map": "{s.map_label.value}",\n'
+        f'      "base_twist": {"null" if s.base_twist is None else s.base_twist}\n'
+        "    }"
+    )
+
+
 def _cmd_basis(args, out) -> int:
+    """Write each summand as soon as it is built; errors come before any output."""
     _check_frame(args.n)
-    twist = pic_mod.Twist(args.twist)
     if args.theory == "k":
-        decomp = basis_mod.k_basis(args.n)
+        theory, twist = basis_mod.Kind.K, pic_mod.Twist.TRIVIAL
+        summands = basis_mod.k_summands(args.n)
     else:
-        decomp = basis_mod.gw_basis(args.n, twist)
+        theory, twist = basis_mod.Kind.GW, pic_mod.Twist(args.twist)
+        summands = basis_mod.gw_summands(args.n, twist)
     if args.format == "json":
-        _emit_json(decomp.to_json(), out)
+        out.write(
+            f'{{\n  "n": {args.n},\n  "twist": "{twist.value}",\n'
+            f'  "theory": "{theory.value}",\n  "summands": ['
+        )
+        sep = "\n"
+        for s in summands:
+            out.write(sep + _summand_json(s))
+            sep = ",\n"
+        out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["diagram", "kind", "shift", "map", "scheme", "dim", "components", "parity_ok"]
         )
-        for s in decomp.summands:
+        for s in summands:
             writer.writerow(
                 [
                     s.source_diagram.steps,
@@ -242,16 +283,19 @@ def _cmd_basis(args, out) -> int:
                 ]
             )
     else:
+        if theory is basis_mod.Kind.K:
+            count = 2**args.n
+        else:
+            count = sum(counting.gw_atoms(args.n, twist).values())
         print(
-            f"{args.theory.upper()}-basis n={decomp.n} twist={decomp.twist.value} "
-            f"summands={len(decomp.summands)}",
+            f"{theory.value}-basis n={args.n} twist={twist.value} summands={count}",
             file=out,
         )
-        for s in decomp.summands:
+        for s in summands:
             shift = "" if s.shift is None else f" shift={s.shift}"
             twist_note = "" if s.base_twist is None else f" base_twist=V{s.base_twist}"
             print(
-                f"  {s.source_diagram.steps or '-':<{max(decomp.n, 1)}} "
+                f"  {s.source_diagram.steps or '-':<{max(args.n, 1)}} "
                 f"{s.kind.value:<2} {s.map_label.value:<4}{shift}{twist_note}  {s.scheme}",
                 file=out,
             )

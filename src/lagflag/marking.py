@@ -13,9 +13,11 @@ rules, and the chosen points turn into descriptor tuples:
 
 The padded constructions shift the frame up by one (``half_rank = n + 1``)
 and adjust the tuples entrywise; they are the intermediate schemes used by
-the additive-basis maps.  Each construction reads the boundary once and goes
-straight from the rules (`_cutoff_rules`) to the tuples (`_entries`);
-`selection_S`, `selection_S_tilde` and `tuples` show the steps between.
+the additive-basis maps.  Each construction reads the boundary once.  The
+padded ones go straight from the rules (`_cutoff_rules`) to the tuples
+(`_entries`), and `lf_ktheory`, which selects every point, reads ``d`` off
+the segment ends; `selection_S`, `selection_S_tilde` and `tuples` show the
+steps between.
 """
 
 from __future__ import annotations
@@ -259,10 +261,16 @@ def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:
     """Unpadded descriptor of the K-theory model attached to a diagram.
 
     Selects every special marked point (``selection_S`` with cutoff 0), so
-    all ``t`` entries come out 1, and keeps the frame size as the half rank.
+    ``d`` is every boundary position inside a horizontal segment, with the
+    frame size appended when the segment count is odd; consecutive marks
+    are one horizontal step apart, so all ``t`` entries are 1.  The frame
+    size stays the half rank.
     """
     if diagram.n < 1:
         raise DomainError("the K-theory descriptor needs a frame of size at least 1")
-    b = boundary(diagram)
-    d, t = _entries(diagram, b, _offsets(b, _cutoff_rules(diagram, b, 0)))
-    return _require_valid(FlagDescriptor(diagram.n, d, d[:-1], t))
+    ends = boundary(diagram).ends
+    # segment s (0-based) is horizontal for odd s and starts at ends[s - 1]
+    d = [p for s in range(1, len(ends), 2) for p in range(ends[s - 1], ends[s])]
+    if len(ends) % 2:
+        d.append(diagram.n)
+    return _require_valid(FlagDescriptor(diagram.n, d, d[:-1], [1] * (len(d) - 1)))

@@ -13,7 +13,9 @@ from lagflag import (
     atom_multiset,
     class_sets,
     gw_basis,
+    gw_summands,
     k_basis,
+    k_summands,
     verify_geometry,
     verify_recursions,
     witt_table,
@@ -110,6 +112,14 @@ def test_gw_shift_equals_weight():
 def test_gw_basis_rejects_empty_frame():
     with pytest.raises(DomainError):
         gw_basis(0, Twist.TRIVIAL)
+
+
+def test_summand_streams_check_the_frame_on_the_call():
+    # no next(): a stream that checked only when first read would pass here
+    with pytest.raises(DomainError, match="frame size >= 1, got 0"):
+        gw_summands(0, Twist.DELTA)
+    with pytest.raises(DomainError, match="non-negative, got -1"):
+        k_summands(-1)
 
 
 # --------------------------------------------------------------------------

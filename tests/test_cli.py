@@ -1,5 +1,7 @@
 """CLI behavior: golden output, determinism, exit codes, JSON round-trips."""
 
+import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -20,11 +22,14 @@ from lagflag import (
     Summand,
     Twist,
     affine,
+    component_count,
     delta,
     det_v,
     gw_basis,
     k_basis,
     nabla,
+    relative_dimension,
+    scheme_alignment,
     verify,
 )
 from lagflag.cli import main
@@ -266,8 +271,6 @@ def test_invalid_descriptor_exits_one(capsys):
 
 
 def test_each_descriptor_is_validated_once(capsys, monkeypatch):
-    import csv
-
     from lagflag import flags
 
     calls = []
@@ -311,6 +314,96 @@ def test_counting_commands_check_the_bound_first(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("lagflag: error: frame size 17 is above the bound 16")
+
+
+HERMITIAN_BELOW_ONE = "lagflag: error: the Hermitian decomposition needs frame size >= 1, got {}\n"
+ABOVE_FIVE = "lagflag: error: frame size 6 is above the bound 5 (LAGFLAG_MAX_N raises it)\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "bound, argv, message",
+    [
+        (None, ["-n", "0"], HERMITIAN_BELOW_ONE.format(0)),
+        (None, ["-n", "0", "--twist", "Delta"], HERMITIAN_BELOW_ONE.format(0)),
+        (None, ["-n", "-2"], HERMITIAN_BELOW_ONE.format(-2)),
+        (None, ["-n", "-1", "--theory", "k"], "lagflag: error: frame size must be non-negative, got -1\n"),
+        ("5", ["-n", "6"], ABOVE_FIVE),
+        ("5", ["-n", "6", "--theory", "k"], ABOVE_FIVE),
+        ("x", ["-n", "3"], "lagflag: error: LAGFLAG_MAX_N must be an integer, got 'x'\n"),
+    ],
+    ids=["O-0", "Delta-0", "O-minus-2", "k-minus-1", "O-above-bound", "k-above-bound", "bad-bound"],
+)
+def test_basis_errors_print_nothing_on_stdout(capsys, monkeypatch, bound, argv, message, fmt):
+    # basis streams its summands, so the frame must be checked before the
+    # first byte: a summand stream that checks on its first next() fails here
+    if bound is None:
+        monkeypatch.delenv("LAGFLAG_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("LAGFLAG_MAX_N", bound)
+    assert run(capsys, ["basis", *argv, "--format", fmt]) == (2, "", message)
+
+
+def rendered_basis(decomp, fmt):
+    """A whole decomposition rendered in one piece, as `basis` printed it before streaming.
+
+    Text comes without its header line, whose count the caller checks.
+    """
+    if fmt == "json":
+        return json.dumps(decomp.to_json(), indent=2) + "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(
+            ["diagram", "kind", "shift", "map", "scheme", "dim", "components", "parity_ok"]
+        )
+    for s in decomp.summands:
+        if fmt == "csv":
+            parity = "" if s.kind.value == "K" else str(
+                scheme_alignment(s.source_diagram, s.scheme).ok
+            ).lower()
+            writer.writerow(
+                [
+                    s.source_diagram.steps,
+                    s.kind.value,
+                    "" if s.shift is None else s.shift,
+                    s.map_label.value,
+                    str(s.scheme),
+                    relative_dimension(s.scheme),
+                    component_count(s.scheme),
+                    parity,
+                ]
+            )
+        else:
+            shift = "" if s.shift is None else f" shift={s.shift}"
+            note = "" if s.base_twist is None else f" base_twist=V{s.base_twist}"
+            print(
+                f"  {s.source_diagram.steps or '-':<{max(decomp.n, 1)}} "
+                f"{s.kind.value:<2} {s.map_label.value:<4}{shift}{note}  {s.scheme}",
+                file=out,
+            )
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "n, choice",
+    [(0, "k")] + [(n, choice) for n in range(1, 13) for choice in ("O", "Delta", "k")],
+)
+def test_streamed_basis_matches_the_whole_decomposition(capsys, n, choice):
+    if choice == "k":
+        decomp, argv = k_basis(n), ["--theory", "k"]
+    else:
+        decomp, argv = gw_basis(n, Twist(choice)), ["--twist", choice]
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run(capsys, ["basis", "-n", str(n), *argv, "--format", fmt])
+        assert (code, err) == (0, "")
+        if fmt != "text":
+            assert out == rendered_basis(decomp, fmt)
+            continue
+        header, rows = out.split("\n", 1)
+        assert rows == rendered_basis(decomp, fmt)
+        theory, count = "K" if choice == "k" else "GW", len(rows.splitlines())
+        assert header == f"{theory}-basis n={n} twist={decomp.twist.value} summands={count}"
 
 
 def test_counting_commands_follow_env_bound(capsys, monkeypatch):

@@ -9,6 +9,8 @@ characters of the walk slice between them.
 from itertools import groupby
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagflag import (
     DomainError,
@@ -298,6 +300,15 @@ def test_constructions_match_the_selection_views(n):
         assert outcome(lambda: lf_ktheory(diagram)) == outcome(
             lambda: unpadded_from_views(diagram)
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(9, 40).flatmap(lambda n: st.text("VH", min_size=n, max_size=n)))
+def test_lf_ktheory_matches_the_selection_views_on_large_frames(steps):
+    # beyond the enumerated frames: lf_ktheory reads d off the segment ends,
+    # the views go through the rule-1 selection and the tuple rules
+    diagram = ShiftedDiagram(len(steps), steps)
+    assert lf_ktheory(diagram) == unpadded_from_views(diagram)
 
 
 def test_lf_ktheory_examples():
