@@ -118,42 +118,43 @@ def enumerate_diagrams(n: int) -> list[ShiftedDiagram]:
 class Boundary:
     """Run-length decomposition of a boundary walk into alternating segments.
 
-    ``segments[i]`` is the pair (step, length) of the ``i+1``-st segment,
-    where the step is `DOWN` for a vertical segment and `LEFT` for a
-    horizontal one.  The first segment is vertical and is the only one whose
-    length may be zero; the lengths sum to the frame size.  ``ends[i]`` is
-    the boundary distance from the origin to the end of that segment, so
-    segment ``t`` (1-based) starts at ``ends[t-2]`` (at 0 when ``t`` is 1).
+    ``ends[i]`` is the boundary distance from the origin to the end of the
+    ``i+1``-st segment, so segment ``t`` (1-based) starts at ``ends[t-2]``
+    (at 0 when ``t`` is 1).  Odd segments are vertical, even ones horizontal,
+    and only the first may have length zero.  ``lengths`` and ``segments``
+    (the ``(step, length)`` pairs) are derived from the ends when read.
     """
 
-    segments: tuple[tuple[str, int], ...]
     ends: tuple[int, ...]
 
     @property
     def segment_count(self) -> int:
-        return len(self.segments)
+        return len(self.ends)
 
     @property
     def lengths(self) -> tuple[int, ...]:
-        return tuple(length for _, length in self.segments)
+        return tuple(end - start for start, end in zip((0,) + self.ends, self.ends))
+
+    @property
+    def segments(self) -> tuple[tuple[str, int], ...]:
+        return tuple((LEFT if t % 2 else DOWN, length) for t, length in enumerate(self.lengths))
 
     def to_json(self) -> list:
         return [[step, length] for step, length in self.segments]
 
 
 def boundary(diagram: ShiftedDiagram) -> Boundary:
-    """Segment decomposition of the diagram's boundary walk, read in one pass."""
+    """Segment ends of the diagram's boundary walk, read in one pass."""
     steps = diagram.steps
-    # a walk that starts with H opens with a vertical segment of length zero
-    ends = [0] if steps.startswith(LEFT) else []
-    ends += [i for i in range(1, len(steps)) if steps[i] != steps[i - 1]]
+    # the walk opens with a vertical segment, of length zero when it starts with H
+    ends, run = [], DOWN
+    for i, step in enumerate(steps):
+        if step != run:
+            ends.append(i)
+            run = step
     if steps:
         ends.append(len(steps))
-    segments = tuple(
-        (LEFT if t % 2 else DOWN, end - start)
-        for t, (start, end) in enumerate(zip([0] + ends, ends))
-    )
-    return Boundary(segments, tuple(ends))
+    return Boundary(tuple(ends))
 
 
 class RowType(str, Enum):
@@ -189,14 +190,13 @@ def classify(diagram: ShiftedDiagram) -> DiagramClass:
     """Compute the index and the derived class flags of a diagram (frame >= 1)."""
     if diagram.n < 1:
         raise DomainError("classification needs a frame of size at least 1")
-    b = boundary(diagram)
-    l = b.segment_count
+    ends = boundary(diagram).ends
     # the last segment ends at n itself, so the scan always stops
-    index = next(t for t, end in enumerate(b.ends, 1) if end and end % 2 == diagram.n % 2)
+    index = next(t for t, end in enumerate(ends, 1) if end and end % 2 == diagram.n % 2)
     row = RowType.FULL_TOP_ROW if diagram.steps[0] == DOWN else RowType.EMPTY_RIGHT_COLUMN
     return DiagramClass(
         index_w=index,
-        is_almost_even=(index == l),
+        is_almost_even=(index == len(ends)),
         is_k_even=(index % 2 == 0),
         row_type=row,
     )

@@ -178,7 +178,7 @@ def is_regular(desc: FlagDescriptor) -> bool:
 def is_gorenstein(desc: FlagDescriptor) -> bool:
     """True when ``0 <= d_i - e_i <= 1`` for all ``i < k``."""
     _require_valid(desc)
-    return all(0 <= desc.d[i] - desc.e[i] <= 1 for i in range(desc.k))
+    return all(0 <= di - ei <= 1 for di, ei in zip(desc.d, desc.e))
 
 
 def relative_dimension(desc: FlagDescriptor) -> int:
@@ -194,9 +194,9 @@ def relative_dimension(desc: FlagDescriptor) -> int:
             f"(d_i - e_i <= 1); got {desc}"
         )
     n = desc.half_rank
-    total = comb(n - desc.d[desc.k] + 1, 2)
-    for i in range(desc.k):
-        total += (n - desc.t[i] - desc.d[i]) * desc.t[i] + comb(desc.t[i] + 1, 2)
+    total = comb(n - desc.d[-1] + 1, 2)
+    for di, ti in zip(desc.d, desc.t):
+        total += (n - ti - di) * ti + comb(ti + 1, 2)
     return total
 
 
@@ -204,7 +204,7 @@ def component_count(desc: FlagDescriptor) -> int:
     """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
     if not is_gorenstein(desc):
         raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
-    return 2 ** sum(1 for i in range(desc.k) if desc.d[i] - desc.e[i] == 1)
+    return 2 ** sum(1 for di, ei in zip(desc.d, desc.e) if di - ei == 1)
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ def _cutoff_rules(
 
 def _offsets(b: Boundary, rules: Mapping[int, SelectionRule]) -> list:
     """``(segment, offsets)`` pairs of the ruled segments, in order."""
-    return [(s, rules[s].offsets(b.segments[s - 1][1])) for s in sorted(rules)]
+    return [(s, rules[s].offsets(b.ends[s - 1] - b.ends[s - 2])) for s in sorted(rules)]
 
 
 def _entries(diagram: ShiftedDiagram, b: Boundary, segment_offsets: Iterable) -> tuple:
@@ -129,7 +129,7 @@ def _entries(diagram: ShiftedDiagram, b: Boundary, segment_offsets: Iterable) ->
         for o in offsets:
             d.append(start + o)
             positions.append(h_steps + o)
-        h_steps += b.segments[s - 1][1]
+        h_steps += b.ends[s - 1] - start
     if b.segment_count % 2 == 1:
         d.append(diagram.n)
         positions.append(h_steps)

@@ -391,11 +391,13 @@ def classify_connecting(c1: int, c2: int, lam1: int, lam2: int) -> ConnectingCas
     """Case split by the parities of the divisor exponents against the codimensions.
 
     ``c1`` and ``c2`` are the codimensions of the two blow-up centers (each
-    at least 2); ``lam1``, ``lam2`` the divisor-exponent parities of the
-    coefficient bundle.
+    at least 2); ``lam1``, ``lam2`` the divisor-exponent parities (0 or 1) of
+    the coefficient bundle.
     """
     if c1 < 2 or c2 < 2:
         raise DomainError(f"blow-up codimensions must be at least 2, got {c1}, {c2}")
+    if lam1 not in (0, 1) or lam2 not in (0, 1):
+        raise DomainError(f"parities lam1, lam2 must be 0 or 1, got {lam1}, {lam2}")
     first = (lam1 - (c1 - 1)) % 2 == 0
     second = (lam2 - (c2 - 1)) % 2 == 0
     if first and second:

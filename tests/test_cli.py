@@ -227,6 +227,12 @@ def test_classify_connecting(capsys):
     assert out == "EtaCaseII\n"
 
 
+def test_classify_connecting_rejects_a_parity_outside_0_and_1(capsys):
+    code, out, err = run(capsys, ["classify-connecting", "--c1", "3", "--c2", "2", "--lam", "0,5"])
+    assert (code, out) == (2, "")
+    assert err == "lagflag: error: parities lam1, lam2 must be 0 or 1, got 0, 5\n"
+
+
 def test_scheme_from_diagram(capsys):
     code, out, _ = run(
         capsys, ["scheme", "--diagram", "HH", "--construction", "b", "--format", "json"]

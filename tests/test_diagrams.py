@@ -6,10 +6,10 @@ cumulative scan.  The weight generating function, the deletion bijections
 and the odd-frame partitions are checked by the suites of `lagflag.verify`.
 """
 
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagflag import (
@@ -146,6 +146,19 @@ def test_boundary_against_run_oracle(n):
             assert (step == "V") == (idx % 2 == 1)
             if idx >= 2:
                 assert length >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.text("VH", min_size=n, max_size=n)))
+def test_boundary_matches_the_run_oracle_on_large_frames(steps):
+    b = boundary(ShiftedDiagram(len(steps), steps))
+    runs = oracle_runs(steps)
+    lengths = tuple(ln for _, ln in runs)
+    assert b.ends == tuple(accumulate(lengths))
+    assert b.segments == tuple(runs)
+    assert b.lengths == lengths
+    assert b.segment_count == len(runs)
+    assert b.to_json() == [[c, ln] for c, ln in runs]
 
 
 # --------------------------------------------------------------------------

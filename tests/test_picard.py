@@ -227,6 +227,12 @@ def test_classify_connecting_examples():
         classify_connecting(1, 2, 0, 0)
 
 
+@pytest.mark.parametrize("lam1,lam2", [(0, 5), (2, 1), (-1, 0), (1, -2)])
+def test_classify_connecting_rejects_parities_outside_0_and_1(lam1, lam2):
+    with pytest.raises(DomainError, match=f"lam1, lam2 must be 0 or 1, got {lam1}, {lam2}"):
+        classify_connecting(3, 2, lam1, lam2)
+
+
 @pytest.mark.parametrize("frame", range(2, 11))
 def test_connecting_case_table(frame):
     assert SUITE["connecting-case-table"](frame) == (True, "")

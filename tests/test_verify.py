@@ -20,6 +20,12 @@ def _drop_last_at_16(real):
     return lambda n: real(n)[:-1] if n == 16 else real(n)
 
 
+def _empty_segments_at_12(real):
+    # zero-length segments leave the run concatenation intact; only the ends show them
+    walk = diagrams.ShiftedDiagram(12, "H" * 12)
+    return lambda d: diagrams.Boundary((0, 0, 0, 12)) if d == walk else real(d)
+
+
 def _extra_almost_even_at_9(real):
     def class_sets(n):
         sets = real(n)
@@ -81,6 +87,8 @@ def _wrong_case_at_10(real):
 CASES = [
     ("counting", 16, diagrams, "enumerate_diagrams", _drop_last_at_16,
      "frame 16: 65535 diagrams, expected 65536"),
+    ("boundary-structure", 12, diagrams, "boundary", _empty_segments_at_12,
+     "HHHHHHHHHHHH: segment ends [0, 0, 0, 12], expected [0, 12]"),
     ("class-partitions", 9, diagrams, "class_sets", _extra_almost_even_at_9,
      "frame 9: A is not A^rr + A^cc"),
     ("deletion-bijections", 12, diagrams, "delete_right_column", _collide_at_12,
