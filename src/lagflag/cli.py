@@ -3,11 +3,13 @@ basis generation, and ``verify``, which runs the suites of `lagflag.verify`.
 
 Every command writes deterministic output; identical invocations produce
 byte-identical text.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  The environment variable ``LAGFLAG_MAX_N`` overrides the frame-size
-bounds (default 16 for ``enumerate``, ``basis``, the diagram arguments of
-``classify`` and ``scheme``, and for ``recursion`` and ``witt``, which count
-without enumerating; 10 for ``verify``).  Each command checks its bound
-before any work; the library itself has no frame limit.
+error, 141 when the reader closes stdout early (the status a shell reports
+for a SIGPIPE death; nothing is written on stderr).  The environment
+variable ``LAGFLAG_MAX_N`` overrides the frame-size bounds (default 16 for
+``enumerate``, ``basis``, the diagram arguments of ``classify`` and
+``scheme``, and for ``recursion`` and ``witt``, which count without
+enumerating; 10 for ``verify``).  Each command checks its bound before any
+work; the library itself has no frame limit.
 """
 
 from __future__ import annotations
@@ -45,6 +47,33 @@ def _emit_json(payload, out) -> None:
     print(json.dumps(payload, indent=2), file=out)
 
 
+def _json_list_at(indent: int):
+    """How ``json.dumps(..., indent=2)`` prints an integer tuple at ``indent`` spaces."""
+    pad = "\n" + " " * (indent + 2)
+    head, sep, tail = "[" + pad, "," + pad, "\n" + " " * indent + "]"
+
+    def dump(values) -> str:
+        return head + sep.join(map(str, values)) + tail if values else "[]"
+
+    return dump
+
+
+_scheme_list = _json_list_at(8)  # d, e and t in a summand
+_parts_list = _json_list_at(4)  # the parts of a diagram
+
+
+def _write_json_items(items, indent: str, out) -> None:
+    """Write the items of a JSON list whose ``[`` is already out, then its ``]``.
+
+    The list ends at ``indent``, as ``json.dumps(..., indent=2)`` would close it.
+    """
+    sep = "\n"
+    for item in items:
+        out.write(sep + item)
+        sep = ",\n"
+    out.write("]" if sep == "\n" else f"\n{indent}]")
+
+
 def _parse_int_tuple(raw: str | None) -> tuple[int, ...]:
     if raw is None or raw == "":
         return ()
@@ -79,11 +108,27 @@ def _parse_diagram(steps: str, bound: int) -> diag_mod.ShiftedDiagram:
 # commands
 
 
+def _diagram_json(d) -> str:
+    """A diagram as ``json.dumps([d.to_json()], indent=2)`` prints it in its list."""
+    parts = d.parts
+    return (
+        "  {\n"
+        f'    "n": {d.n},\n'
+        f'    "steps": "{d.steps}",\n'
+        f'    "parts": {_parts_list(parts)},\n'
+        f'    "weight": {sum(parts)}\n'
+        "  }"
+    )
+
+
 def _cmd_enumerate(args, out) -> int:
+    """Write each diagram as soon as it is built."""
     _check_frame(args.n)
     diagrams = diag_mod.enumerate_diagrams(args.n)
     if args.format == "json":
-        _emit_json([d.to_json() for d in diagrams], out)
+        out.write("[")
+        _write_json_items(map(_diagram_json, diagrams), "", out)
+        out.write("\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "steps", "parts", "weight"])
@@ -120,6 +165,8 @@ def _cmd_classify(args, out) -> int:
 
 
 def _scheme_from_args(args) -> flags_mod.FlagDescriptor:
+    if args.w is not None and args.construction not in ("a", "b"):
+        raise DomainError("--w applies only to --construction a or b")
     if args.name is not None:
         if args.n is None:
             raise DomainError("--name needs -n (the half rank)")
@@ -215,13 +262,6 @@ def _parity_flag(summand) -> str:
     return str(result.ok).lower()
 
 
-def _json_list(values) -> str:
-    """A descriptor tuple as ``json.dumps(..., indent=2)`` prints it in a summand."""
-    if not values:
-        return "[]"
-    return "[\n          " + ",\n          ".join(map(str, values)) + "\n        ]"
-
-
 def _summand_json(s) -> str:
     """A summand as ``json.dumps(s.to_json(), indent=2)`` prints it in a decomposition.
 
@@ -235,9 +275,9 @@ def _summand_json(s) -> str:
         f'      "diagram": "{s.source_diagram.steps}",\n'
         '      "scheme": {\n'
         f'        "half_rank": {scheme.half_rank},\n'
-        f'        "d": {_json_list(scheme.d)},\n'
-        f'        "e": {_json_list(scheme.e)},\n'
-        f'        "t": {_json_list(scheme.t)}\n'
+        f'        "d": {_scheme_list(scheme.d)},\n'
+        f'        "e": {_scheme_list(scheme.e)},\n'
+        f'        "t": {_scheme_list(scheme.t)}\n'
         "      },\n"
         f'      "map": "{s.map_label.value}",\n'
         f'      "base_twist": {"null" if s.base_twist is None else s.base_twist}\n'
@@ -249,21 +289,20 @@ def _cmd_basis(args, out) -> int:
     """Write each summand as soon as it is built; errors come before any output."""
     _check_frame(args.n)
     if args.theory == "k":
+        if args.twist is not None:
+            raise DomainError("--twist applies to the Hermitian basis only, not to --theory k")
         theory, twist = basis_mod.Kind.K, pic_mod.Twist.TRIVIAL
         summands = basis_mod.k_summands(args.n)
     else:
-        theory, twist = basis_mod.Kind.GW, pic_mod.Twist(args.twist)
+        theory, twist = basis_mod.Kind.GW, pic_mod.Twist(args.twist or "O")
         summands = basis_mod.gw_summands(args.n, twist)
     if args.format == "json":
         out.write(
             f'{{\n  "n": {args.n},\n  "twist": "{twist.value}",\n'
             f'  "theory": "{theory.value}",\n  "summands": ['
         )
-        sep = "\n"
-        for s in summands:
-            out.write(sep + _summand_json(s))
-            sep = ",\n"
-        out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+        _write_json_items(map(_summand_json, summands), "  ", out)
+        out.write("\n}\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
@@ -418,7 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="additive basis decomposition of a frame")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--twist", choices=("O", "Delta"), default="O")
+    p.add_argument(
+        "--twist", choices=("O", "Delta"), help="twist of the Hermitian basis (default O)"
+    )
     p.add_argument("--theory", choices=("k", "gw"), default="gw")
     add_format(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_basis)
@@ -453,10 +494,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
     except LagflagError as exc:
         print(f"lagflag: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone.  Unwritten output goes to /dev/null, so the
+        # interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,9 +19,11 @@ with a horizontal step, so that the alternation always starts vertically.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import product, repeat
 
 from .errors import DomainError, _json_field
 
@@ -70,9 +72,8 @@ class ShiftedDiagram:
     @property
     def parts(self) -> tuple[int, ...]:
         """Row lengths in decreasing order."""
-        return tuple(
-            self.n + 1 - i for i in range(1, self.n + 1) if self.steps[i - 1] == DOWN
-        )
+        # from a list, so the tuple is built at its final size and never resized
+        return tuple([self.n - i for i, step in enumerate(self.steps) if step == DOWN])
 
     @property
     def weight(self) -> int:
@@ -107,11 +108,47 @@ class ShiftedDiagram:
         return self.steps
 
 
-def enumerate_diagrams(n: int) -> list[ShiftedDiagram]:
+#: Binary digits of a diagram's position in its frame, read as steps.
+_BITS = str.maketrans("01", DOWN + LEFT)
+
+
+class Frame(Sequence):
+    """The ``2**n`` diagrams of frame ``n``, lexicographic with ``V`` before ``H``.
+
+    A diagram is built only when it is read, so iterating holds one at a
+    time.  Position ``i`` is the walk whose steps spell ``i`` in ``n``
+    binary digits, ``V`` for 0 and ``H`` for 1; a slice is a list.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __len__(self) -> int:
+        return 1 << self.n
+
+    def __iter__(self) -> Iterator[ShiftedDiagram]:
+        walks = map("".join, product((DOWN, LEFT), repeat=self.n))
+        return map(ShiftedDiagram, repeat(self.n), walks)
+
+    def __getitem__(self, i):
+        size = len(self)
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(size))]
+        i = operator.index(i)
+        pos = i + size if i < 0 else i
+        if not 0 <= pos < size:
+            raise IndexError(f"frame {self.n} has no diagram at index {i}")
+        # the leading 1 of ``pos | size`` keeps the zeros ahead of pos's own digits
+        return ShiftedDiagram(self.n, format(pos | size, "b")[1:].translate(_BITS))
+
+
+def enumerate_diagrams(n: int) -> Frame:
     """All ``2**n`` diagrams in frame ``n``, lexicographic with ``V`` before ``H``."""
     if n < 0:
         raise DomainError(f"frame size must be non-negative, got {n}")
-    return [ShiftedDiagram(n, "".join(c)) for c in product((DOWN, LEFT), repeat=n)]
+    return Frame(n)
 
 
 @dataclass(frozen=True)

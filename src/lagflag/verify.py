@@ -29,13 +29,17 @@ def _genfunc_coefficients(n: int) -> list[int]:
 
 def _suite_counting(max_n: int):
     for n in range(0, min(max_n, 16) + 1):
-        frame = diagrams.enumerate_diagrams(n)
-        if len(frame) != 2**n:
-            return False, f"frame {n}: {len(frame)} diagrams, expected {2 ** n}"
-        if len(set(d.steps for d in frame)) != len(frame):
+        # count what iteration yields: the frame's own length is declared, not counted
+        steps, counts = set(), Counter()
+        for d in diagrams.enumerate_diagrams(n):
+            steps.add(d.steps)
+            counts[d.weight] += 1
+        total = counts.total()
+        if total != 2**n:
+            return False, f"frame {n}: {total} diagrams, expected {2 ** n}"
+        if len(steps) != total:
             return False, f"frame {n}: duplicate diagrams"
         expected = _genfunc_coefficients(n)
-        counts = Counter(d.weight for d in frame)
         actual = [counts.get(w, 0) for w in range(len(expected))]
         if actual != expected:
             return False, f"frame {n}: weight generating function mismatch"

@@ -9,6 +9,7 @@ from lagflag import (
     FlagDescriptor,
     Kind,
     MapLabel,
+    ShiftedDiagram,
     Twist,
     atom_multiset,
     class_sets,
@@ -120,6 +121,25 @@ def test_summand_streams_check_the_frame_on_the_call():
         gw_summands(0, Twist.DELTA)
     with pytest.raises(DomainError, match="non-negative, got -1"):
         k_summands(-1)
+
+
+@pytest.mark.parametrize(
+    "summands",
+    [lambda: k_summands(12), lambda: gw_summands(12, Twist.TRIVIAL),
+     lambda: gw_summands(12, Twist.DELTA)],
+    ids=["k", "O", "Delta"],
+)
+def test_summand_streams_build_the_frame_as_they_read_it(monkeypatch, summands):
+    built = []
+    real = ShiftedDiagram.__post_init__
+
+    def counted(self):
+        built.append(self.steps)
+        real(self)
+
+    monkeypatch.setattr(ShiftedDiagram, "__post_init__", counted)
+    next(summands())
+    assert 0 < len(built) < 10
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -266,6 +269,35 @@ def test_usage_errors_exit_two(capsys):
 
     code, _, err = run(capsys, ["classify-connecting", "--c1", "1", "--c2", "2", "--lam", "0,0"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scheme", "--diagram", "VH", "--w", "-1"], "--w applies only to --construction a or b"),
+        (["basis", "-n", "2", "--theory", "k", "--twist", "Delta"],
+         "--twist applies to the Hermitian basis only, not to --theory k"),
+    ],
+)
+def test_ignored_options_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"lagflag: error: {message}\n"
+
+
+def test_a_closed_pipe_ends_quietly_with_141():
+    env = {k: v for k, v in os.environ.items() if k != "LAGFLAG_MAX_N"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lagflag.cli", "basis", "-n", "12", "--format", "json"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = child.stdout.read(100)
+    child.stdout.close()  # the reader goes away, as `head -c 100` does
+    _, err = child.communicate(timeout=60)
+    assert (len(head), child.returncode, err) == (100, 141, b"")
 
 
 def test_invalid_descriptor_exits_one(capsys):

@@ -6,7 +6,7 @@ cumulative scan.  The weight generating function, the deletion bijections
 and the odd-frame partitions are checked by the suites of `lagflag.verify`.
 """
 
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, product
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +78,23 @@ def test_enumerate_counts_and_determinism(n):
     order = {"V": 0, "H": 1}
     keys = [[order[ch] for ch in d.steps] for d in diagrams]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_frame_matches_the_eager_product(n):
+    frame = enumerate_diagrams(n)
+    oracle = [ShiftedDiagram(n, "".join(c)) for c in product("VH", repeat=n)]
+    listed = list(frame)
+    assert listed == oracle
+    assert list(frame) == listed  # a second pass yields the same diagrams
+    assert len(frame) == len(listed)
+    assert [frame[i] for i in range(len(frame))] == listed
+    assert frame[-1] == listed[-1] and frame[-len(frame)] == listed[0]
+    for cut in (slice(None), slice(None, -1), slice(1, None, 3), slice(None, None, -2)):
+        assert frame[cut] == listed[cut]
+    for bad in (len(frame), -len(frame) - 1):
+        with pytest.raises(IndexError):
+            frame[bad]
 
 
 def test_enumerate_limit_is_usage_error():
