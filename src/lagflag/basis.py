@@ -19,7 +19,8 @@ from math import comb
 from typing import Iterator
 
 from . import counting
-from .diagrams import DOWN, ShiftedDiagram, boundary, classify, enumerate_diagrams
+# boundary is unused here; perfbench/test_harness.py asserts that this module binds it
+from .diagrams import DOWN, ShiftedDiagram, boundary, enumerate_diagrams  # noqa: F401
 from .errors import DomainError, _json_field, _json_int
 from .flags import FlagDescriptor, is_gorenstein, relative_dimension
 from .marking import lf_ktheory, padded_scheme, uses_type1
@@ -121,10 +122,14 @@ def k_summands(n: int) -> Iterator[Summand]:
         # base itself, carried by the k = 0 descriptor at half rank 0.
         scheme = FlagDescriptor(0, (0,), (), ())
         return iter((Summand(Kind.K, ShiftedDiagram(0, ""), scheme, MapLabel.PHI),))
-    return (
-        Summand(Kind.K, diag, lf_ktheory(diag), MapLabel.PHI)
-        for diag in enumerate_diagrams(n)
-    )
+    return _k_stream(enumerate_diagrams(n))
+
+
+def _k_stream(frame) -> Iterator[Summand]:
+    n = frame.n
+    for steps, ends, _ in frame.walks():
+        diag = ShiftedDiagram(n, steps)
+        yield Summand(Kind.K, diag, lf_ktheory(diag, ends=ends), MapLabel.PHI)
 
 
 def k_basis(n: int) -> Decomposition:
@@ -173,19 +178,22 @@ def gw_summands(n: int, twist: Twist) -> Iterator[Summand]:
     return _gw_stream(enumerate_diagrams(n), n % 2 == 0, twist)
 
 
-def _gw_stream(diagrams, even_frame: bool, twist: Twist) -> Iterator[Summand]:
-    for diag in diagrams:
-        cls = classify(diag)
+def _gw_stream(frame, even_frame: bool, twist: Twist) -> Iterator[Summand]:
+    """Build a diagram and its scheme only for the walks that yield a summand."""
+    n = frame.n
+    for steps, ends, index in frame.walks():
+        segments = len(ends)
         role = summand_role(
-            even_frame, twist, diag.steps[0] == DOWN, cls.is_almost_even, cls.is_k_even
+            even_frame, twist, steps[0] == DOWN, index == segments, index % 2 == 0
         )
         if role is None:
             continue
+        diag = ShiftedDiagram(n, steps)
         kind, label = role
         if kind is Kind.K:
-            yield Summand(kind, diag, padded_scheme(diag, cls.index_w), label)
+            yield Summand(kind, diag, padded_scheme(diag, index, ends=ends), label)
             continue
-        scheme = padded_scheme(diag, boundary(diag).segment_count)
+        scheme = padded_scheme(diag, segments, ends=ends)
         # the type-1 construction leaves a residual det twist
         base_twist = 1 if uses_type1(diag) else None
         yield Summand(kind, diag, scheme, label, shift=diag.weight, base_twist=base_twist)

@@ -164,23 +164,38 @@ def _cmd_classify(args, out) -> int:
     return 0
 
 
+#: The options each source of a scheme reads; argparse keeps the sources exclusive.
+_SCHEME_SOURCES = {
+    "name": ("n",),
+    "diagram": ("construction", "w"),
+    "d": ("e", "t", "half_rank"),
+}
+
+
+def _option(dest: str) -> str:
+    return "-n" if dest == "n" else "--" + dest.replace("_", "-")
+
+
 def _scheme_from_args(args) -> flags_mod.FlagDescriptor:
-    if args.w is not None and args.construction not in ("a", "b"):
-        raise DomainError("--w applies only to --construction a or b")
-    if args.name is not None:
+    source = next((s for s in _SCHEME_SOURCES if getattr(args, s) is not None), None)
+    for other, dests in _SCHEME_SOURCES.items():
+        unread = [dest for dest in dests if getattr(args, dest) is not None]
+        if source not in (None, other) and unread:
+            raise DomainError(f"{_option(unread[0])} does not apply to {_option(source)}")
+    if source == "name":
         if args.n is None:
             raise DomainError("--name needs -n (the half rank)")
         return flags_mod.named_scheme(args.name, args.n)
-    if args.diagram is not None:
+    if source == "diagram":
+        construction = args.construction or "ktheory"
+        if args.w is not None and construction == "ktheory":
+            raise DomainError("--w applies only to --construction a or b")
         diagram = _parse_diagram(args.diagram, _bound(ENUMERATE_BOUND))
-        if args.construction == "ktheory":
+        if construction == "ktheory":
             return marking_mod.lf_ktheory(diagram)
-        w = args.w
-        if w is None:
-            w = diag_mod.boundary(diagram).segment_count
-        if args.construction == "a":
-            return marking_mod.lf_a(diagram, w)
-        return marking_mod.lf_b(diagram, w)
+        ends = diag_mod.boundary(diagram).ends
+        build = marking_mod.lf_a if construction == "a" else marking_mod.lf_b
+        return build(diagram, len(ends) if args.w is None else args.w, ends=ends)
     if args.d is None or args.half_rank is None:
         raise DomainError("scheme needs --name, --diagram, or --d with --half-rank")
     return flags_mod.FlagDescriptor(
@@ -309,6 +324,7 @@ def _cmd_basis(args, out) -> int:
             ["diagram", "kind", "shift", "map", "scheme", "dim", "components", "parity_ok"]
         )
         for s in summands:
+            dim, components = flags_mod.dimension_and_components(s.scheme)
             writer.writerow(
                 [
                     s.source_diagram.steps,
@@ -316,8 +332,8 @@ def _cmd_basis(args, out) -> int:
                     "" if s.shift is None else s.shift,
                     s.map_label.value,
                     str(s.scheme),
-                    flags_mod.relative_dimension(s.scheme),
-                    flags_mod.component_count(s.scheme),
+                    dim,
+                    components,
                     _parity_flag(s),
                 ]
             )
@@ -430,20 +446,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("scheme", help="validate and report on a flag-scheme descriptor")
-    p.add_argument("--name", help="named scheme: B2, E2, F2 or LF_<i>")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--name", help="named scheme: B2, E2, F2 or LF_<i>")
     p.add_argument("-n", type=int, help="half rank for --name")
-    p.add_argument("--diagram", help="build the scheme attached to a diagram")
+    source.add_argument("--diagram", help="build the scheme attached to a diagram")
     p.add_argument(
         "--construction",
         choices=("ktheory", "a", "b"),
-        default="ktheory",
-        help="which construction to apply to --diagram",
+        help="which construction to apply to --diagram (default ktheory)",
     )
     p.add_argument("--w", type=int, help="selection cutoff for constructions a/b")
-    p.add_argument("--d", help="comma-separated d tuple")
-    p.add_argument("--e", help="comma-separated e tuple")
-    p.add_argument("--t", help="comma-separated t tuple")
-    p.add_argument("--half-rank", help="half rank of the ambient bundle")
+    source.add_argument("--d", help="comma-separated d tuple")
+    p.add_argument("--e", help="comma-separated e tuple, for --d")
+    p.add_argument("--t", help="comma-separated t tuple, for --d")
+    p.add_argument("--half-rank", help="half rank of the ambient bundle, for --d")
     add_format(p)
     p.set_defaults(func=_cmd_scheme)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import basis  # imports this module back, so its names are read at call time
-from .diagrams import DOWN, LEFT
+from .diagrams import DOWN, LEFT, is_index_end
 from .errors import DomainError
 from .picard import Twist
 
@@ -57,9 +57,9 @@ def class_weights(n: int) -> dict[ClassKey, list[int]]:
         coeffs[n if step == DOWN else 0] = 1  # a V step at position 1 adds n
         states[(step, step, None)] = coeffs
     for i in range(2, n + 1):
-        # A turn before position i ends a run at i - 1; the first such run at
-        # a position of the frame's parity holds the index.
-        index_here = (i - 1) % 2 == n % 2
+        # A turn before position i ends a run at i - 1; the first such run
+        # that passes is_index_end holds the index.
+        index_here = is_index_end(i - 1, n)
         gain = n + 1 - i
         nxt: dict[tuple[str, str, bool | None], list[int]] = {}
         for (first, current, k_even), coeffs in states.items():

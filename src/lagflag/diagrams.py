@@ -143,6 +143,38 @@ class Frame(Sequence):
         # the leading 1 of ``pos | size`` keeps the zeros ahead of pos's own digits
         return ShiftedDiagram(self.n, format(pos | size, "b")[1:].translate(_BITS))
 
+    def walks(self) -> Iterator[tuple[str, tuple[int, ...], int]]:
+        """``(steps, ends, index)`` of every walk, in frame order, building no diagram.
+
+        ``ends`` is what `boundary` reads and ``index`` what `classify`
+        calls ``index_w``.  The walk goes depth first and carries both down
+        each step prefix, so siblings share their prefix's work and the stack
+        holds one path from the root.  Frame 0 has no index.
+        """
+        n = self.n
+        if n < 1:
+            raise DomainError("classification needs a frame of size at least 1")
+        return self._walks([is_index_end(i, n) for i in range(n)])
+
+    def _walks(self, holds: list[bool]) -> Iterator[tuple[str, tuple[int, ...], int]]:
+        n = self.n
+        # (steps, ends of the closed segments, current step, index or 0 while unfound)
+        stack = [("", (), DOWN, 0)]
+        while stack:
+            steps, closed, run, index = stack.pop()
+            i = len(steps)
+            if i == n:
+                ends = closed + (n,)
+                yield steps, ends, index or len(ends)
+                continue
+            for step in (LEFT, DOWN):  # pushed last, V is read first
+                if step == run:
+                    stack.append((steps + step, closed, run, index))
+                else:
+                    turned = closed + (i,)
+                    found = index or (len(turned) if holds[i] else 0)
+                    stack.append((steps + step, turned, step, found))
+
 
 def enumerate_diagrams(n: int) -> Frame:
     """All ``2**n`` diagrams in frame ``n``, lexicographic with ``V`` before ``H``."""
@@ -203,10 +235,9 @@ class RowType(str, Enum):
 class DiagramClass:
     """Classification data of a diagram.
 
-    ``index_w`` is the least segment index ``t`` whose end lies at a nonzero
-    boundary distance congruent to the frame size mod 2.  A diagram is
-    almost even when the index equals the number of segments, and K-even
-    when the index is even.
+    ``index_w`` is the least segment index ``t`` whose end passes
+    `is_index_end`.  A diagram is almost even when the index equals the
+    number of segments, and K-even when the index is even.
     """
 
     index_w: int
@@ -223,13 +254,23 @@ class DiagramClass:
         }
 
 
+def is_index_end(end: int, n: int) -> bool:
+    """Whether a segment ending at boundary distance ``end`` may hold the index.
+
+    It may when ``end`` is nonzero and has the parity of the frame size
+    ``n``.  The index of a diagram is the first segment whose end passes;
+    the last segment ends at ``n`` itself, so one always does.
+    """
+    return end > 0 and end % 2 == n % 2
+
+
 def classify(diagram: ShiftedDiagram) -> DiagramClass:
     """Compute the index and the derived class flags of a diagram (frame >= 1)."""
-    if diagram.n < 1:
+    n = diagram.n
+    if n < 1:
         raise DomainError("classification needs a frame of size at least 1")
     ends = boundary(diagram).ends
-    # the last segment ends at n itself, so the scan always stops
-    index = next(t for t, end in enumerate(ends, 1) if end and end % 2 == diagram.n % 2)
+    index = next(t for t, end in enumerate(ends, 1) if is_index_end(end, n))
     row = RowType.FULL_TOP_ROW if diagram.steps[0] == DOWN else RowType.EMPTY_RIGHT_COLUMN
     return DiagramClass(
         index_w=index,

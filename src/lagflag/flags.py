@@ -193,6 +193,23 @@ def relative_dimension(desc: FlagDescriptor) -> int:
             f"relative dimension is only asserted for Gorenstein descriptors "
             f"(d_i - e_i <= 1); got {desc}"
         )
+    return _dimension(desc)
+
+
+def component_count(desc: FlagDescriptor) -> int:
+    """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
+    if not is_gorenstein(desc):
+        raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
+    return _components(desc)
+
+
+def dimension_and_components(desc: FlagDescriptor) -> tuple[int, int]:
+    """`relative_dimension` and `component_count`, behind one Gorenstein check."""
+    return relative_dimension(desc), _components(desc)
+
+
+def _dimension(desc: FlagDescriptor) -> int:
+    """The formula of `relative_dimension`, on a descriptor known to be Gorenstein."""
     n = desc.half_rank
     total = comb(n - desc.d[-1] + 1, 2)
     for di, ti in zip(desc.d, desc.t):
@@ -200,10 +217,8 @@ def relative_dimension(desc: FlagDescriptor) -> int:
     return total
 
 
-def component_count(desc: FlagDescriptor) -> int:
-    """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
-    if not is_gorenstein(desc):
-        raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
+def _components(desc: FlagDescriptor) -> int:
+    """The formula of `component_count`, on a descriptor known to be Gorenstein."""
     return 2 ** sum(1 for di, ei in zip(desc.d, desc.e) if di - ei == 1)
 
 
@@ -232,13 +247,13 @@ class SchemeReport:
 
 
 def scheme_report(desc: FlagDescriptor) -> SchemeReport:
-    """Every predicate and closed form of the descriptor."""
+    """Every predicate and closed form of the descriptor, checked once."""
     gor = is_gorenstein(desc)
     return SchemeReport(
         regular=is_regular(desc),
         gorenstein=gor,
-        relative_dimension=relative_dimension(desc) if gor else None,
-        component_count=component_count(desc) if gor else None,
+        relative_dimension=_dimension(desc) if gor else None,
+        component_count=_components(desc) if gor else None,
         # The structure-map pushforward of the structure sheaf is the base's
         # structure sheaf in the Gorenstein regime with every t_i equal to 1.
         reduced_with_trivial_pushforward=gor and all(ti == 1 for ti in desc.t),

@@ -13,7 +13,8 @@ rules, and the chosen points turn into descriptor tuples:
 
 The padded constructions shift the frame up by one (``half_rank = n + 1``)
 and adjust the tuples entrywise; they are the intermediate schemes used by
-the additive-basis maps.  Each construction reads the boundary once.  The
+the additive-basis maps.  Each construction reads the boundary once, or
+not at all when it is given the segment ``ends`` its caller has read.  The
 padded ones go straight from the rules (`_cutoff_rules`) to the tuples
 (`_entries`), and `lf_ktheory`, which selects every point, reads ``d`` off
 the segment ends; `selection_S`, `selection_S_tilde` and `tuples` show the
@@ -88,7 +89,7 @@ class MarkedSelection:
 
 
 def _cutoff_rules(
-    diagram: ShiftedDiagram, b: Boundary, w: int, tilde: bool = False
+    diagram: ShiftedDiagram, ends: tuple[int, ...], w: int, tilde: bool = False
 ) -> dict[int, SelectionRule]:
     """Rule 2 on the horizontal segments up to ``w``, rule 1 beyond.
 
@@ -98,7 +99,7 @@ def _cutoff_rules(
         raise DomainError(f"selection cutoff must be non-negative, got {w}")
     rules = {
         s: SelectionRule.EVEN_POINTS if s <= w else SelectionRule.ALL_POINTS
-        for s in range(2, b.segment_count + 1, 2)
+        for s in range(2, len(ends) + 1, 2)
     }
     if tilde and 2 not in rules:
         raise DomainError(
@@ -109,12 +110,14 @@ def _cutoff_rules(
     return rules
 
 
-def _offsets(b: Boundary, rules: Mapping[int, SelectionRule]) -> list:
+def _offsets(ends: tuple[int, ...], rules: Mapping[int, SelectionRule]) -> list:
     """``(segment, offsets)`` pairs of the ruled segments, in order."""
-    return [(s, rules[s].offsets(b.ends[s - 1] - b.ends[s - 2])) for s in sorted(rules)]
+    return [(s, rules[s].offsets(ends[s - 1] - ends[s - 2])) for s in sorted(rules)]
 
 
-def _entries(diagram: ShiftedDiagram, b: Boundary, segment_offsets: Iterable) -> tuple:
+def _entries(
+    diagram: ShiftedDiagram, ends: tuple[int, ...], segment_offsets: Iterable
+) -> tuple:
     """``d`` and ``t`` of the marks at the given ``(segment, offsets)`` pairs.
 
     The pairs cover every horizontal segment in order.  A mark at offset
@@ -125,12 +128,12 @@ def _entries(diagram: ShiftedDiagram, b: Boundary, segment_offsets: Iterable) ->
     """
     d, positions, h_steps = [], [], 0
     for s, offsets in segment_offsets:
-        start = b.ends[s - 2]  # a horizontal segment s >= 2 starts where s - 1 ends
+        start = ends[s - 2]  # a horizontal segment s >= 2 starts where s - 1 ends
         for o in offsets:
             d.append(start + o)
             positions.append(h_steps + o)
-        h_steps += b.ends[s - 1] - start
-    if b.segment_count % 2 == 1:
+        h_steps += ends[s - 1] - start
+    if len(ends) % 2 == 1:
         d.append(diagram.n)
         positions.append(h_steps)
     if not d:
@@ -166,7 +169,7 @@ def _select(
     if missing:
         raise DomainError(f"missing selection rules for segments {sorted(missing)}")
     per_segment = tuple(
-        SegmentSelection(s, rules[s], offsets) for s, offsets in _offsets(b, rules)
+        SegmentSelection(s, rules[s], offsets) for s, offsets in _offsets(b.ends, rules)
     )
     return MarkedSelection(diagram, per_segment, b)
 
@@ -177,13 +180,13 @@ def selection_S(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
     With ``w = 0`` every special marked point is selected.
     """
     b = boundary(diagram)
-    return _select(diagram, b, _cutoff_rules(diagram, b, w))
+    return _select(diagram, b, _cutoff_rules(diagram, b.ends, w))
 
 
 def selection_S_tilde(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
     """Like `selection_S` but the first horizontal segment uses rule 3."""
     b = boundary(diagram)
-    return _select(diagram, b, _cutoff_rules(diagram, b, w, tilde=True))
+    return _select(diagram, b, _cutoff_rules(diagram, b.ends, w, tilde=True))
 
 
 @dataclass(frozen=True)
@@ -213,22 +216,36 @@ def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
     if sel.diagram != diagram:
         raise DomainError("selection was built for a different diagram")
     b = sel.boundary
-    d, t = _entries(diagram, b, ((s.segment, s.offsets) for s in sel.per_segment))
+    d, t = _entries(diagram, b.ends, ((s.segment, s.offsets) for s in sel.per_segment))
     return TupleData(tuple(d), tuple(d[:-1]), tuple(t), b.segment_count % 2 == 1)
 
 
-def lf_a(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
-    """Padded type-0 descriptor of `selection_S` cut at ``w``: ``d+1``, ``e+2-t``."""
-    b = boundary(diagram)
-    d, t = _entries(diagram, b, _offsets(b, _cutoff_rules(diagram, b, w)))
+def lf_a(
+    diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
+) -> FlagDescriptor:
+    """Padded type-0 descriptor of `selection_S` cut at ``w``: ``d+1``, ``e+2-t``.
+
+    ``ends``, when given, must be ``boundary(diagram).ends``; the walk is
+    then not read again.
+    """
+    if ends is None:
+        ends = boundary(diagram).ends
+    d, t = _entries(diagram, ends, _offsets(ends, _cutoff_rules(diagram, ends, w)))
     e = [di + 2 - ti for di, ti in zip(d, t)]
     return _require_valid(FlagDescriptor(diagram.n + 1, [di + 1 for di in d], e, t))
 
 
-def lf_b(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
-    """Like `lf_a` on `selection_S_tilde`, first ``e`` one lower; needs ``k >= 1``."""
-    b = boundary(diagram)
-    d, t = _entries(diagram, b, _offsets(b, _cutoff_rules(diagram, b, w, tilde=True)))
+def lf_b(
+    diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
+) -> FlagDescriptor:
+    """Like `lf_a` on `selection_S_tilde`, first ``e`` one lower; needs ``k >= 1``.
+
+    ``ends`` is as for `lf_a`.
+    """
+    if ends is None:
+        ends = boundary(diagram).ends
+    rules = _cutoff_rules(diagram, ends, w, tilde=True)
+    d, t = _entries(diagram, ends, _offsets(ends, rules))
     if not t:
         raise DomainError(
             f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
@@ -248,27 +265,33 @@ def uses_type1(diagram: ShiftedDiagram) -> bool:
     return diagram.n % 2 == 0 and diagram.steps.startswith(LEFT)
 
 
-def padded_scheme(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
+def padded_scheme(
+    diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
+) -> FlagDescriptor:
     """The padded scheme a basis summand of the diagram carries, cut at ``w``.
 
     GW summands cut at the last segment and K summands at the index; the
-    construction is chosen by `uses_type1`.
+    construction is chosen by `uses_type1`.  ``ends`` is passed on to it.
     """
-    return lf_b(diagram, w) if uses_type1(diagram) else lf_a(diagram, w)
+    build = lf_b if uses_type1(diagram) else lf_a
+    return build(diagram, w, ends=ends)
 
 
-def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:
+def lf_ktheory(
+    diagram: ShiftedDiagram, *, ends: tuple[int, ...] | None = None
+) -> FlagDescriptor:
     """Unpadded descriptor of the K-theory model attached to a diagram.
 
     Selects every special marked point (``selection_S`` with cutoff 0), so
     ``d`` is every boundary position inside a horizontal segment, with the
     frame size appended when the segment count is odd; consecutive marks
     are one horizontal step apart, so all ``t`` entries are 1.  The frame
-    size stays the half rank.
+    size stays the half rank.  ``ends`` is as for `lf_a`.
     """
     if diagram.n < 1:
         raise DomainError("the K-theory descriptor needs a frame of size at least 1")
-    ends = boundary(diagram).ends
+    if ends is None:
+        ends = boundary(diagram).ends
     # segment s (0-based) is horizontal for odd s and starts at ends[s - 1]
     d = [p for s in range(1, len(ends), 2) for p in range(ends[s - 1], ends[s])]
     if len(ends) % 2:

@@ -1,6 +1,7 @@
 """Basis decompositions, recursion identities and geometry aggregation."""
 
 from collections import Counter
+from types import ModuleType
 
 import pytest
 
@@ -140,6 +141,36 @@ def test_summand_streams_build_the_frame_as_they_read_it(monkeypatch, summands):
     monkeypatch.setattr(ShiftedDiagram, "__post_init__", counted)
     next(summands())
     assert 0 < len(built) < 10
+
+
+@pytest.mark.parametrize(
+    "summands",
+    [lambda: k_summands(12), lambda: gw_summands(12, Twist.TRIVIAL),
+     lambda: gw_summands(12, Twist.DELTA)],
+    ids=["k", "O", "Delta"],
+)
+def test_summand_streams_build_a_diagram_only_for_a_summand(monkeypatch, summands):
+    import lagflag
+
+    def unread(diagram):
+        raise AssertionError(f"the walk of {diagram.steps!r} was read again")
+
+    modules = [lagflag] + [m for m in vars(lagflag).values() if isinstance(m, ModuleType)]
+    for original in (lagflag.diagrams.boundary, lagflag.diagrams.classify):
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, unread)
+    built = []
+    real = ShiftedDiagram.__post_init__
+
+    def counted(self):
+        built.append(self.steps)
+        real(self)
+
+    monkeypatch.setattr(ShiftedDiagram, "__post_init__", counted)
+    drained = [s.source_diagram.steps for s in summands()]
+    assert built == drained
 
 
 # --------------------------------------------------------------------------

@@ -277,12 +277,51 @@ def test_usage_errors_exit_two(capsys):
         (["scheme", "--diagram", "VH", "--w", "-1"], "--w applies only to --construction a or b"),
         (["basis", "-n", "2", "--theory", "k", "--twist", "Delta"],
          "--twist applies to the Hermitian basis only, not to --theory k"),
+        # each scheme source rejects the options it does not read
+        (["scheme", "--name", "B2", "-n", "2", "--construction", "b", "--w", "1"],
+         "--construction does not apply to --name"),
+        (["scheme", "--name", "B2", "-n", "2", "--w", "1"], "--w does not apply to --name"),
+        (["scheme", "--name", "B2", "-n", "2", "--e", "0"], "--e does not apply to --name"),
+        (["scheme", "--name", "B2", "-n", "2", "--t", "1"], "--t does not apply to --name"),
+        (["scheme", "--name", "B2", "-n", "2", "--half-rank", "3"],
+         "--half-rank does not apply to --name"),
+        (["scheme", "--diagram", "VH", "-n", "2"], "-n does not apply to --diagram"),
+        (["scheme", "--diagram", "VH", "--e", "0"], "--e does not apply to --diagram"),
+        (["scheme", "--diagram", "VH", "--t", "1"], "--t does not apply to --diagram"),
+        (["scheme", "--diagram", "VH", "--half-rank", "3"],
+         "--half-rank does not apply to --diagram"),
+        (["scheme", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "3", "-n", "3"],
+         "-n does not apply to --d"),
+        (["scheme", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "3",
+          "--construction", "a"], "--construction does not apply to --d"),
+        (["scheme", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "3", "--w", "1"],
+         "--w does not apply to --d"),
     ],
 )
 def test_ignored_options_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"lagflag: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scheme", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "3",
+          "--diagram", "VH"], "argument --diagram: not allowed with argument --d"),
+        (["scheme", "--name", "B2", "-n", "2", "--diagram", "VH"],
+         "argument --diagram: not allowed with argument --name"),
+        (["scheme", "--name", "B2", "-n", "2", "--d", "1"],
+         "argument --d: not allowed with argument --name"),
+    ],
+)
+def test_scheme_sources_are_exclusive(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: lagflag scheme")
+    assert captured.err.endswith(f"\nlagflag: error: {message}\n")
 
 
 def test_a_closed_pipe_ends_quietly_with_141():

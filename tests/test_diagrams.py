@@ -211,6 +211,19 @@ def test_classify_rejects_empty_frame():
         classify(ShiftedDiagram(0, ""))
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_walks_match_boundary_and_classify(n):
+    frame = enumerate_diagrams(n)
+    expected = [(d.steps, boundary(d).ends, classify(d).index_w) for d in frame]
+    assert list(frame.walks()) == expected
+
+
+def test_walks_reject_empty_frame():
+    # no next(): the frame is checked on the call
+    with pytest.raises(DomainError, match="at least 1"):
+        enumerate_diagrams(0).walks()
+
+
 @given(steps_strings.filter(lambda nd: nd[0] >= 1))
 def test_classify_invariant_under_round_trip(nd):
     n, steps = nd

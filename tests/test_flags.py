@@ -187,6 +187,36 @@ def test_scheme_report_agrees_with_the_checked_forms():
                 component_count(desc)
 
 
+def test_each_closed_form_reading_checks_gorenstein_once(monkeypatch):
+    from lagflag import flags
+
+    calls = []
+    real = flags.is_gorenstein
+
+    def counted(desc):
+        calls.append(desc)
+        return real(desc)
+
+    monkeypatch.setattr(flags, "is_gorenstein", counted)
+    gorenstein, not_gorenstein = (
+        FlagDescriptor(3, (1, 2), (0,), (1,)),
+        FlagDescriptor(4, (2, 3), (0,), (1,)),
+    )
+    for desc in (gorenstein, not_gorenstein):
+        calls.clear()
+        scheme_report(desc)
+        assert calls == [desc]
+    calls.clear()
+    pair = flags.dimension_and_components(gorenstein)
+    assert calls == [gorenstein]
+    assert pair == (relative_dimension(gorenstein), component_count(gorenstein))
+    with pytest.raises(UnsupportedError) as pair_error:
+        flags.dimension_and_components(not_gorenstein)
+    with pytest.raises(UnsupportedError) as dimension_error:
+        relative_dimension(not_gorenstein)
+    assert str(pair_error.value) == str(dimension_error.value)
+
+
 def test_regular_implies_gorenstein():
     for desc in _gorenstein_descriptors(5):
         if is_regular(desc):

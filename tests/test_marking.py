@@ -25,6 +25,7 @@ from lagflag import (
     lf_b,
     lf_ktheory,
     marked_points,
+    padded_scheme,
     selection_S,
     selection_S_tilde,
     tuples,
@@ -300,6 +301,19 @@ def test_constructions_match_the_selection_views(n):
         assert outcome(lambda: lf_ktheory(diagram)) == outcome(
             lambda: unpadded_from_views(diagram)
         )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_constructions_given_the_ends_match_those_that_read_them(n):
+    frame = enumerate_diagrams(n)
+    for diagram, (_, ends, index) in zip(frame, frame.walks()):
+        assert lf_ktheory(diagram, ends=ends) == lf_ktheory(diagram)
+        for w in (0, index, len(ends)):
+            assert padded_scheme(diagram, w, ends=ends) == padded_scheme(diagram, w)
+            for build in (lf_a, lf_b):
+                assert outcome(lambda: build(diagram, w, ends=ends)) == outcome(
+                    lambda: build(diagram, w)
+                )
 
 
 @settings(max_examples=300, deadline=None)
