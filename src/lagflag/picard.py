@@ -30,9 +30,9 @@ stratum is pinched likewise (``e_i`` equal to half rank minus ``t_i``).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagrams import DOWN, ShiftedDiagram, boundary, classify
@@ -47,6 +47,12 @@ class Affine:
 
     n_coeff: int
     const: int
+
+    def __post_init__(self) -> None:
+        if type(self.n_coeff) is not int or type(self.const) is not int:  # rejects bools too
+            raise DomainError(
+                f"affine coefficients must be integers, got {self.n_coeff!r}, {self.const!r}"
+            )
 
     def _coerce(self, other) -> "Affine":
         if isinstance(other, Affine):
@@ -122,14 +128,19 @@ class Generator(NamedTuple):
         return self.kind if self.index is None else f"{self.kind}({self.index})"
 
 
+# The generator constructors hand out one shared object per index; ``typed``
+# keeps ``delta(True)`` from standing in for ``delta(1)``.
+@lru_cache(maxsize=None, typed=True)
 def delta(j: int) -> Generator:
     return Generator("Delta", j)
 
 
+@lru_cache(maxsize=None, typed=True)
 def nabla(i: int) -> Generator:
     return Generator("Nabla", i)
 
 
+@lru_cache(maxsize=None, typed=True)
 def det_v(m: int) -> Generator:
     return Generator("DetV", m)
 
@@ -142,9 +153,22 @@ _KIND_ORDER = {"Delta": 0, "Nabla": 1, "DetV": 2, "AmbientDelta": 3, "E1": 4, "E
 
 
 def _gen_key(gen: Generator) -> tuple[int, int]:
-    if gen.kind not in _KIND_ORDER:
-        raise DomainError(f"unknown generator kind {gen.kind!r}")
-    return (_KIND_ORDER[gen.kind], gen.index if gen.index is not None else 0)
+    """Sort key of a generator; raises `DomainError` for a malformed one.
+
+    ``Delta``, ``Nabla`` and ``DetV`` need a plain ``int`` index at least 0;
+    the other kinds take no index.
+    """
+    kind, index = gen.kind, gen.index
+    if kind not in _KIND_ORDER:
+        raise DomainError(f"unknown generator kind {kind!r}")
+    order = _KIND_ORDER[kind]
+    if kind in ("Delta", "Nabla", "DetV"):
+        if type(index) is not int or index < 0:  # rejects bools too
+            raise DomainError(f"{kind} needs an integer index at least 0, got {index!r}")
+        return (order, index)
+    if index is not None:
+        raise DomainError(f"{kind} takes no index, got {index!r}")
+    return (order, 0)
 
 
 class PicElement:
@@ -152,20 +176,37 @@ class PicElement:
 
     Immutable; supports addition, negation, subtraction and integer scaling,
     which make the elements a free abelian group on the generators.
+    Construction raises `DomainError` for a malformed generator (see
+    `_gen_key`) or an exponent that is neither a plain ``int`` nor `Affine`.
     """
 
     __slots__ = ("_items",)
 
     def __init__(self, exponents: Mapping[Generator, Exponent] | Iterable = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        acc: dict[Generator, Exponent] = {}
+        gens: dict[tuple[int, int], Generator] = {}
+        acc: dict[tuple[int, int], Exponent] = {}
         for gen, exp in items:
-            _gen_key(gen)
-            acc[gen] = acc.get(gen, 0) + exp
-        self._items = tuple(
-            (gen, exp) for gen, exp in sorted(acc.items(), key=lambda kv: _gen_key(kv[0]))
-            if exp != 0
-        )
+            key = _gen_key(gen)
+            if type(exp) is not int and not isinstance(exp, Affine):  # rejects bools too
+                raise DomainError(
+                    f"exponent of {gen} must be an integer or affine, got {exp!r}"
+                )
+            gens[key] = gen
+            acc[key] = acc.get(key, 0) + exp
+        self._items = tuple((gens[key], exp) for key, exp in sorted(acc.items()) if exp != 0)
+
+    @classmethod
+    def _from_sorted(cls, items: tuple[tuple[Generator, Exponent], ...]) -> "PicElement":
+        """Wrap ``items`` unchecked, for `canonical_exponents` alone.
+
+        Precondition: every generator is well formed and occurs once, every
+        exponent is a nonzero ``int`` or `Affine`, and the items are in
+        `_gen_key` order, exactly as the constructor would store them.
+        """
+        elt = cls.__new__(cls)
+        elt._items = items
+        return elt
 
     @classmethod
     def zero(cls) -> "PicElement":
@@ -284,19 +325,28 @@ def canonical_exponents(
 ) -> PicElement:
     """Canonical-sheaf exponent vector of ``(half_rank, d, e, t)``.
 
+    The unchecked formula of the module docstring: `canonical_sheaf` and
+    `canonical_sheaf_in_n` call it after they validate the descriptor.
     ``half_rank`` may be `SYMBOLIC_N`, in which case exponents come out as
-    affine expressions in the half rank.
+    affine expressions in the half rank.  Each kind accumulates on its own
+    and the nonzero items are emitted already in generator order.
     """
     k = len(e)
-    acc: dict[Generator, Exponent] = defaultdict(int)
-    acc[delta(k)] += half_rank - d[k] + 1
-    acc[det_v(d[k])] += d[k] - half_rank - 1
+    deltas: list[Exponent] = [0] * (k + 1)
+    nablas: list[Exponent] = [0] * k
+    dets: dict[int, Exponent] = {}
+    deltas[k] = half_rank - d[k] + 1
+    dets[d[k]] = d[k] - half_rank - 1
     for i in range(k):
-        acc[delta(i)] += t[i] + e[i] + 1 - d[i]
-        acc[delta(i + 1)] += t[i] + e[i] - half_rank
-        acc[nabla(i)] += half_rank + d[i] - 2 * e[i] - t[i] - 1
-        acc[det_v(d[i])] += -t[i]
-    return PicElement(acc)
+        di, ei, ti = d[i], e[i], t[i]
+        deltas[i] += ti + ei + 1 - di
+        deltas[i + 1] += ti + ei - half_rank
+        nablas[i] = half_rank + di - 2 * ei - ti - 1
+        dets[di] = dets.get(di, 0) - ti
+    items = [(delta(j), exp) for j, exp in enumerate(deltas) if exp != 0]
+    items += [(nabla(i), exp) for i, exp in enumerate(nablas) if exp != 0]
+    items += [(det_v(m), dets[m]) for m in sorted(dets) if dets[m] != 0]
+    return PicElement._from_sorted(tuple(items))
 
 
 def canonical_sheaf(desc: FlagDescriptor) -> PicElement:
@@ -332,21 +382,24 @@ def mod2_reduce(elt: PicElement, desc: FlagDescriptor) -> ParityClass:
     (the Lagrangian is the fixed flag step); ``Nabla(i)`` when ``e_i`` equals
     half rank minus ``t_i`` (the stratum is fixed).
     """
+    half_rank, d, e, t = desc.half_rank, desc.d, desc.e, desc.t
+    k = len(e)
     odd: set[Generator] = set()
     for gen, exp in elt.items():
         if isinstance(exp, Affine):
             raise DomainError("parity is undefined for symbolic exponents; fix a half rank")
-        if gen.kind == "DetV":
+        kind, index = gen
+        if kind == "DetV":
             continue
-        if gen.kind == "Delta":
-            if gen.index is None or not 0 <= gen.index <= desc.k:
+        if kind == "Delta":
+            if index > k:  # indices are ints >= 0 (see `_gen_key`)
                 raise DomainError(f"generator {gen} is out of range for {desc}")
-            if desc.d[gen.index] == desc.half_rank:
+            if d[index] == half_rank:
                 continue
-        elif gen.kind == "Nabla":
-            if gen.index is None or not 0 <= gen.index < desc.k:
+        elif kind == "Nabla":
+            if index >= k:
                 raise DomainError(f"generator {gen} is out of range for {desc}")
-            if desc.e[gen.index] == desc.half_rank - desc.t[gen.index]:
+            if e[index] == half_rank - t[index]:
                 continue
         if exp % 2 == 1:
             odd.add(gen)

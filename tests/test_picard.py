@@ -12,6 +12,7 @@ from lagflag import (
     ConnectingCase,
     DomainError,
     FlagDescriptor,
+    Generator,
     ParityClass,
     PicElement,
     SYMBOLIC_N,
@@ -21,12 +22,17 @@ from lagflag import (
     UnsupportedError,
     affine,
     blowup_pullback,
+    boundary,
+    canonical_exponents,
     canonical_sheaf,
     canonical_sheaf_in_n,
     classify_connecting,
     delta,
     det_v,
     lambda_pair,
+    lf_a,
+    lf_b,
+    lf_ktheory,
     mod2_reduce,
     nabla,
     twist_alignment,
@@ -104,6 +110,42 @@ def test_free_abelian_group_laws(a, b, c):
     assert a + PicElement.zero() == a
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PicElement({delta(0): 1.5}),
+        lambda: PicElement({delta(0): True}),
+        lambda: PicElement({delta(0): "1"}),
+        lambda: PicElement({Generator("E1", 3): 1}),
+        lambda: PicElement({Generator("Delta"): 1}),
+        lambda: PicElement({Generator("Delta", "x"): 1, delta(0): 1}),
+        lambda: PicElement({Generator("Nabla", True): 1}),
+        lambda: PicElement({Generator("DetV", -1): 1}),
+        lambda: PicElement([(Generator("Delta", 2.0), 1), (Generator("Delta", 2.0), -1)]),
+        lambda: PicElement.from_json({"Delta": {"-1": 1}}),
+        lambda: Affine(1.5, 0),
+        lambda: Affine(1, True),
+    ],
+    ids=[
+        "float-exponent",
+        "bool-exponent",
+        "str-exponent",
+        "indexed-E1",
+        "unindexed-Delta",
+        "str-index",
+        "bool-index",
+        "negative-index",
+        "float-index-summing-to-zero",
+        "json-negative-index",
+        "float-affine-coefficient",
+        "bool-affine-constant",
+    ],
+)
+def test_pic_element_rejects_malformed_input(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 # --------------------------------------------------------------------------
 # canonical sheaves
 
@@ -125,6 +167,51 @@ def test_canonical_sheaf_matches_symbolic_evaluation():
     for gen, exp in sym.items():
         value = exp.evaluate(6) if isinstance(exp, Affine) else exp
         assert conc.exponent(gen) == value
+
+
+def _docstring_formula(d, e, t, half_rank) -> PicElement:
+    """The module docstring's formula, summed in a plain dict and normalised."""
+    acc = {}
+
+    def add(kind, index, exp):
+        gen = Generator(kind, index)
+        acc[gen] = acc.get(gen, 0) + exp
+
+    k = len(e)
+    add("Delta", k, half_rank - d[k] + 1)
+    add("DetV", d[k], d[k] - half_rank - 1)
+    for i in range(k):
+        add("Delta", i, t[i] + e[i] + 1 - d[i])
+        add("Delta", i + 1, t[i] + e[i] - half_rank)
+        add("Nabla", i, half_rank + d[i] - 2 * e[i] - t[i] - 1)
+        add("DetV", d[i], -t[i])
+    return PicElement(acc)
+
+
+def _assert_matches_docstring_formula(desc):
+    for half_rank in (desc.half_rank, n):
+        items = canonical_exponents(desc.d, desc.e, desc.t, half_rank).items()
+        assert items == _docstring_formula(desc.d, desc.e, desc.t, half_rank).items()
+        assert PicElement._from_sorted(items) == PicElement(items)
+
+
+def test_canonical_exponents_match_the_docstring_formula():
+    for desc in verify._gorenstein_descriptors(6):
+        _assert_matches_docstring_formula(desc)
+
+
+@given(
+    st.integers(9, 40).flatmap(lambda size: st.text("VH", min_size=size, max_size=size)),
+    st.integers(0, 40),
+)
+def test_canonical_exponents_of_constructed_schemes_match_the_docstring_formula(steps, w):
+    diagram = ShiftedDiagram(len(steps), steps)
+    w = min(w, boundary(diagram).segment_count)
+    descs = [lf_ktheory(diagram), lf_a(diagram, w)]
+    if steps[0] == "H":
+        descs.append(lf_b(diagram, w))
+    for desc in descs:
+        _assert_matches_docstring_formula(desc)
 
 
 def test_canonical_sheaf_requires_gorenstein():
