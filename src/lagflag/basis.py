@@ -20,7 +20,13 @@ from typing import Iterator
 
 from . import counting
 # boundary is unused here; perfbench/test_harness.py asserts that this module binds it
-from .diagrams import DOWN, ShiftedDiagram, boundary, enumerate_diagrams  # noqa: F401
+from .diagrams import (  # noqa: F401
+    DOWN,
+    ShiftedDiagram,
+    _require_frame_size,
+    boundary,
+    enumerate_diagrams,
+)
 from .errors import DomainError, _json_field, _json_int
 from .flags import FlagDescriptor, is_gorenstein, relative_dimension
 from .marking import lf_ktheory, padded_scheme, uses_type1
@@ -115,6 +121,7 @@ def k_summands(n: int) -> Iterator[Summand]:
 
     ``n`` is checked on the call, before the first summand is asked for.
     """
+    _require_frame_size(n)
     if n < 0:
         raise DomainError(f"frame size must be non-negative, got {n}")
     if n == 0:
@@ -173,6 +180,7 @@ def gw_summands(n: int, twist: Twist) -> Iterator[Summand]:
 
     ``n`` is checked on the call, before the first summand is asked for.
     """
+    _require_frame_size(n)
     if n < 1:
         raise DomainError(f"the Hermitian decomposition needs frame size >= 1, got {n}")
     return _gw_stream(enumerate_diagrams(n), n % 2 == 0, twist)
@@ -288,6 +296,7 @@ def verify_recursions(n: int) -> RecursionReport:
     Odd frame, in terms of frame ``n-2``: each decomposition equals itself
     shifted by ``2n-1``, plus ``2**(n-2)`` K-atoms, plus itself.
     """
+    _require_frame_size(n)
     if n < 2:
         raise DomainError(f"the recursion identities need frame size >= 2, got {n}")
     notes: list[str] = []
@@ -370,6 +379,7 @@ def verify_geometry(n: int) -> GeometryReport:
     dimension, and the scheme each pushforward (GW) summand carries must
     pass the twist-parity check.
     """
+    _require_frame_size(n)
     if n < 1:
         raise DomainError(f"frame size must be >= 1, got {n}")
     failures: list[str] = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import basis  # imports this module back, so its names are read at call time
-from .diagrams import DOWN, LEFT, is_index_end
+from .diagrams import DOWN, LEFT, _require_frame_size, is_index_end
 from .errors import DomainError
 from .picard import Twist
 
@@ -47,6 +47,7 @@ def class_weights(n: int) -> dict[ClassKey, list[int]]:
     counts the diagrams of that class with weight ``w``.  Classes with no
     diagram are absent.
     """
+    _require_frame_size(n)
     if n < 1:
         raise DomainError(f"classification needs a frame of size at least 1, got {n}")
     size = n * (n + 1) // 2 + 1
@@ -80,6 +81,7 @@ def class_weights(n: int) -> dict[ClassKey, list[int]]:
 
 def gw_atoms(n: int, twist: Twist) -> Counter:
     """The atom multiset of ``gw_basis(n, twist)``, counted per class."""
+    _require_frame_size(n)
     if n < 1:
         raise DomainError(f"the Hermitian decomposition needs frame size >= 1, got {n}")
     atoms: Counter = Counter()

@@ -31,6 +31,16 @@ DOWN = "V"
 LEFT = "H"
 
 
+def _require_frame_size(n) -> None:
+    """Reject a frame size that is not a plain ``int``; bools are rejected too.
+
+    Every function that takes a frame size calls this before it reads ``n``,
+    so a bad one fails on the call, with this message, and not later.
+    """
+    if type(n) is not int:
+        raise DomainError(f"frame size n must be an integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class ShiftedDiagram:
     """A shifted Young diagram, stored as its boundary step string."""
@@ -39,8 +49,7 @@ class ShiftedDiagram:
     steps: str
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:  # rejects bools too
-            raise DomainError(f"frame size n must be an integer, got {self.n!r}")
+        _require_frame_size(self.n)
         if type(self.steps) is not str:
             raise DomainError(f"steps must be a string, got {self.steps!r}")
         if self.n < 0:
@@ -178,6 +187,7 @@ class Frame(Sequence):
 
 def enumerate_diagrams(n: int) -> Frame:
     """All ``2**n`` diagrams in frame ``n``, lexicographic with ``V`` before ``H``."""
+    _require_frame_size(n)
     if n < 0:
         raise DomainError(f"frame size must be non-negative, got {n}")
     return Frame(n)

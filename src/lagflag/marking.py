@@ -14,11 +14,14 @@ rules, and the chosen points turn into descriptor tuples:
 The padded constructions shift the frame up by one (``half_rank = n + 1``)
 and adjust the tuples entrywise; they are the intermediate schemes used by
 the additive-basis maps.  Each construction reads the boundary once, or
-not at all when it is given the segment ``ends`` its caller has read.  The
-padded ones go straight from the rules (`_cutoff_rules`) to the tuples
-(`_entries`), and `lf_ktheory`, which selects every point, reads ``d`` off
-the segment ends; `selection_S`, `selection_S_tilde` and `tuples` show the
-steps between.
+not at all when it is given the segment ``ends`` its caller has read, and
+builds its descriptor in one loop over those ends: the padded ones
+(`_padded`) pick each horizontal segment's marks inline and append ``d``,
+``e`` and ``t`` as the marks are visited, and `lf_ktheory`, which selects
+every point, reads ``d`` off the ends.  `selection_S`, `selection_S_tilde`
+and `tuples` take the documented steps one at a time, a rule per segment
+(`_cutoff_rules`), its offsets (`_offsets`) and the tuples (`_entries`),
+and are the tests' independent oracle of all three constructions.
 """
 
 from __future__ import annotations
@@ -220,6 +223,67 @@ def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
     return TupleData(tuple(d), tuple(d[:-1]), tuple(t), b.segment_count % 2 == 1)
 
 
+def _padded(
+    diagram: ShiftedDiagram, w: int, ends: tuple[int, ...] | None, type1: bool
+) -> FlagDescriptor:
+    """The padded descriptor of `lf_a` (or of `lf_b` with ``type1``), in one loop.
+
+    Horizontal segment ``s`` takes rule 2 when ``s <= w`` and rule 1
+    beyond; with ``type1`` the first one, ``s_2``, takes rule 3.  The marks
+    are read straight off the segment ends: a mark at distance ``x`` on a
+    segment that starts after ``lift`` vertical steps sits at horizontal
+    position ``x - lift``, and each mark after the first appends its gap
+    ``t`` back to the previous one and that one's ``e = d + 2 - t``.  The
+    errors and their order are those of the selection views.
+    """
+    if ends is None:
+        ends = boundary(diagram).ends
+    if w < 0:
+        raise DomainError(f"selection cutoff must be non-negative, got {w}")
+    count = len(ends)
+    if type1 and count < 2:
+        raise DomainError(
+            f"{diagram.steps!r} has no horizontal segment s_2; rule 3 has nowhere to apply"
+        )
+    d, e, t = [], [], []  # d is padded, so a previous mark's e is d[-1] + 1 - gap
+    h = 0  # horizontal steps before the current segment
+    last = 0  # horizontal position of the previous mark
+    even_through = w - 1  # s = j + 1 takes rule 2 when s <= w, so when j <= w - 1
+    # segment s = j + 1 is horizontal for odd j and starts at ends[j - 1]
+    for j in range(1, count, 2):
+        start, end = ends[j - 1], ends[j]
+        if type1 and j == 1:
+            marks = (start, *range(start + 1, end, 2))
+        else:
+            marks = range(start, end, 2 if j <= even_through else 1)
+        lift = start - h
+        for x in marks:
+            if d:
+                gap = x - lift - last
+                t.append(gap)
+                e.append(d[-1] + 1 - gap)
+            d.append(x + 1)
+            last = x - lift
+        h = end - lift
+    if count % 2:  # the frame size closes an odd walk, after a vertical tail
+        if d:
+            gap = h - last
+            t.append(gap)
+            e.append(d[-1] + 1 - gap)
+        d.append(diagram.n + 1)
+    if not d:
+        raise DomainError(
+            f"selection on {diagram.steps!r} yields no tuple entries (empty frame)"
+        )
+    if type1:
+        if not t:
+            raise DomainError(
+                f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
+            )
+        e[0] -= 1
+    return _require_valid(FlagDescriptor(diagram.n + 1, tuple(d), tuple(e), tuple(t)))
+
+
 def lf_a(
     diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
 ) -> FlagDescriptor:
@@ -228,11 +292,7 @@ def lf_a(
     ``ends``, when given, must be ``boundary(diagram).ends``; the walk is
     then not read again.
     """
-    if ends is None:
-        ends = boundary(diagram).ends
-    d, t = _entries(diagram, ends, _offsets(ends, _cutoff_rules(diagram, ends, w)))
-    e = [di + 2 - ti for di, ti in zip(d, t)]
-    return _require_valid(FlagDescriptor(diagram.n + 1, [di + 1 for di in d], e, t))
+    return _padded(diagram, w, ends, False)
 
 
 def lf_b(
@@ -242,17 +302,7 @@ def lf_b(
 
     ``ends`` is as for `lf_a`.
     """
-    if ends is None:
-        ends = boundary(diagram).ends
-    rules = _cutoff_rules(diagram, ends, w, tilde=True)
-    d, t = _entries(diagram, ends, _offsets(ends, rules))
-    if not t:
-        raise DomainError(
-            f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
-        )
-    e = [di + 2 - ti for di, ti in zip(d, t)]
-    e[0] -= 1
-    return _require_valid(FlagDescriptor(diagram.n + 1, [di + 1 for di in d], e, t))
+    return _padded(diagram, w, ends, True)
 
 
 def uses_type1(diagram: ShiftedDiagram) -> bool:

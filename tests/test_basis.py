@@ -125,6 +125,27 @@ def test_summand_streams_check_the_frame_on_the_call():
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        k_summands,
+        k_basis,
+        lambda n: gw_summands(n, Twist.TRIVIAL),
+        lambda n: gw_basis(n, Twist.DELTA),
+        verify_recursions,
+        verify_geometry,
+        lambda n: witt_table(n, Twist.DELTA),
+    ],
+    ids=["k_summands", "k_basis", "gw_summands", "gw_basis", "verify_recursions",
+         "verify_geometry", "witt_table"],
+)
+def test_frame_size_must_be_a_plain_int(entry):
+    # the streams are not read: they must reject the size on the call
+    for n in (True, False, 4.0, "4"):
+        with pytest.raises(DomainError, match=f"frame size n must be an integer, got {n!r}"):
+            entry(n)
+
+
+@pytest.mark.parametrize(
     "summands",
     [lambda: k_summands(12), lambda: gw_summands(12, Twist.TRIVIAL),
      lambda: gw_summands(12, Twist.DELTA)],

@@ -41,3 +41,15 @@ def test_recursions_beyond_the_enumeration_bound(n):
 def test_gw_atoms_rejects_empty_frame(n):
     with pytest.raises(DomainError):
         gw_atoms(n, Twist.TRIVIAL)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda n: gw_atoms(n, Twist.TRIVIAL), class_weights],
+    ids=["gw_atoms", "class_weights"],
+)
+def test_frame_size_must_be_a_plain_int(entry):
+    # a bool is an int to a range check, so only a type check rejects True
+    for n in (True, False, 3.0, "3"):
+        with pytest.raises(DomainError, match=f"frame size n must be an integer, got {n!r}"):
+            entry(n)

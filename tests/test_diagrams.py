@@ -103,6 +103,14 @@ def test_enumerate_limit_is_usage_error():
     assert len(enumerate_diagrams(17)) == 2**17
 
 
+@pytest.mark.parametrize("entry", [enumerate_diagrams, class_sets], ids=lambda f: f.__name__)
+def test_frame_size_must_be_a_plain_int(entry):
+    # nothing is iterated: the call itself must reject the size
+    for n in (True, False, 3.0, "3"):
+        with pytest.raises(DomainError, match=f"frame size n must be an integer, got {n!r}"):
+            entry(n)
+
+
 def test_weight_examples():
     assert ShiftedDiagram(2, "VV").weight == 3
     assert ShiftedDiagram(5, "HHHHH").weight == 0

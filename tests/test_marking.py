@@ -325,6 +325,28 @@ def test_lf_ktheory_matches_the_selection_views_on_large_frames(steps):
     assert lf_ktheory(diagram) == unpadded_from_views(diagram)
 
 
+@st.composite
+def diagrams_and_cutoffs(draw):
+    """A diagram of frame 9..40 and a cutoff from -1 to its segment count + 2."""
+    n = draw(st.integers(9, 40))
+    diagram = ShiftedDiagram(n, draw(st.text("VH", min_size=n, max_size=n)))
+    return diagram, draw(st.integers(-1, boundary(diagram).segment_count + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagrams_and_cutoffs())
+def test_padded_constructions_match_the_selection_views_on_large_frames(case):
+    # the frames point queries reach: lf_a and lf_b read their marks off the
+    # segment ends in one loop, the views go through the rules and the tuples;
+    # each cutoff is checked beside the index, where K summands cut
+    diagram, w = case
+    for cutoff in (w, classify(diagram).index_w):
+        for type1, build in ((False, lf_a), (True, lf_b)):
+            assert outcome(lambda: build(diagram, cutoff)) == outcome(
+                lambda: padded_from_views(diagram, cutoff, type1)
+            )
+
+
 def test_lf_ktheory_examples():
     assert lf_ktheory(ShiftedDiagram(2, "HH")) == FlagDescriptor(2, (0, 1), (0,), (1,))
     assert lf_ktheory(ShiftedDiagram(2, "HV")) == FlagDescriptor(2, (0, 2), (0,), (1,))
