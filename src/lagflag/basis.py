@@ -299,51 +299,26 @@ def verify_recursions(n: int) -> RecursionReport:
     _require_frame_size(n)
     if n < 2:
         raise DomainError(f"the recursion identities need frame size >= 2, got {n}")
-    notes: list[str] = []
+    back = n - 1 if n % 2 == 0 else n - 2
+    notes = ["frame 1 decompositions are the definitional base"] if back == 1 else []
+    prev = {twist: counting.gw_atoms(back, twist) for twist in Twist}
     cases: list[CaseResult] = []
     if n % 2 == 0:
-        prev_o = counting.gw_atoms(n - 1, Twist.TRIVIAL)
-        prev_d = counting.gw_atoms(n - 1, Twist.DELTA)
-        if n - 1 == 1:
-            notes.append("frame 1 decompositions are the definitional base")
-        cases.append(
-            _case(
-                "a",
-                f"Delta({n}) = shift(O({n - 1}), +{n}) + Delta({n - 1})",
-                counting.gw_atoms(n, Twist.DELTA),
-                _shifted(prev_o, n) + prev_d,
-            )
-        )
-        cases.append(
-            _case(
-                "b",
-                f"O({n}) = shift(Delta({n - 1}), +{n}) + O({n - 1})",
-                counting.gw_atoms(n, Twist.TRIVIAL),
-                _shifted(prev_d, n) + prev_o,
-            )
-        )
+        table = (("a", Twist.DELTA, Twist.TRIVIAL), ("b", Twist.TRIVIAL, Twist.DELTA))
+        for label, twist, other in table:
+            t, o = twist.value, other.value
+            description = f"{t}({n}) = shift({o}({back}), +{n}) + {t}({back})"
+            rhs = _shifted(prev[other], n) + prev[twist]
+            cases.append(_case(label, description, counting.gw_atoms(n, twist), rhs))
     else:
-        prev_o = counting.gw_atoms(n - 2, Twist.TRIVIAL)
-        prev_d = counting.gw_atoms(n - 2, Twist.DELTA)
-        if n - 2 == 1:
-            notes.append("frame 1 decompositions are the definitional base")
-        k_block = Counter({("K", None): 2 ** (n - 2)})
-        cases.append(
-            _case(
-                "c",
-                f"O({n}) = shift(O({n - 2}), +{2 * n - 1}) + {2 ** (n - 2)}*K + O({n - 2})",
-                counting.gw_atoms(n, Twist.TRIVIAL),
-                _shifted(prev_o, 2 * n - 1) + k_block + prev_o,
+        k_block = Counter({("K", None): 2 ** back})
+        for label, twist in (("c", Twist.TRIVIAL), ("d", Twist.DELTA)):
+            t = twist.value
+            description = (
+                f"{t}({n}) = shift({t}({back}), +{2 * n - 1}) + {2 ** back}*K + {t}({back})"
             )
-        )
-        cases.append(
-            _case(
-                "d",
-                f"Delta({n}) = shift(Delta({n - 2}), +{2 * n - 1}) + {2 ** (n - 2)}*K + Delta({n - 2})",
-                counting.gw_atoms(n, Twist.DELTA),
-                _shifted(prev_d, 2 * n - 1) + k_block + prev_d,
-            )
-        )
+            rhs = _shifted(prev[twist], 2 * n - 1) + k_block + prev[twist]
+            cases.append(_case(label, description, counting.gw_atoms(n, twist), rhs))
     return RecursionReport(
         n=n,
         cases=tuple(cases),

@@ -62,22 +62,6 @@ class ShiftedDiagram:
         if bad:
             raise DomainError(f"boundary steps must be 'V' or 'H', got {sorted(bad)}")
 
-    @classmethod
-    def from_parts(cls, n: int, parts) -> "ShiftedDiagram":
-        """Build the diagram in frame ``n`` whose row lengths are ``parts``.
-
-        ``parts`` must be distinct integers in ``1..n``; order is irrelevant.
-        """
-        part_set = set(parts)
-        if len(part_set) != len(tuple(parts)):
-            raise DomainError(f"parts must be distinct, got {tuple(parts)}")
-        if any(p < 1 or p > n for p in part_set):
-            raise DomainError(f"parts must lie in 1..{n}, got {tuple(parts)}")
-        steps = "".join(
-            DOWN if (n + 1 - i) in part_set else LEFT for i in range(1, n + 1)
-        )
-        return cls(n, steps)
-
     @property
     def parts(self) -> tuple[int, ...]:
         """Row lengths in decreasing order."""
@@ -88,11 +72,6 @@ class ShiftedDiagram:
     def weight(self) -> int:
         """Number of boxes of the diagram."""
         return sum(self.parts)
-
-    def as_tuple(self) -> tuple[int, ...]:
-        """The diagram as an ``n``-tuple of row lengths, padded with zeros."""
-        parts = self.parts
-        return parts + (0,) * (self.n - len(parts))
 
     def to_json(self) -> dict:
         return {

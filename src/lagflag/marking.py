@@ -20,8 +20,8 @@ builds its descriptor in one loop over those ends: the padded ones
 ``e`` and ``t`` as the marks are visited, and `lf_ktheory`, which selects
 every point, reads ``d`` off the ends.  `selection_S`, `selection_S_tilde`
 and `tuples` take the documented steps one at a time, a rule per segment
-(`_cutoff_rules`), its offsets (`_offsets`) and the tuples (`_entries`),
-and are the tests' independent oracle of all three constructions.
+(`_cutoff_rules`), its offsets (`_offsets`) and the tuples (`_entries`);
+they are kept for inspection, and nothing else in the package calls them.
 """
 
 from __future__ import annotations
@@ -91,6 +91,14 @@ class MarkedSelection:
         return [seg.to_json() for seg in self.per_segment]
 
 
+def _require_cutoff(w) -> None:
+    """Reject a selection cutoff that is not a plain ``int`` at least 0; bools too."""
+    if type(w) is not int:
+        raise DomainError(f"selection cutoff must be an integer, got {w!r}")
+    if w < 0:
+        raise DomainError(f"selection cutoff must be non-negative, got {w}")
+
+
 def _cutoff_rules(
     diagram: ShiftedDiagram, ends: tuple[int, ...], w: int, tilde: bool = False
 ) -> dict[int, SelectionRule]:
@@ -98,8 +106,7 @@ def _cutoff_rules(
 
     With ``tilde`` the first horizontal segment takes rule 3; it must exist.
     """
-    if w < 0:
-        raise DomainError(f"selection cutoff must be non-negative, got {w}")
+    _require_cutoff(w)
     rules = {
         s: SelectionRule.EVEN_POINTS if s <= w else SelectionRule.ALL_POINTS
         for s in range(2, len(ends) + 1, 2)
@@ -233,13 +240,13 @@ def _padded(
     are read straight off the segment ends: a mark at distance ``x`` on a
     segment that starts after ``lift`` vertical steps sits at horizontal
     position ``x - lift``, and each mark after the first appends its gap
-    ``t`` back to the previous one and that one's ``e = d + 2 - t``.  The
-    errors and their order are those of the selection views.
+    ``t`` back to the previous one and that one's ``e = d + 2 - t``.  A
+    bad cutoff, a missing ``s_2``, no marks and ``k = 0`` are rejected in
+    that order.
     """
     if ends is None:
         ends = boundary(diagram).ends
-    if w < 0:
-        raise DomainError(f"selection cutoff must be non-negative, got {w}")
+    _require_cutoff(w)
     count = len(ends)
     if type1 and count < 2:
         raise DomainError(
@@ -287,7 +294,7 @@ def _padded(
 def lf_a(
     diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
 ) -> FlagDescriptor:
-    """Padded type-0 descriptor of `selection_S` cut at ``w``: ``d+1``, ``e+2-t``.
+    """Padded type-0 descriptor cut at ``w`` (see `_padded`): ``d+1``, ``e+2-t``.
 
     ``ends``, when given, must be ``boundary(diagram).ends``; the walk is
     then not read again.
@@ -298,7 +305,7 @@ def lf_a(
 def lf_b(
     diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
 ) -> FlagDescriptor:
-    """Like `lf_a` on `selection_S_tilde`, first ``e`` one lower; needs ``k >= 1``.
+    """Like `lf_a` with rule 3 on ``s_2``, first ``e`` one lower; needs ``k >= 1``.
 
     ``ends`` is as for `lf_a`.
     """
@@ -332,7 +339,7 @@ def lf_ktheory(
 ) -> FlagDescriptor:
     """Unpadded descriptor of the K-theory model attached to a diagram.
 
-    Selects every special marked point (``selection_S`` with cutoff 0), so
+    Selects every special marked point (rule 1 on every segment), so
     ``d`` is every boundary position inside a horizontal segment, with the
     frame size appended when the segment count is odd; consecutive marks
     are one horizontal step apart, so all ``t`` entries are 1.  The frame

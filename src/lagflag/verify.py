@@ -110,28 +110,16 @@ def _suite_bijections(max_n: int):
     return True, ""
 
 
-def _basis_selections(diagram):
-    """Selections used by the basis engine for one diagram."""
-    every_point = marking.selection_S(diagram, 0)
-    cutoffs = (every_point.boundary.segment_count, diagrams.classify(diagram).index_w)
-    out = [marking.selection_S(diagram, w) for w in cutoffs]
-    if diagram.steps[0] == "H":
-        out += [marking.selection_S_tilde(diagram, w) for w in cutoffs]
-    return out + [every_point]
-
-
 def _suite_marking(max_n: int):
     for n in range(1, min(max_n, 10) + 1):
-        for diagram in diagrams.enumerate_diagrams(n):
-            for sel in _basis_selections(diagram):
-                data = marking.tuples(diagram, sel)
-                if any(ti not in (1, 2) for ti in data.t):
-                    return False, f"{diagram.steps}: t entries outside {{1,2}}"
-                for j in range(data.k):
-                    if data.d[j + 1] - data.d[j] < data.t[j]:
-                        return False, f"{diagram.steps}: d gaps do not dominate t"
+        for steps, ends, index in diagrams.enumerate_diagrams(n).walks():
+            diagram = diagrams.ShiftedDiagram(n, steps)
+            # the padded schemes at both cutoffs the basis uses: GW summands cut
+            # at the last segment, K summands at the index
+            schemes = [marking.padded_scheme(diagram, w, ends=ends) for w in (len(ends), index)]
+            unpadded = marking.lf_ktheory(diagram)
             # unpadded distance tuples transform correctly under deletions
-            d_all = marking.lf_ktheory(diagram).d
+            d_all = unpadded.d
             if diagram.steps[0] == "H" and n >= 2:
                 smaller = marking.lf_ktheory(diagrams.delete_right_column(diagram)).d
                 if d_all[0] != 0 or tuple(x - 1 for x in d_all[1:]) != smaller:
@@ -140,6 +128,12 @@ def _suite_marking(max_n: int):
                 smaller = marking.lf_ktheory(diagrams.delete_top_row(diagram)).d
                 if tuple(x - 1 for x in d_all) != smaller:
                     return False, f"{diagram.steps}: row deletion breaks distances"
+            for desc in (*schemes, unpadded):
+                if any(ti not in (1, 2) for ti in desc.t):
+                    return False, f"{diagram.steps}: t entries outside {{1,2}}"
+                for j in range(desc.k):
+                    if desc.d[j + 1] - desc.d[j] < desc.t[j]:
+                        return False, f"{diagram.steps}: d gaps do not dominate t"
     return True, ""
 
 
@@ -197,14 +191,12 @@ def _suite_canonical_goldens(max_n: int):
     return True, ""
 
 
-def _suite_twist_alignment(max_n: int):
+def _suite_alignment(max_n: int):
     for n in range(1, min(max_n, 8) + 1):
         for diagram in diagrams.class_sets(n).almost_even:
-            if n % 2 == 0 and diagram.steps[0] == "V":
-                variant = picard.TwistVariant.XI1
-            else:
-                variant = picard.TwistVariant.XI0
-            result = picard.twist_alignment(diagram, variant, n)
+            # an almost even diagram's GW summand cuts at the last segment
+            segments = diagrams.boundary(diagram).segment_count
+            result = picard.scheme_alignment(diagram, marking.padded_scheme(diagram, segments))
             if not result.ok:
                 return False, (
                     f"{diagram.steps}: parity {result.parity}, required {result.required}"
@@ -263,7 +255,7 @@ SUITES = (
     ("descriptor-dimensions", _suite_descriptor_dimensions),
     ("dimension-e-independence", _suite_dimension_e_independence),
     ("canonical-goldens", _suite_canonical_goldens),
-    ("twist-alignment", _suite_twist_alignment),
+    ("twist-alignment", _suite_alignment),
     ("recursions", _suite_recursions),
     ("geometry", _suite_geometry),
     ("connecting-case-table", _suite_connecting),

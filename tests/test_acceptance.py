@@ -19,7 +19,6 @@ from lagflag import (
     PicElement,
     ShiftedDiagram,
     Twist,
-    TwistVariant,
     atom_multiset,
     canonical_sheaf,
     class_sets,
@@ -35,7 +34,7 @@ from lagflag import (
     mod2_reduce,
     nabla,
     relative_dimension,
-    twist_alignment,
+    scheme_alignment,
     validate,
 )
 from lagflag import verify
@@ -74,7 +73,7 @@ def test_criterion_3_q3_example():
     parity = mod2_reduce(canonical_sheaf(scheme), scheme)
     assert parity.generators == frozenset({delta(0)})
 
-    result = twist_alignment(hh, TwistVariant.XI0, 2)
+    result = scheme_alignment(hh, scheme)
     assert result.ok and result.parity.generators == frozenset({delta(0)})
     _report(3, "frame-2 single-row scheme: Gorenstein, 2 components, defect 0, parity Delta(0)")
 

@@ -3,9 +3,12 @@
 The independent oracle reads distances and horizontal gaps straight off the
 raw step string: a point at offset o on segment t sits at walk position
 (steps before segment t) + o, and the gap between two marks counts the 'H'
-characters of the walk slice between them.
+characters of the walk slice between them.  It selects each horizontal
+segment's offsets by rules 1, 2 and 3 and applies the documented padded and
+unpadded formulas, so it is the constructions' oracle.
 """
 
+import re
 from itertools import groupby
 
 import pytest
@@ -35,7 +38,7 @@ from lagflag import (
 from lagflag import diagrams, marking
 from lagflag.errors import LagflagError
 from lagflag.flags import _require_valid
-from lagflag.verify import SUITES, _basis_selections
+from lagflag.verify import SUITES
 
 # --------------------------------------------------------------------------
 # string-walk oracle
@@ -60,6 +63,64 @@ def oracle_distance(steps: str, segment: int, offset: int) -> int:
 
 def oracle_gaps(steps: str, distances: list[int]) -> list[int]:
     return [steps[a:b].count("H") for a, b in zip(distances, distances[1:])]
+
+
+def oracle_marks(steps: str, w: int, type1: bool) -> tuple[list[int], list[int]]:
+    """``d`` and ``t`` of the marks the rules select, before any padding.
+
+    Horizontal segment s takes rule 2 (even offsets) when s <= w and rule 1
+    (every offset) beyond; with ``type1`` the first one, s_2, takes rule 3
+    (offset 0 and the odd offsets).  An odd segment count appends the frame
+    size to ``d``.
+    """
+    spans = segment_spans(steps)
+    d = []
+    for s, (direction, start, end) in enumerate(spans, start=1):
+        if direction != "H":
+            continue
+        if type1 and s == 2:
+            offsets = (0, *range(1, end - start, 2))
+        else:
+            offsets = range(0, end - start, 2 if s <= w else 1)
+        d += [oracle_distance(steps, s, o) for o in offsets]
+    if len(spans) % 2 == 1:
+        d.append(len(steps))
+    return d, oracle_gaps(steps, d)
+
+
+def oracle_padded(diagram, w, type1):
+    """The documented padded formula on the oracle marks: ``d+1``, ``e+2-t``.
+
+    ``type1`` selects by rule 3 on s_2 and lowers the first ``e`` by one.
+    The errors and their order are those of `lf_a` and `lf_b`.
+    """
+    if w < 0:
+        raise DomainError(f"selection cutoff must be non-negative, got {w}")
+    if type1 and len(segment_spans(diagram.steps)) < 2:
+        raise DomainError(
+            f"{diagram.steps!r} has no horizontal segment s_2; rule 3 has nowhere to apply"
+        )
+    d, t = oracle_marks(diagram.steps, w, type1)
+    if not d:
+        raise DomainError(
+            f"selection on {diagram.steps!r} yields no tuple entries (empty frame)"
+        )
+    if type1 and not t:
+        raise DomainError(
+            f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
+        )
+    e = [x + 2 - ti for x, ti in zip(d, t)]
+    if type1:
+        e[0] -= 1
+    return _require_valid(FlagDescriptor(diagram.n + 1, [x + 1 for x in d], e, t))
+
+
+def oracle_unpadded(diagram):
+    """Every mark selected (rule 1 everywhere), unpadded, at half rank ``n``."""
+    if diagram.n < 1:
+        raise DomainError("the K-theory descriptor needs a frame of size at least 1")
+    d, t = oracle_marks(diagram.steps, 0, False)
+    return _require_valid(FlagDescriptor(diagram.n, d, d[:-1], t))
 
 
 def check_tuples_against_oracle(diagram, data):
@@ -172,7 +233,12 @@ def test_tuples_rejects_foreign_selection():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_tuples_against_oracle_exhaustive(n):
     for diagram in enumerate_diagrams(n):
-        for sel in _basis_selections(diagram):
+        # the views at the basis's cutoffs, the last segment and the index
+        cutoffs = (boundary(diagram).segment_count, classify(diagram).index_w)
+        selections = [selection_S(diagram, w) for w in cutoffs]
+        if diagram.steps[0] == "H":
+            selections += [selection_S_tilde(diagram, w) for w in cutoffs]
+        for sel in selections + [selection_S(diagram, 0)]:
             data = tuples(diagram, sel)
             check_tuples_against_oracle(diagram, data)
             assert all(ti in (1, 2) for ti in data.t)
@@ -266,40 +332,18 @@ def outcome(build):
         return type(exc), str(exc)
 
 
-def padded_from_views(diagram, w, type1):
-    """The documented padded formula applied to the selection views."""
-    select = selection_S_tilde if type1 else selection_S
-    data = tuples(diagram, select(diagram, w))
-    if type1 and data.k < 1:
-        raise DomainError(
-            f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
-        )
-    e = [data.e[i] + 2 - data.t[i] for i in range(data.k)]
-    if type1:
-        e[0] -= 1
-    d = tuple(x + 1 for x in data.d)
-    return _require_valid(FlagDescriptor(diagram.n + 1, d, tuple(e), data.t))
-
-
-def unpadded_from_views(diagram):
-    if diagram.n < 1:
-        raise DomainError("the K-theory descriptor needs a frame of size at least 1")
-    data = tuples(diagram, selection_S(diagram, 0))
-    return _require_valid(FlagDescriptor(diagram.n, data.d, data.e, data.t))
-
-
 @pytest.mark.parametrize("n", range(0, 9))
 def test_constructions_match_the_selection_views(n):
-    # the constructions read marks without building selections; the views
-    # and the documented formulas must give the same descriptor or error
+    # the constructions read marks off the segment ends; the string-walk
+    # oracle and the documented formulas must give the same descriptor or error
     for diagram in enumerate_diagrams(n):
         for w in range(boundary(diagram).segment_count + 3):
             for type1, build in ((False, lf_a), (True, lf_b)):
                 assert outcome(lambda: build(diagram, w)) == outcome(
-                    lambda: padded_from_views(diagram, w, type1)
+                    lambda: oracle_padded(diagram, w, type1)
                 )
         assert outcome(lambda: lf_ktheory(diagram)) == outcome(
-            lambda: unpadded_from_views(diagram)
+            lambda: oracle_unpadded(diagram)
         )
 
 
@@ -320,9 +364,9 @@ def test_constructions_given_the_ends_match_those_that_read_them(n):
 @given(st.integers(9, 40).flatmap(lambda n: st.text("VH", min_size=n, max_size=n)))
 def test_lf_ktheory_matches_the_selection_views_on_large_frames(steps):
     # beyond the enumerated frames: lf_ktheory reads d off the segment ends,
-    # the views go through the rule-1 selection and the tuple rules
+    # the oracle selects every mark on the walk and counts the gaps
     diagram = ShiftedDiagram(len(steps), steps)
-    assert lf_ktheory(diagram) == unpadded_from_views(diagram)
+    assert lf_ktheory(diagram) == oracle_unpadded(diagram)
 
 
 @st.composite
@@ -337,14 +381,24 @@ def diagrams_and_cutoffs(draw):
 @given(diagrams_and_cutoffs())
 def test_padded_constructions_match_the_selection_views_on_large_frames(case):
     # the frames point queries reach: lf_a and lf_b read their marks off the
-    # segment ends in one loop, the views go through the rules and the tuples;
+    # segment ends in one loop, the oracle applies the rules on the walk;
     # each cutoff is checked beside the index, where K summands cut
     diagram, w = case
     for cutoff in (w, classify(diagram).index_w):
         for type1, build in ((False, lf_a), (True, lf_b)):
             assert outcome(lambda: build(diagram, cutoff)) == outcome(
-                lambda: padded_from_views(diagram, cutoff, type1)
+                lambda: oracle_padded(diagram, cutoff, type1)
             )
+
+
+def test_cutoff_must_be_a_plain_int():
+    # rejected before any rule is read, so a bool cannot stand in for 0 or 1
+    diagram = ShiftedDiagram(2, "HH")
+    for build in (lf_a, lf_b, padded_scheme, selection_S, selection_S_tilde):
+        for w in (True, False, 1.5, 2.0, "2"):
+            message = re.escape(f"selection cutoff must be an integer, got {w!r}")
+            with pytest.raises(DomainError, match=message):
+                build(diagram, w)
 
 
 def test_lf_ktheory_examples():

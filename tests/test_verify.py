@@ -65,13 +65,13 @@ def _wrong_third_golden(real):
 
 
 def _misaligned_at_8(real):
-    def twist_alignment(d, variant, n):
-        result = real(d, variant, n)
+    def scheme_alignment(d, scheme):
+        result = real(d, scheme)
         if d.steps != "H" * 8:
             return result
         return dataclasses.replace(result, ok=False, required=picard.ParityClass.zero())
 
-    return twist_alignment
+    return scheme_alignment
 
 
 def _extra_atom_at_10(real):
@@ -102,7 +102,7 @@ CASES = [
      "LF[1,1](0)_[1]@6: dimension changed when raising e_0"),
     ("canonical-goldens", 3, picard, "canonical_sheaf_in_n", _wrong_third_golden,
      "canonical sheaf of d=(0, 2), e=(0,), t=(2,) is "),
-    ("twist-alignment", 8, picard, "twist_alignment", _misaligned_at_8,
+    ("twist-alignment", 8, picard, "scheme_alignment", _misaligned_at_8,
      "HHHHHHHH: parity Delta(0), required 0"),
     ("recursions", 10, counting, "gw_atoms", _extra_atom_at_10,
      "frame 10 twist O: counted and enumerated atoms differ at ('GW', 99)"),
@@ -121,3 +121,16 @@ def test_suite_fails_at_the_top_of_its_range(
     ok, got = SUITE[suite](max_n)
     assert not ok
     assert got.startswith(detail)
+
+
+def test_marking_tuples_checks_the_padded_schemes(monkeypatch):
+    # the CASES row breaks the unpadded distances; this breaks a padded scheme's t
+    broken = "H" * 10
+    real = marking.padded_scheme
+
+    def padded_scheme(diagram, w, **kwargs):
+        desc = real(diagram, w, **kwargs)
+        return dataclasses.replace(desc, t=(3,) + desc.t[1:]) if diagram.steps == broken else desc
+
+    monkeypatch.setattr(marking, "padded_scheme", padded_scheme)
+    assert SUITE["marking-tuples"](10) == (False, f"{broken}: t entries outside {{1,2}}")
