@@ -24,6 +24,7 @@ from .diagrams import (  # noqa: F401
     DOWN,
     ShiftedDiagram,
     _require_frame_size,
+    _walked,
     boundary,
     enumerate_diagrams,
 )
@@ -135,8 +136,8 @@ def k_summands(n: int) -> Iterator[Summand]:
 def _k_stream(frame) -> Iterator[Summand]:
     n = frame.n
     for steps, ends, _ in frame.walks():
-        diag = ShiftedDiagram(n, steps)
-        yield Summand(Kind.K, diag, lf_ktheory(diag, ends=ends), MapLabel.PHI)
+        diag = _walked(n, steps, ends)
+        yield Summand(Kind.K, diag, lf_ktheory(diag), MapLabel.PHI)
 
 
 def k_basis(n: int) -> Decomposition:
@@ -196,12 +197,12 @@ def _gw_stream(frame, even_frame: bool, twist: Twist) -> Iterator[Summand]:
         )
         if role is None:
             continue
-        diag = ShiftedDiagram(n, steps)
+        diag = _walked(n, steps, ends)
         kind, label = role
         if kind is Kind.K:
-            yield Summand(kind, diag, padded_scheme(diag, index, ends=ends), label)
+            yield Summand(kind, diag, padded_scheme(diag, index), label)
             continue
-        scheme = padded_scheme(diag, segments, ends=ends)
+        scheme = padded_scheme(diag, segments)
         # the type-1 construction leaves a residual det twist
         base_twist = 1 if uses_type1(diag) else None
         yield Summand(kind, diag, scheme, label, shift=diag.weight, base_twist=base_twist)

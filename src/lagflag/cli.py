@@ -193,9 +193,8 @@ def _scheme_from_args(args) -> flags_mod.FlagDescriptor:
         diagram = _parse_diagram(args.diagram, _bound(ENUMERATE_BOUND))
         if construction == "ktheory":
             return marking_mod.lf_ktheory(diagram)
-        ends = diag_mod.boundary(diagram).ends
         build = marking_mod.lf_a if construction == "a" else marking_mod.lf_b
-        return build(diagram, len(ends) if args.w is None else args.w, ends=ends)
+        return build(diagram, len(diagram.ends) if args.w is None else args.w)
     if args.d is None or args.half_rank is None:
         raise DomainError("scheme needs --name, --diagram, or --d with --half-rank")
     return flags_mod.FlagDescriptor(

@@ -23,6 +23,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product, repeat
 
 from .errors import DomainError, _json_field
@@ -61,6 +62,22 @@ class ShiftedDiagram:
         bad = set(self.steps) - {DOWN, LEFT}
         if bad:
             raise DomainError(f"boundary steps must be 'V' or 'H', got {sorted(bad)}")
+
+    # not a field, so ==, hash and to_json see only the walk; the cache writes
+    # the instance __dict__, which the frozen dataclass leaves open
+    @cached_property
+    def ends(self) -> tuple[int, ...]:
+        """Segment ends of the boundary walk (see `Boundary`), read at most once."""
+        steps = self.steps
+        # the walk opens with a vertical segment, of length zero when it starts with H
+        ends, run = [], DOWN
+        for i, step in enumerate(steps):
+            if step != run:
+                ends.append(i)
+                run = step
+        if steps:
+            ends.append(len(steps))
+        return tuple(ends)
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -134,7 +151,7 @@ class Frame(Sequence):
     def walks(self) -> Iterator[tuple[str, tuple[int, ...], int]]:
         """``(steps, ends, index)`` of every walk, in frame order, building no diagram.
 
-        ``ends`` is what `boundary` reads and ``index`` what `classify`
+        ``ends`` is what a diagram's `ends` holds and ``index`` what `classify`
         calls ``index_w``.  The walk goes depth first and carries both down
         each step prefix, so siblings share their prefix's work and the stack
         holds one path from the root.  Frame 0 has no index.
@@ -162,6 +179,13 @@ class Frame(Sequence):
                     turned = closed + (i,)
                     found = index or (len(turned) if holds[i] else 0)
                     stack.append((steps + step, turned, step, found))
+
+
+def _walked(n: int, steps: str, ends: tuple[int, ...]) -> ShiftedDiagram:
+    """The diagram of a walk from `Frame.walks`, its `ends` cached as read there."""
+    diagram = ShiftedDiagram(n, steps)
+    diagram.__dict__["ends"] = ends
+    return diagram
 
 
 def enumerate_diagrams(n: int) -> Frame:
@@ -202,17 +226,8 @@ class Boundary:
 
 
 def boundary(diagram: ShiftedDiagram) -> Boundary:
-    """Segment ends of the diagram's boundary walk, read in one pass."""
-    steps = diagram.steps
-    # the walk opens with a vertical segment, of length zero when it starts with H
-    ends, run = [], DOWN
-    for i, step in enumerate(steps):
-        if step != run:
-            ends.append(i)
-            run = step
-    if steps:
-        ends.append(len(steps))
-    return Boundary(tuple(ends))
+    """The diagram's boundary walk, split at its segment ends."""
+    return Boundary(diagram.ends)
 
 
 class RowType(str, Enum):

@@ -13,9 +13,9 @@ rules, and the chosen points turn into descriptor tuples:
 
 The padded constructions shift the frame up by one (``half_rank = n + 1``)
 and adjust the tuples entrywise; they are the intermediate schemes used by
-the additive-basis maps.  Each construction reads the boundary once, or
-not at all when it is given the segment ``ends`` its caller has read, and
-builds its descriptor in one loop over those ends: the padded ones
+the additive-basis maps.  Each construction reads the diagram's segment
+``ends``, which the diagram computes at most once, and builds its
+descriptor in one loop over them: the padded ones
 (`_padded`) pick each horizontal segment's marks inline and append ``d``,
 ``e`` and ``t`` as the marks are visited, and `lf_ktheory`, which selects
 every point, reads ``d`` off the ends.  `selection_S`, `selection_S_tilde`
@@ -230,9 +230,7 @@ def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
     return TupleData(tuple(d), tuple(d[:-1]), tuple(t), b.segment_count % 2 == 1)
 
 
-def _padded(
-    diagram: ShiftedDiagram, w: int, ends: tuple[int, ...] | None, type1: bool
-) -> FlagDescriptor:
+def _padded(diagram: ShiftedDiagram, w: int, type1: bool) -> FlagDescriptor:
     """The padded descriptor of `lf_a` (or of `lf_b` with ``type1``), in one loop.
 
     Horizontal segment ``s`` takes rule 2 when ``s <= w`` and rule 1
@@ -244,8 +242,7 @@ def _padded(
     bad cutoff, a missing ``s_2``, no marks and ``k = 0`` are rejected in
     that order.
     """
-    if ends is None:
-        ends = boundary(diagram).ends
+    ends = diagram.ends
     _require_cutoff(w)
     count = len(ends)
     if type1 and count < 2:
@@ -291,25 +288,14 @@ def _padded(
     return _require_valid(FlagDescriptor(diagram.n + 1, tuple(d), tuple(e), tuple(t)))
 
 
-def lf_a(
-    diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
-) -> FlagDescriptor:
-    """Padded type-0 descriptor cut at ``w`` (see `_padded`): ``d+1``, ``e+2-t``.
-
-    ``ends``, when given, must be ``boundary(diagram).ends``; the walk is
-    then not read again.
-    """
-    return _padded(diagram, w, ends, False)
+def lf_a(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
+    """Padded type-0 descriptor cut at ``w`` (see `_padded`): ``d+1``, ``e+2-t``."""
+    return _padded(diagram, w, False)
 
 
-def lf_b(
-    diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
-) -> FlagDescriptor:
-    """Like `lf_a` with rule 3 on ``s_2``, first ``e`` one lower; needs ``k >= 1``.
-
-    ``ends`` is as for `lf_a`.
-    """
-    return _padded(diagram, w, ends, True)
+def lf_b(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
+    """Like `lf_a` with rule 3 on ``s_2``, first ``e`` one lower; needs ``k >= 1``."""
+    return _padded(diagram, w, True)
 
 
 def uses_type1(diagram: ShiftedDiagram) -> bool:
@@ -322,33 +308,28 @@ def uses_type1(diagram: ShiftedDiagram) -> bool:
     return diagram.n % 2 == 0 and diagram.steps.startswith(LEFT)
 
 
-def padded_scheme(
-    diagram: ShiftedDiagram, w: int, *, ends: tuple[int, ...] | None = None
-) -> FlagDescriptor:
+def padded_scheme(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
     """The padded scheme a basis summand of the diagram carries, cut at ``w``.
 
     GW summands cut at the last segment and K summands at the index; the
-    construction is chosen by `uses_type1`.  ``ends`` is passed on to it.
+    construction is chosen by `uses_type1`.
     """
     build = lf_b if uses_type1(diagram) else lf_a
-    return build(diagram, w, ends=ends)
+    return build(diagram, w)
 
 
-def lf_ktheory(
-    diagram: ShiftedDiagram, *, ends: tuple[int, ...] | None = None
-) -> FlagDescriptor:
+def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:
     """Unpadded descriptor of the K-theory model attached to a diagram.
 
     Selects every special marked point (rule 1 on every segment), so
     ``d`` is every boundary position inside a horizontal segment, with the
     frame size appended when the segment count is odd; consecutive marks
     are one horizontal step apart, so all ``t`` entries are 1.  The frame
-    size stays the half rank.  ``ends`` is as for `lf_a`.
+    size stays the half rank.
     """
     if diagram.n < 1:
         raise DomainError("the K-theory descriptor needs a frame of size at least 1")
-    if ends is None:
-        ends = boundary(diagram).ends
+    ends = diagram.ends
     # segment s (0-based) is horizontal for odd s and starts at ends[s - 1]
     d = [p for s in range(1, len(ends), 2) for p in range(ends[s - 1], ends[s])]
     if len(ends) % 2:

@@ -113,10 +113,10 @@ def _suite_bijections(max_n: int):
 def _suite_marking(max_n: int):
     for n in range(1, min(max_n, 10) + 1):
         for steps, ends, index in diagrams.enumerate_diagrams(n).walks():
-            diagram = diagrams.ShiftedDiagram(n, steps)
+            diagram = diagrams._walked(n, steps, ends)
             # the padded schemes at both cutoffs the basis uses: GW summands cut
             # at the last segment, K summands at the index
-            schemes = [marking.padded_scheme(diagram, w, ends=ends) for w in (len(ends), index)]
+            schemes = [marking.padded_scheme(diagram, w) for w in (len(ends), index)]
             unpadded = marking.lf_ktheory(diagram)
             # unpadded distance tuples transform correctly under deletions
             d_all = unpadded.d

@@ -6,6 +6,7 @@ cumulative scan.  The weight generating function, the deletion bijections
 and the odd-frame partitions are checked by the suites of `lagflag.verify`.
 """
 
+from dataclasses import replace
 from itertools import accumulate, groupby, product
 
 import pytest
@@ -184,6 +185,20 @@ def test_boundary_matches_the_run_oracle_on_large_frames(steps):
     assert b.lengths == lengths
     assert b.segment_count == len(runs)
     assert b.to_json() == [[c, ln] for c, ln in runs]
+
+
+def test_cached_ends_are_invisible():
+    # the ends a diagram keeps once read are no field: a read diagram and an
+    # unread one compare, hash, print and serialise alike
+    read, unread = ShiftedDiagram(5, "HVVHH"), ShiftedDiagram(5, "HVVHH")
+    ends = read.ends
+    assert ends == (0, 1, 3, 5)
+    assert read.ends is ends
+    assert repr(read) == repr(unread)
+    assert read == unread and hash(read) == hash(unread)
+    assert read.to_json() == unread.to_json()
+    assert replace(read, steps="VVHHV").ends == (2, 4, 5)
+    assert boundary(read).ends == read.ends
 
 
 # --------------------------------------------------------------------------

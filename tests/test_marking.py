@@ -9,6 +9,7 @@ unpadded formulas, so it is the constructions' oracle.
 """
 
 import re
+from functools import cached_property
 from itertools import groupby
 
 import pytest
@@ -20,10 +21,13 @@ from lagflag import (
     FlagDescriptor,
     SelectionRule,
     ShiftedDiagram,
+    Twist,
     boundary,
     classify,
     enumerate_diagrams,
+    gw_summands,
     is_valid,
+    k_summands,
     lf_a,
     lf_b,
     lf_ktheory,
@@ -264,24 +268,48 @@ def count_boundary_calls(monkeypatch, module):
     return calls
 
 
+def count_walk_reads(monkeypatch):
+    """Wrap ``ShiftedDiagram.ends`` so that each walk it reads is recorded in a list."""
+    reads = []
+    real = ShiftedDiagram.ends.func
+
+    def counted(diagram):
+        reads.append(diagram)
+        return real(diagram)
+
+    counted_ends = cached_property(counted)
+    counted_ends.__set_name__(ShiftedDiagram, "ends")
+    monkeypatch.setattr(ShiftedDiagram, "ends", counted_ends)
+    return reads
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_each_construction_reads_the_walk_once(monkeypatch, n):
+    # the constructions read the diagram's ends, the selection views and
+    # classify go through boundary, and the walk is read once for them all
+    walk_reads = count_walk_reads(monkeypatch)
     marking_calls = count_boundary_calls(monkeypatch, marking)
     diagram_calls = count_boundary_calls(monkeypatch, diagrams)
     for diagram in enumerate_diagrams(n):
+        walk_reads.clear()
         l = boundary(diagram).segment_count
         builds = [
             lambda: lf_a(diagram, l),
             lambda: lf_ktheory(diagram),
-            lambda: selection_S(diagram, 1),
+            lambda: padded_scheme(diagram, l),
         ]
-        if "H" in diagram.steps:
-            builds.append(lambda: selection_S_tilde(diagram, 1))
         if uses_type1(diagram):
             builds.append(lambda: lf_b(diagram, l))
         for build in builds:
             marking_calls.clear()
             build()
+            assert marking_calls == []
+        views = [lambda: selection_S(diagram, 1)]
+        if "H" in diagram.steps:
+            views.append(lambda: selection_S_tilde(diagram, 1))
+        for view in views:
+            marking_calls.clear()
+            view()
             assert marking_calls == [diagram]
         sel = selection_S(diagram, 0)
         marking_calls.clear()
@@ -290,6 +318,17 @@ def test_each_construction_reads_the_walk_once(monkeypatch, n):
         diagram_calls.clear()
         classify(diagram)
         assert diagram_calls == [diagram]
+        assert len(walk_reads) == 1 and walk_reads[0] is diagram
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_basis_reads_no_walk_again(monkeypatch, n):
+    # the basis builds each diagram with the ends its frame walk read
+    walk_reads = count_walk_reads(monkeypatch)
+    list(k_summands(n))
+    for twist in Twist:
+        list(gw_summands(n, twist))
+    assert walk_reads == []
 
 
 # --------------------------------------------------------------------------
@@ -349,15 +388,17 @@ def test_constructions_match_the_selection_views(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_constructions_given_the_ends_match_those_that_read_them(n):
-    frame = enumerate_diagrams(n)
-    for diagram, (_, ends, index) in zip(frame, frame.walks()):
-        assert lf_ktheory(diagram, ends=ends) == lf_ktheory(diagram)
+    # a diagram built from a walk keeps the ends the walk read; it must be the
+    # diagram that reads its own, in value and in every construction
+    for steps, ends, index in enumerate_diagrams(n).walks():
+        walked, read = diagrams._walked(n, steps, ends), ShiftedDiagram(n, steps)
+        assert walked == read and hash(walked) == hash(read)
+        assert walked.ends == read.ends
+        assert lf_ktheory(walked) == lf_ktheory(read)
         for w in (0, index, len(ends)):
-            assert padded_scheme(diagram, w, ends=ends) == padded_scheme(diagram, w)
+            assert padded_scheme(walked, w) == padded_scheme(read, w)
             for build in (lf_a, lf_b):
-                assert outcome(lambda: build(diagram, w, ends=ends)) == outcome(
-                    lambda: build(diagram, w)
-                )
+                assert outcome(lambda: build(walked, w)) == outcome(lambda: build(read, w))
 
 
 @settings(max_examples=300, deadline=None)
