@@ -31,7 +31,7 @@ from .diagrams import (  # noqa: F401
 from .errors import DomainError, _json_field, _json_int
 from .flags import FlagDescriptor, is_gorenstein, relative_dimension
 from .marking import lf_ktheory, padded_scheme, uses_type1
-from .picard import Twist, scheme_alignment
+from .picard import Twist, _member, scheme_alignment
 
 
 class Kind(str, Enum):
@@ -123,8 +123,6 @@ def k_summands(n: int) -> Iterator[Summand]:
     ``n`` is checked on the call, before the first summand is asked for.
     """
     _require_frame_size(n)
-    if n < 0:
-        raise DomainError(f"frame size must be non-negative, got {n}")
     if n == 0:
         # Base of the recursion: the Grassmannian of the empty frame is the
         # base itself, carried by the k = 0 descriptor at half rank 0.
@@ -181,10 +179,8 @@ def gw_summands(n: int, twist: Twist) -> Iterator[Summand]:
 
     ``n`` is checked on the call, before the first summand is asked for.
     """
-    _require_frame_size(n)
-    if n < 1:
-        raise DomainError(f"the Hermitian decomposition needs frame size >= 1, got {n}")
-    return _gw_stream(enumerate_diagrams(n), n % 2 == 0, twist)
+    _require_frame_size(n, 1, "the Hermitian decomposition needs")
+    return _gw_stream(enumerate_diagrams(n), n % 2 == 0, _member(Twist, twist))
 
 
 def _gw_stream(frame, even_frame: bool, twist: Twist) -> Iterator[Summand]:
@@ -214,6 +210,7 @@ def gw_basis(n: int, twist: Twist) -> Decomposition:
     Frame 1 falls through the odd-frame branch and serves as the definitional
     base of the recursion identities.
     """
+    twist = _member(Twist, twist)
     return Decomposition(n, twist, Kind.GW, tuple(gw_summands(n, twist)))
 
 
@@ -297,9 +294,7 @@ def verify_recursions(n: int) -> RecursionReport:
     Odd frame, in terms of frame ``n-2``: each decomposition equals itself
     shifted by ``2n-1``, plus ``2**(n-2)`` K-atoms, plus itself.
     """
-    _require_frame_size(n)
-    if n < 2:
-        raise DomainError(f"the recursion identities need frame size >= 2, got {n}")
+    _require_frame_size(n, 2, "the recursion identities need")
     back = n - 1 if n % 2 == 0 else n - 2
     notes = ["frame 1 decompositions are the definitional base"] if back == 1 else []
     prev = {twist: counting.gw_atoms(back, twist) for twist in Twist}
@@ -355,9 +350,7 @@ def verify_geometry(n: int) -> GeometryReport:
     dimension, and the scheme each pushforward (GW) summand carries must
     pass the twist-parity check.
     """
-    _require_frame_size(n)
-    if n < 1:
-        raise DomainError(f"frame size must be >= 1, got {n}")
+    _require_frame_size(n, 1, "the geometry audit needs")
     failures: list[str] = []
     checked = 0
     ambient_dim = comb(n + 1, 2)
@@ -406,6 +399,7 @@ class WittTable:
 
 
 def witt_table(n: int, twist: Twist) -> WittTable:
+    twist = _member(Twist, twist)
     counts: Counter = Counter()
     k_count = 0
     for (kind, shift), count in counting.gw_atoms(n, twist).items():

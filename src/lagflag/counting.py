@@ -25,8 +25,7 @@ from collections import Counter
 
 from . import basis  # imports this module back, so its names are read at call time
 from .diagrams import DOWN, LEFT, _require_frame_size, is_index_end
-from .errors import DomainError
-from .picard import Twist
+from .picard import Twist, _member
 
 # (first step, almost_even, k_even)
 ClassKey = tuple[str, bool, bool]
@@ -47,9 +46,7 @@ def class_weights(n: int) -> dict[ClassKey, list[int]]:
     counts the diagrams of that class with weight ``w``.  Classes with no
     diagram are absent.
     """
-    _require_frame_size(n)
-    if n < 1:
-        raise DomainError(f"classification needs a frame of size at least 1, got {n}")
+    _require_frame_size(n, 1, "classification needs")
     size = n * (n + 1) // 2 + 1
     # (first step, current step, None while the index is unfound, else k_even)
     states: dict[tuple[str, str, bool | None], list[int]] = {}
@@ -81,9 +78,8 @@ def class_weights(n: int) -> dict[ClassKey, list[int]]:
 
 def gw_atoms(n: int, twist: Twist) -> Counter:
     """The atom multiset of ``gw_basis(n, twist)``, counted per class."""
-    _require_frame_size(n)
-    if n < 1:
-        raise DomainError(f"the Hermitian decomposition needs frame size >= 1, got {n}")
+    _require_frame_size(n, 1, "the Hermitian decomposition needs")
+    twist = _member(Twist, twist)
     atoms: Counter = Counter()
     for (first, almost_even, k_even), coeffs in class_weights(n).items():
         role = basis.summand_role(n % 2 == 0, twist, first == DOWN, almost_even, k_even)

@@ -15,12 +15,15 @@ The boundary decomposes into maximal runs of equal-direction steps, the
 *segments*.  Odd-indexed segments are vertical, even-indexed horizontal; a
 leading vertical segment of length zero is inserted when the walk starts
 with a horizontal step, so that the alternation always starts vertically.
+
+A `Frame` holds no diagram: it builds each one as iteration reaches it, and
+`Frame.walks` yields each walk's steps, segment ends and index without one.
+`_require_frame_size` is the package's one check of a frame size.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -32,14 +35,18 @@ DOWN = "V"
 LEFT = "H"
 
 
-def _require_frame_size(n) -> None:
-    """Reject a frame size that is not a plain ``int``; bools are rejected too.
+def _require_frame_size(n, least: int = 0, needs: str = "expected") -> None:
+    """Reject a frame size that is not a plain ``int`` or is below ``least``.
 
-    Every function that takes a frame size calls this before it reads ``n``,
-    so a bad one fails on the call, with this message, and not later.
+    Bools are rejected too.  ``needs`` opens the message for a size that is
+    too small, e.g. "the recursion identities need" for ``least=2``.  Every
+    function that takes a frame size calls this before it reads ``n``, so a
+    bad one fails on the call and not later; no other code checks the bound.
     """
     if type(n) is not int:
         raise DomainError(f"frame size n must be an integer, got {n!r}")
+    if n < least:
+        raise DomainError(f"{needs} frame size >= {least}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,6 @@ class ShiftedDiagram:
         _require_frame_size(self.n)
         if type(self.steps) is not str:
             raise DomainError(f"steps must be a string, got {self.steps!r}")
-        if self.n < 0:
-            raise DomainError(f"frame size must be non-negative, got {self.n}")
         if len(self.steps) != self.n:
             raise DomainError(
                 f"expected {self.n} boundary steps, got {len(self.steps)}"
@@ -113,16 +118,11 @@ class ShiftedDiagram:
         return self.steps
 
 
-#: Binary digits of a diagram's position in its frame, read as steps.
-_BITS = str.maketrans("01", DOWN + LEFT)
-
-
-class Frame(Sequence):
+class Frame:
     """The ``2**n`` diagrams of frame ``n``, lexicographic with ``V`` before ``H``.
 
-    A diagram is built only when it is read, so iterating holds one at a
-    time.  Position ``i`` is the walk whose steps spell ``i`` in ``n``
-    binary digits, ``V`` for 0 and ``H`` for 1; a slice is a list.
+    A diagram is built only when iteration reaches it, so iterating holds
+    one at a time; a frame has a length but no indexing.
     """
 
     __slots__ = ("n",)
@@ -137,17 +137,6 @@ class Frame(Sequence):
         walks = map("".join, product((DOWN, LEFT), repeat=self.n))
         return map(ShiftedDiagram, repeat(self.n), walks)
 
-    def __getitem__(self, i):
-        size = len(self)
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(size))]
-        i = operator.index(i)
-        pos = i + size if i < 0 else i
-        if not 0 <= pos < size:
-            raise IndexError(f"frame {self.n} has no diagram at index {i}")
-        # the leading 1 of ``pos | size`` keeps the zeros ahead of pos's own digits
-        return ShiftedDiagram(self.n, format(pos | size, "b")[1:].translate(_BITS))
-
     def walks(self) -> Iterator[tuple[str, tuple[int, ...], int]]:
         """``(steps, ends, index)`` of every walk, in frame order, building no diagram.
 
@@ -157,8 +146,7 @@ class Frame(Sequence):
         holds one path from the root.  Frame 0 has no index.
         """
         n = self.n
-        if n < 1:
-            raise DomainError("classification needs a frame of size at least 1")
+        _require_frame_size(n, 1, "classification needs")
         return self._walks([is_index_end(i, n) for i in range(n)])
 
     def _walks(self, holds: list[bool]) -> Iterator[tuple[str, tuple[int, ...], int]]:
@@ -191,8 +179,6 @@ def _walked(n: int, steps: str, ends: tuple[int, ...]) -> ShiftedDiagram:
 def enumerate_diagrams(n: int) -> Frame:
     """All ``2**n`` diagrams in frame ``n``, lexicographic with ``V`` before ``H``."""
     _require_frame_size(n)
-    if n < 0:
-        raise DomainError(f"frame size must be non-negative, got {n}")
     return Frame(n)
 
 
@@ -271,8 +257,7 @@ def is_index_end(end: int, n: int) -> bool:
 def classify(diagram: ShiftedDiagram) -> DiagramClass:
     """Compute the index and the derived class flags of a diagram (frame >= 1)."""
     n = diagram.n
-    if n < 1:
-        raise DomainError("classification needs a frame of size at least 1")
+    _require_frame_size(n, 1, "classification needs")
     ends = boundary(diagram).ends
     index = next(t for t, end in enumerate(ends, 1) if is_index_end(end, n))
     row = RowType.FULL_TOP_ROW if diagram.steps[0] == DOWN else RowType.EMPTY_RIGHT_COLUMN
@@ -337,25 +322,29 @@ class ClassSets:
             raise DomainError(f"refinement letters must be 'r' or 'c', got {letters!r}")
         if len(letters) > 2:
             raise DomainError("at most two refinement letters are supported")
-        if self.n < len(letters):
-            raise DomainError(
-                f"{len(letters)}-letter refinements need frame size >= {len(letters)}"
-            )
+        _require_frame_size(self.n, len(letters), f"{len(letters)}-letter refinements need")
         prefix = "".join(_LETTER_STEP[ch] for ch in letters)
         return tuple(d for d in self.family(name) if d.steps.startswith(prefix))
 
 
 def class_sets(n: int) -> ClassSets:
-    """Enumerate frame ``n`` and split it into the U/A/E families."""
-    diagrams = tuple(enumerate_diagrams(n))
+    """Enumerate frame ``n`` and split it into the U/A/E families.
+
+    Each walk's index classifies it: almost even when the index is the last
+    segment, K-even when the index is even (see `DiagramClass`).
+    """
+    frame = enumerate_diagrams(n)
     if n == 0:
         # Degenerate base: the empty frame has one diagram, taken to lie in
         # every family so the recursion bases are bookkept uniformly.
+        diagrams = tuple(frame)
         return ClassSets(0, diagrams, diagrams, diagrams)
-    classes = [classify(d) for d in diagrams]
-    return ClassSets(
-        n=n,
-        all_diagrams=diagrams,
-        almost_even=tuple(d for d, c in zip(diagrams, classes) if c.is_almost_even),
-        k_even=tuple(d for d, c in zip(diagrams, classes) if c.is_k_even),
-    )
+    all_diagrams, almost_even, k_even = [], [], []
+    for steps, ends, index in frame.walks():
+        diagram = _walked(n, steps, ends)
+        all_diagrams.append(diagram)
+        if index == len(ends):
+            almost_even.append(diagram)
+        if index % 2 == 0:
+            k_even.append(diagram)
+    return ClassSets(n, tuple(all_diagrams), tuple(almost_even), tuple(k_even))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .diagrams import LEFT, Boundary, ShiftedDiagram, boundary
+from .diagrams import LEFT, Boundary, ShiftedDiagram, _require_frame_size, boundary
 from .errors import DomainError
 from .flags import FlagDescriptor, _require_valid
 
@@ -327,8 +327,7 @@ def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:
     are one horizontal step apart, so all ``t`` entries are 1.  The frame
     size stays the half rank.
     """
-    if diagram.n < 1:
-        raise DomainError("the K-theory descriptor needs a frame of size at least 1")
+    _require_frame_size(diagram.n, 1, "the K-theory descriptor needs")
     ends = diagram.ends
     # segment s (0-based) is horizontal for odd s and starts at ends[s - 1]
     d = [p for s in range(1, len(ends), 2) for p in range(ends[s - 1], ends[s])]

@@ -35,7 +35,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .diagrams import DOWN, ShiftedDiagram, boundary, classify
+from .diagrams import DOWN, ShiftedDiagram, _require_frame_size, boundary, classify
 from .errors import DomainError, UnsupportedError, _json_field
 from .flags import FlagDescriptor, _require_valid, is_gorenstein
 from .marking import padded_scheme, uses_type1
@@ -413,6 +413,20 @@ class Twist(str, Enum):
     DELTA = "Delta"
 
 
+def _member(kind: type[Enum], value):
+    """The member of the enum ``kind`` that is ``value`` or has it as value.
+
+    Callers that compare members with ``is`` coerce their argument once with
+    this, so a plain string gets its own member's answer and anything else
+    is a `DomainError`.
+    """
+    try:
+        return kind(value)
+    except ValueError:
+        choices = " or ".join(repr(member.value) for member in kind)
+        raise DomainError(f"{kind.__name__} must be {choices}, got {value!r}") from None
+
+
 def blowup_pullback(twist: Twist) -> PicElement:
     """Class of the twist pulled back to the two-step blow-up.
 
@@ -420,7 +434,7 @@ def blowup_pullback(twist: Twist) -> PicElement:
     the ambient determinant gains both exceptional divisors, each with
     exponent one; the trivial twist stays trivial.
     """
-    if twist is Twist.TRIVIAL:
+    if _member(Twist, twist) is Twist.TRIVIAL:
         return PicElement.zero()
     return PicElement({AMBIENT_DELTA: 1, E1: 1, E2: 1})
 
@@ -506,6 +520,8 @@ def twist_alignment(
     The diagram must be almost even and lie in frame ``n``.  Its variant is
     ``Xi1`` for even frames with a full top row and ``Xi0`` otherwise.
     """
+    variant = _member(TwistVariant, variant)
+    _require_frame_size(n)
     if diagram.n != n:
         raise DomainError(f"diagram lives in frame {diagram.n}, not {n}")
     if not classify(diagram).is_almost_even:

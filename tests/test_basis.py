@@ -13,11 +13,14 @@ from lagflag import (
     ShiftedDiagram,
     Twist,
     atom_multiset,
+    blowup_pullback,
     class_sets,
+    counting,
     gw_basis,
     gw_summands,
     k_basis,
     k_summands,
+    lambda_pair,
     verify_geometry,
     verify_recursions,
     witt_table,
@@ -116,11 +119,30 @@ def test_gw_basis_rejects_empty_frame():
         gw_basis(0, Twist.TRIVIAL)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_twist_given_by_its_value_is_that_twist(n):
+    # the twist is compared by identity inside, so each entry coerces it once
+    for twist in Twist:
+        value = twist.value
+        decomp = gw_basis(n, value)
+        assert decomp.twist is twist
+        assert decomp.to_json() == gw_basis(n, twist).to_json()
+        assert list(gw_summands(n, value)) == list(decomp.summands)
+        assert counting.gw_atoms(n, value) == counting.gw_atoms(n, twist)
+        assert witt_table(n, value).to_json() == witt_table(n, twist).to_json()
+        assert lambda_pair(value) == lambda_pair(twist)
+        assert blowup_pullback(value) == blowup_pullback(twist)
+    entries = [gw_basis, gw_summands, counting.gw_atoms, witt_table]
+    for entry in entries + [lambda n, twist: lambda_pair(twist)]:
+        with pytest.raises(DomainError, match="^Twist must be 'O' or 'Delta', got 'x'$"):
+            entry(n, "x")
+
+
 def test_summand_streams_check_the_frame_on_the_call():
     # no next(): a stream that checked only when first read would pass here
     with pytest.raises(DomainError, match="frame size >= 1, got 0"):
         gw_summands(0, Twist.DELTA)
-    with pytest.raises(DomainError, match="non-negative, got -1"):
+    with pytest.raises(DomainError, match="frame size >= 0, got -1"):
         k_summands(-1)
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: golden output, determinism, exit codes, JSON round-trips."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -404,7 +405,7 @@ ABOVE_FIVE = "lagflag: error: frame size 6 is above the bound 5 (LAGFLAG_MAX_N r
         (None, ["-n", "0"], HERMITIAN_BELOW_ONE.format(0)),
         (None, ["-n", "0", "--twist", "Delta"], HERMITIAN_BELOW_ONE.format(0)),
         (None, ["-n", "-2"], HERMITIAN_BELOW_ONE.format(-2)),
-        (None, ["-n", "-1", "--theory", "k"], "lagflag: error: frame size must be non-negative, got -1\n"),
+        (None, ["-n", "-1", "--theory", "k"], "lagflag: error: expected frame size >= 0, got -1\n"),
         ("5", ["-n", "6"], ABOVE_FIVE),
         ("5", ["-n", "6", "--theory", "k"], ABOVE_FIVE),
         ("x", ["-n", "3"], "lagflag: error: LAGFLAG_MAX_N must be an integer, got 'x'\n"),
@@ -560,6 +561,46 @@ def test_verify_names_counting_mismatch(capsys, monkeypatch):
         "FAIL recursions: frame 3 twist Delta: counted and enumerated atoms differ at ('GW', 7)"
         in out
     )
+
+
+def test_verify_reports_a_library_error_as_a_failed_suite(capsys, monkeypatch):
+    # a DescriptorError inside a suite fails that suite, not the command
+    from lagflag import flags, marking
+
+    real = marking._padded
+
+    def invalid_at_8(diagram, w, type1):
+        desc = real(diagram, w, type1)
+        if diagram.n != 8:
+            return desc
+        return flags._require_valid(dataclasses.replace(desc, d=(-1,) + desc.d[1:]))
+
+    monkeypatch.setattr(marking, "_padded", invalid_at_8)
+    code, out, err = run(capsys, ["verify", "--max-n", "8"])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.split(":")[0].split()[-1] for line in lines[:-1]] == [
+        name for name, _ in verify.SUITES
+    ]
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL marking-tuples", "FAIL twist-alignment", "FAIL recursions", "FAIL geometry"
+    ]
+    assert all(line.endswith("@9: d_0 = -1 is negative") for line in failed)
+    assert lines[-1] == "verify: FAILURES"
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["scheme", "--diagram"]], ids=lambda a: a[0])
+def test_diagram_arguments_check_the_frame_bound(capsys, monkeypatch, argv):
+    steps = "VH" * 8 + "V"
+    monkeypatch.delenv("LAGFLAG_MAX_N", raising=False)
+    assert run(capsys, [*argv, steps]) == (
+        2, "", "lagflag: error: frame size 17 is above the bound 16 (LAGFLAG_MAX_N raises it)\n"
+    )
+    monkeypatch.setenv("LAGFLAG_MAX_N", "17")
+    code, out, err = run(capsys, [*argv, steps])
+    assert (code, err) == (0, "")
+    assert ("steps        " + steps if argv == ["classify"] else "@17") in out
 
 
 # --------------------------------------------------------------------------

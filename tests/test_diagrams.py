@@ -6,6 +6,7 @@ cumulative scan.  The weight generating function, the deletion bijections
 and the odd-frame partitions are checked by the suites of `lagflag.verify`.
 """
 
+import re
 from dataclasses import replace
 from itertools import accumulate, groupby, product
 
@@ -17,13 +18,25 @@ from lagflag import (
     DomainError,
     RowType,
     ShiftedDiagram,
+    Twist,
+    TwistVariant,
     boundary,
     class_sets,
     classify,
+    counting,
     delete_right_column,
     delete_top_row,
     enumerate_diagrams,
+    gw_basis,
+    gw_summands,
+    k_basis,
+    k_summands,
+    lf_ktheory,
+    twist_alignment,
     verify,
+    verify_geometry,
+    verify_recursions,
+    witt_table,
 )
 
 SUITE = dict(verify.SUITES)
@@ -65,8 +78,9 @@ steps_strings = st.integers(min_value=0, max_value=12).flatmap(
 def test_enumerate_empty_frame():
     diagrams = enumerate_diagrams(0)
     assert len(diagrams) == 1
-    assert diagrams[0].steps == ""
-    assert diagrams[0].weight == 0
+    [empty] = diagrams
+    assert empty.steps == ""
+    assert empty.weight == 0
 
 
 def test_enumerate_n2_part_sets():
@@ -94,13 +108,6 @@ def test_frame_matches_the_eager_product(n):
     assert listed == oracle
     assert list(frame) == listed  # a second pass yields the same diagrams
     assert len(frame) == len(listed)
-    assert [frame[i] for i in range(len(frame))] == listed
-    assert frame[-1] == listed[-1] and frame[-len(frame)] == listed[0]
-    for cut in (slice(None), slice(None, -1), slice(1, None, 3), slice(None, None, -2)):
-        assert frame[cut] == listed[cut]
-    for bad in (len(frame), -len(frame) - 1):
-        with pytest.raises(IndexError):
-            frame[bad]
 
 
 def test_enumerate_limit_is_usage_error():
@@ -115,6 +122,48 @@ def test_frame_size_must_be_a_plain_int(entry):
     for n in (True, False, 3.0, "3"):
         with pytest.raises(DomainError, match=f"frame size n must be an integer, got {n!r}"):
             entry(n)
+
+
+HERMITIAN = "the Hermitian decomposition needs"
+
+#: (entry point taking a frame size, least size, opening of the too-small message);
+#: a diagram's size reaches classify and lf_ktheory through ShiftedDiagram
+FRAME_SIZE_ENTRIES = {
+    "ShiftedDiagram": (lambda n: ShiftedDiagram(n, ""), 0, "expected"),
+    "enumerate_diagrams": (enumerate_diagrams, 0, "expected"),
+    "Frame.walks": (lambda n: enumerate_diagrams(n).walks(), 1, "classification needs"),
+    "classify": (lambda n: classify(ShiftedDiagram(n, "")), 1, "classification needs"),
+    "class_sets": (class_sets, 0, "expected"),
+    "ClassSets.refine": (
+        lambda n: class_sets(n).refine("U", "rc"), 2, "2-letter refinements need"
+    ),
+    "k_summands": (k_summands, 0, "expected"),
+    "k_basis": (k_basis, 0, "expected"),
+    "gw_summands": (lambda n: gw_summands(n, Twist.DELTA), 1, HERMITIAN),
+    "gw_basis": (lambda n: gw_basis(n, Twist.TRIVIAL), 1, HERMITIAN),
+    "witt_table": (lambda n: witt_table(n, Twist.DELTA), 1, HERMITIAN),
+    "verify_recursions": (verify_recursions, 2, "the recursion identities need"),
+    "verify_geometry": (verify_geometry, 1, "the geometry audit needs"),
+    "class_weights": (counting.class_weights, 1, "classification needs"),
+    "gw_atoms": (lambda n: counting.gw_atoms(n, Twist.TRIVIAL), 1, HERMITIAN),
+    "lf_ktheory": (lambda n: lf_ktheory(ShiftedDiagram(n, "")), 1, "the K-theory descriptor needs"),
+    "twist_alignment": (
+        lambda n: twist_alignment(ShiftedDiagram(2, "HH"), TwistVariant.XI0, n), 0, "expected"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FRAME_SIZE_ENTRIES)
+def test_every_frame_size_entry_point_checks_the_size_alike(name):
+    # one check, one message form: a non-int size and the size below the bound
+    entry, least, needs = FRAME_SIZE_ENTRIES[name]
+    for n in (True, float(least), str(least)):
+        message = f"frame size n must be an integer, got {n!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            entry(n)
+    message = f"{needs} frame size >= {least}, got {least - 1}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        entry(least - 1)
 
 
 def test_weight_examples():
@@ -243,7 +292,7 @@ def test_walks_match_boundary_and_classify(n):
 
 def test_walks_reject_empty_frame():
     # no next(): the frame is checked on the call
-    with pytest.raises(DomainError, match="at least 1"):
+    with pytest.raises(DomainError, match="frame size >= 1, got 0"):
         enumerate_diagrams(0).walks()
 
 
@@ -316,6 +365,20 @@ def test_class_sets_n3():
     assert [d.steps for d in sets.refine("E", "cr")] == ["HVV", "HVH"]
     assert [d.steps for d in sets.refine("E", "cc")] == ["HHH"]
     assert sorted(d.weight for d in sets.almost_even) == [0, 1, 5, 6]
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_class_sets_split_the_frame_as_classify_does(n):
+    # class_sets reads each walk's index; classify is the independent split
+    sets = class_sets(n)
+    frame = list(enumerate_diagrams(n))
+    assert sets.all_diagrams == tuple(frame)
+    if n == 0:  # the empty frame lies in every family
+        assert sets.almost_even == sets.k_even == tuple(frame)
+        return
+    classes = [classify(d) for d in frame]
+    assert sets.almost_even == tuple(d for d, c in zip(frame, classes) if c.is_almost_even)
+    assert sets.k_even == tuple(d for d, c in zip(frame, classes) if c.is_k_even)
 
 
 def test_class_sets_n0_convention():

@@ -122,7 +122,7 @@ def oracle_padded(diagram, w, type1):
 def oracle_unpadded(diagram):
     """Every mark selected (rule 1 everywhere), unpadded, at half rank ``n``."""
     if diagram.n < 1:
-        raise DomainError("the K-theory descriptor needs a frame of size at least 1")
+        raise DomainError(f"the K-theory descriptor needs frame size >= 1, got {diagram.n}")
     d, t = oracle_marks(diagram.steps, 0, False)
     return _require_valid(FlagDescriptor(diagram.n, d, d[:-1], t))
 

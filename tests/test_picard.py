@@ -287,6 +287,17 @@ def test_twist_alignment_case_mismatch():
         twist_alignment(ShiftedDiagram(2, "HH"), TwistVariant.XI0, 3)
 
 
+def test_twist_alignment_coerces_the_variant_and_checks_the_frame():
+    diagram = ShiftedDiagram(2, "HH")
+    assert twist_alignment(diagram, "Xi0", 2) == twist_alignment(diagram, TwistVariant.XI0, 2)
+    with pytest.raises(DomainError, match="uses variant Xi0, not Xi1"):
+        twist_alignment(diagram, "Xi1", 2)
+    with pytest.raises(DomainError, match="^TwistVariant must be 'Xi0' or 'Xi1', got 'Xi2'$"):
+        twist_alignment(diagram, "Xi2", 2)
+    with pytest.raises(DomainError, match="^frame size n must be an integer, got 2.0$"):
+        twist_alignment(diagram, TwistVariant.XI0, 2.0)
+
+
 @pytest.mark.parametrize("frame", range(1, 8))
 def test_twist_alignment_holds_for_all_almost_even(frame):
     assert SUITE["twist-alignment"](frame) == (True, "")

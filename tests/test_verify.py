@@ -17,7 +17,7 @@ SUITE = dict(verify.SUITES)
 
 
 def _drop_last_at_16(real):
-    return lambda n: real(n)[:-1] if n == 16 else real(n)
+    return lambda n: list(real(n))[:-1] if n == 16 else real(n)
 
 
 def _empty_segments_at_12(real):
