@@ -87,10 +87,16 @@ class Summand:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """A whole basis; ``twist`` and ``theory`` may be given by value."""
+
     n: int
     twist: Twist
     theory: Kind
     summands: tuple[Summand, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "twist", _member(Twist, self.twist))
+        object.__setattr__(self, "theory", _member(Kind, self.theory))
 
     def to_json(self) -> dict:
         return {
@@ -143,7 +149,7 @@ def k_basis(n: int) -> Decomposition:
     return Decomposition(n, Twist.TRIVIAL, Kind.K, tuple(k_summands(n)))
 
 
-def summand_role(
+def _summand_role(
     even_frame: bool, twist: Twist, full_top: bool, almost_even: bool, k_even: bool
 ) -> tuple[Kind, MapLabel] | None:
     """The summand a diagram of the given class contributes, if any.
@@ -188,7 +194,7 @@ def _gw_stream(frame, even_frame: bool, twist: Twist) -> Iterator[Summand]:
     n = frame.n
     for steps, ends, index in frame.walks():
         segments = len(ends)
-        role = summand_role(
+        role = _summand_role(
             even_frame, twist, steps[0] == DOWN, index == segments, index % 2 == 0
         )
         if role is None:
@@ -210,7 +216,6 @@ def gw_basis(n: int, twist: Twist) -> Decomposition:
     Frame 1 falls through the odd-frame branch and serves as the definitional
     base of the recursion identities.
     """
-    twist = _member(Twist, twist)
     return Decomposition(n, twist, Kind.GW, tuple(gw_summands(n, twist)))
 
 
@@ -382,12 +387,18 @@ def verify_geometry(n: int) -> GeometryReport:
 
 @dataclass(frozen=True)
 class WittTable:
-    """GW-atom counts folded mod 4, with K-atoms tallied separately."""
+    """GW-atom counts folded mod 4, with K-atoms tallied separately.
+
+    ``twist`` may be given by value.
+    """
 
     n: int
     twist: Twist
     degrees: tuple[tuple[int, int], ...]
     k_count: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "twist", _member(Twist, self.twist))
 
     def to_json(self) -> dict:
         return {
@@ -399,7 +410,6 @@ class WittTable:
 
 
 def witt_table(n: int, twist: Twist) -> WittTable:
-    twist = _member(Twist, twist)
     counts: Counter = Counter()
     k_count = 0
     for (kind, shift), count in counting.gw_atoms(n, twist).items():

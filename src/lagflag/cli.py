@@ -4,12 +4,16 @@ basis generation, and ``verify``, which runs the suites of `lagflag.verify`.
 Every command writes deterministic output; identical invocations produce
 byte-identical text.  Exit codes: 0 success, 1 verification failure, 2 usage
 error, 141 when the reader closes stdout early (the status a shell reports
-for a SIGPIPE death; nothing is written on stderr).  The environment
-variable ``LAGFLAG_MAX_N`` overrides the frame-size bounds (default 16 for
-``enumerate``, ``basis``, the diagram arguments of ``classify`` and
-``scheme``, and for ``recursion`` and ``witt``, which count without
-enumerating; 10 for ``verify``).  Each command checks its bound before any
-work; the library itself has no frame limit.
+for a SIGPIPE death; nothing is written on stderr).  ``verify`` flushes each
+suite's line as that suite ends, so its verdicts leave one by one through a
+pipe too, a run cut short keeps those it reached, and a reader that closes
+the pipe ends the run at the next suite's line.  The other commands leave
+stdout block-buffered: a flush per summand or diagram would cost a system
+call each.  The environment variable ``LAGFLAG_MAX_N`` overrides the frame-size
+bounds (default 16 for ``enumerate``, ``basis``, the diagram arguments of
+``classify`` and ``scheme``, and for ``recursion`` and ``witt``, which count
+without enumerating; 10 for ``verify``).  Each command checks its bound
+before any work; the library itself has no frame limit.
 """
 
 from __future__ import annotations
@@ -408,7 +412,8 @@ def _cmd_verify(args, out) -> int:
         all_ok = all_ok and ok
         status = "ok  " if ok else "FAIL"
         suffix = f": {detail}" if detail else ""
-        print(f"{status} {name}{suffix}", file=out)
+        # each verdict leaves as its suite ends, through a pipe too
+        print(f"{status} {name}{suffix}", file=out, flush=True)
     print("verify: all suites passed" if all_ok else "verify: FAILURES", file=out)
     return 0 if all_ok else 1
 

@@ -82,7 +82,7 @@ def gw_atoms(n: int, twist: Twist) -> Counter:
     twist = _member(Twist, twist)
     atoms: Counter = Counter()
     for (first, almost_even, k_even), coeffs in class_weights(n).items():
-        role = basis.summand_role(n % 2 == 0, twist, first == DOWN, almost_even, k_even)
+        role = basis._summand_role(n % 2 == 0, twist, first == DOWN, almost_even, k_even)
         if role is None:
             continue
         if role[0] is basis.Kind.K:

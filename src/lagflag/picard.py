@@ -416,9 +416,10 @@ class Twist(str, Enum):
 def _member(kind: type[Enum], value):
     """The member of the enum ``kind`` that is ``value`` or has it as value.
 
-    Callers that compare members with ``is`` coerce their argument once with
-    this, so a plain string gets its own member's answer and anything else
-    is a `DomainError`.
+    Callers that compare members with ``is``, and the records that carry a
+    member (``basis.Decomposition``, ``basis.WittTable``), coerce their
+    argument once with this, so a plain string gets its own member's answer
+    and anything else is a `DomainError`.
     """
     try:
         return kind(value)

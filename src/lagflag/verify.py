@@ -3,7 +3,10 @@
 Each suite checks one identity of the paper over every frame up to
 ``max_n``, capped at a size of its own, and returns ``(ok, detail)``: on
 failure, ``detail`` names the first frame, diagram, descriptor or case that
-broke.  `SUITES` lists the suites by name, in the order ``verify`` runs them.
+broke.  A library error raised while a suite builds a frame's schemes fails
+the suite the same way, named by the walk (``marking-tuples``,
+``twist-alignment``) or the frame (``recursions``, ``geometry``) it hit.
+`SUITES` lists the suites by name, in the order ``verify`` runs them.
 
 Library functions are called through their modules (``diagrams.boundary``,
 not a ``from`` import), so a wrapper or test double installed on a module is
@@ -17,6 +20,7 @@ from itertools import accumulate, combinations_with_replacement, groupby, produc
 from math import comb
 
 from . import basis, counting, diagrams, flags, marking, picard
+from .errors import LagflagError
 
 
 def _genfunc_coefficients(n: int) -> list[int]:
@@ -110,31 +114,51 @@ def _suite_bijections(max_n: int):
     return True, ""
 
 
-def _suite_marking(max_n: int):
-    for n in range(1, min(max_n, 10) + 1):
+def _check_walks(max_n: int, top: int, problem) -> tuple[bool, str]:
+    """Fail at the first walk of frames 1 to ``min(max_n, top)`` with a problem.
+
+    ``problem(n, steps, ends, index)`` returns ``""`` for a walk that passes;
+    a library error it raises is that walk's problem too.  The detail names
+    the walk by its steps.
+    """
+    for n in range(1, min(max_n, top) + 1):
         for steps, ends, index in diagrams.enumerate_diagrams(n).walks():
-            diagram = diagrams._walked(n, steps, ends)
-            # the padded schemes at both cutoffs the basis uses: GW summands cut
-            # at the last segment, K summands at the index
-            schemes = [marking.padded_scheme(diagram, w) for w in (len(ends), index)]
-            unpadded = marking.lf_ktheory(diagram)
-            # unpadded distance tuples transform correctly under deletions
-            d_all = unpadded.d
-            if diagram.steps[0] == "H" and n >= 2:
-                smaller = marking.lf_ktheory(diagrams.delete_right_column(diagram)).d
-                if d_all[0] != 0 or tuple(x - 1 for x in d_all[1:]) != smaller:
-                    return False, f"{diagram.steps}: column deletion breaks distances"
-            if diagram.steps[0] == "V" and n >= 2:
-                smaller = marking.lf_ktheory(diagrams.delete_top_row(diagram)).d
-                if tuple(x - 1 for x in d_all) != smaller:
-                    return False, f"{diagram.steps}: row deletion breaks distances"
-            for desc in (*schemes, unpadded):
-                if any(ti not in (1, 2) for ti in desc.t):
-                    return False, f"{diagram.steps}: t entries outside {{1,2}}"
-                for j in range(desc.k):
-                    if desc.d[j + 1] - desc.d[j] < desc.t[j]:
-                        return False, f"{diagram.steps}: d gaps do not dominate t"
+            try:
+                found = problem(n, steps, ends, index)
+            except LagflagError as exc:
+                found = str(exc)
+            if found:
+                return False, f"{steps}: {found}"
     return True, ""
+
+
+def _marking_problem(n: int, steps: str, ends: tuple[int, ...], index: int) -> str:
+    diagram = diagrams._walked(n, steps, ends)
+    # the padded schemes at both cutoffs the basis uses: GW summands cut
+    # at the last segment, K summands at the index
+    schemes = [marking.padded_scheme(diagram, w) for w in (len(ends), index)]
+    unpadded = marking.lf_ktheory(diagram)
+    # unpadded distance tuples transform correctly under deletions
+    d_all = unpadded.d
+    if steps[0] == "H" and n >= 2:
+        smaller = marking.lf_ktheory(diagrams.delete_right_column(diagram)).d
+        if d_all[0] != 0 or tuple(x - 1 for x in d_all[1:]) != smaller:
+            return "column deletion breaks distances"
+    if steps[0] == "V" and n >= 2:
+        smaller = marking.lf_ktheory(diagrams.delete_top_row(diagram)).d
+        if tuple(x - 1 for x in d_all) != smaller:
+            return "row deletion breaks distances"
+    for desc in (*schemes, unpadded):
+        if any(ti not in (1, 2) for ti in desc.t):
+            return "t entries outside {1,2}"
+        for j in range(desc.k):
+            if desc.d[j + 1] - desc.d[j] < desc.t[j]:
+                return "d gaps do not dominate t"
+    return ""
+
+
+def _suite_marking(max_n: int):
+    return _check_walks(max_n, 10, _marking_problem)
 
 
 def _suite_descriptor_dimensions(max_n: int):
@@ -191,26 +215,27 @@ def _suite_canonical_goldens(max_n: int):
     return True, ""
 
 
+def _alignment_problem(n: int, steps: str, ends: tuple[int, ...], index: int) -> str:
+    if index != len(ends):
+        return ""
+    # an almost even diagram's GW summand cuts at the last segment
+    diagram = diagrams._walked(n, steps, ends)
+    result = picard.scheme_alignment(diagram, marking.padded_scheme(diagram, index))
+    return "" if result.ok else f"parity {result.parity}, required {result.required}"
+
+
 def _suite_alignment(max_n: int):
-    for n in range(1, min(max_n, 8) + 1):
-        for steps, ends, index in diagrams.enumerate_diagrams(n).walks():
-            if index != len(ends):
-                continue
-            # an almost even diagram's GW summand cuts at the last segment
-            diagram = diagrams._walked(n, steps, ends)
-            result = picard.scheme_alignment(diagram, marking.padded_scheme(diagram, index))
-            if not result.ok:
-                return False, (
-                    f"{diagram.steps}: parity {result.parity}, required {result.required}"
-                )
-    return True, ""
+    return _check_walks(max_n, 8, _alignment_problem)
 
 
 def _suite_recursions(max_n: int):
     for n in range(2, min(max_n, 10) + 1):
         for twist in picard.Twist:
             counted = counting.gw_atoms(n, twist)
-            enumerated = basis.atom_multiset(basis.gw_basis(n, twist))
+            try:  # the enumeration builds every summand's scheme
+                enumerated = basis.atom_multiset(basis.gw_basis(n, twist))
+            except LagflagError as exc:
+                return False, f"frame {n}: {exc}"
             if counted != enumerated:
                 atom = basis.first_mismatch(counted, enumerated)
                 return False, (
@@ -226,7 +251,10 @@ def _suite_recursions(max_n: int):
 
 def _suite_geometry(max_n: int):
     for n in range(1, min(max_n, 8) + 1):
-        report = basis.verify_geometry(n)
+        try:
+            report = basis.verify_geometry(n)
+        except LagflagError as exc:
+            return False, f"frame {n}: {exc}"
         if not report.passed:
             return False, f"frame {n}: {report.failures[0]}"
     return True, ""

@@ -6,12 +6,14 @@ from types import ModuleType
 import pytest
 
 from lagflag import (
+    Decomposition,
     DomainError,
     FlagDescriptor,
     Kind,
     MapLabel,
     ShiftedDiagram,
     Twist,
+    WittTable,
     atom_multiset,
     blowup_pullback,
     class_sets,
@@ -136,6 +138,22 @@ def test_a_twist_given_by_its_value_is_that_twist(n):
     for entry in entries + [lambda n, twist: lambda_pair(twist)]:
         with pytest.raises(DomainError, match="^Twist must be 'O' or 'Delta', got 'x'$"):
             entry(n, "x")
+
+
+def test_the_records_take_a_twist_and_theory_by_value():
+    # built directly, not through gw_basis or witt_table
+    decomp = Decomposition(1, "O", "GW", ())
+    assert (decomp.twist, decomp.theory) == (Twist.TRIVIAL, Kind.GW)
+    assert decomp.to_json() == {"n": 1, "twist": "O", "theory": "GW", "summands": []}
+    table = WittTable(3, "Delta", ((0, 1),), 2)
+    assert table.twist is Twist.DELTA
+    assert table.to_json() == {"n": 3, "twist": "Delta", "degrees": {"0": 1}, "k_count": 2}
+    with pytest.raises(DomainError, match="^Twist must be 'O' or 'Delta', got 'x'$"):
+        Decomposition(1, "x", Kind.GW, ())
+    with pytest.raises(DomainError, match="^Kind must be 'K' or 'GW', got 'k'$"):
+        Decomposition(1, Twist.TRIVIAL, "k", ())
+    with pytest.raises(DomainError, match="^Twist must be 'O' or 'Delta', got 1$"):
+        WittTable(3, 1, (), 0)
 
 
 def test_summand_streams_check_the_frame_on_the_call():

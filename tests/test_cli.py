@@ -6,8 +6,10 @@ import io
 import json
 import os
 import re
+import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -340,6 +342,80 @@ def test_a_closed_pipe_ends_quietly_with_141():
     assert (len(head), child.returncode, err) == (100, 141, b"")
 
 
+# A child that runs ``verify`` with every suite after the first held until a
+# line arrives on its stdin, and that logs each suite it starts to argv[1].
+HELD_VERIFY = """
+import sys
+from lagflag import cli
+
+def held(name, suite, wait, log):
+    def run(max_n):
+        print(name, file=log, flush=True)
+        if wait:
+            sys.stdin.readline()
+        return suite(max_n)
+    return run
+
+with open(sys.argv[1], "w") as log:
+    cli.SUITES = tuple(
+        (name, held(name, suite, i > 0, log)) for i, (name, suite) in enumerate(cli.SUITES)
+    )
+    code = cli.main(["verify", *sys.argv[2:]])
+sys.exit(code)
+"""
+
+
+def _held_verify(log, *args):
+    # PYTHONUNBUFFERED would flush every line, with or without the command's flush
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.pop("LAGFLAG_MAX_N", None)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.Popen(
+        [sys.executable, "-c", HELD_VERIFY, str(log), *args],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+    )
+
+
+def _first_line(child, seconds=30.0) -> bytes:
+    """The child's first stdout line, read byte by byte so nothing after it is taken."""
+    line = b""
+    deadline = time.monotonic() + seconds
+    while not line.endswith(b"\n"):
+        ready, _, _ = select.select([child.stdout], [], [], max(0.0, deadline - time.monotonic()))
+        if not ready:
+            child.kill()
+            child.communicate()
+            pytest.fail(f"no line within {seconds} s; read {line!r}")
+        chunk = os.read(child.stdout.fileno(), 1)
+        assert chunk, f"stdout ended after {line!r}"
+        line += chunk
+    return line
+
+
+def test_verify_writes_each_verdict_as_its_suite_ends(tmp_path):
+    # the second suite waits for stdin, so the first verdict must leave before it
+    child = _held_verify(tmp_path / "suites", "--max-n", "8")
+    first = _first_line(child)
+    assert first == b"ok   counting\n"
+    rest, err = child.communicate(b"\n", timeout=60)
+    assert (child.returncode, err) == (0, b"")
+    assert first + rest == (GOLDEN / "verify_n8.txt").read_bytes()
+
+
+def test_a_closed_pipe_stops_verify_at_the_next_suite(tmp_path):
+    log = tmp_path / "suites"
+    child = _held_verify(log, "--max-n", "10")
+    assert _first_line(child) == b"ok   counting\n"
+    child.stdout.close()  # the reader goes away, as `head -n 1` does
+    _, err = child.communicate(b"\n", timeout=60)  # then the second suite runs
+    assert (child.returncode, err) == (141, b"")
+    assert log.read_text().split() == ["counting", "boundary-structure"]
+
+
 def test_invalid_descriptor_exits_one(capsys):
     code, out, _ = run(
         capsys, ["scheme", "--d", "0,3", "--e", "0", "--t", "1", "--half-rank", "2"]
@@ -586,7 +662,10 @@ def test_verify_reports_a_library_error_as_a_failed_suite(capsys, monkeypatch):
     assert [line.split(":")[0] for line in failed] == [
         "FAIL marking-tuples", "FAIL twist-alignment", "FAIL recursions", "FAIL geometry"
     ]
-    assert all(line.endswith("@9: d_0 = -1 is negative") for line in failed)
+    # each names where it broke: a frame-8 walk, or frame 8
+    message = r"invalid descriptor LF\[-1\]\(\)_\[\]@9: d_0 = -1 is negative"
+    assert all(re.fullmatch(rf"FAIL [a-z-]+: [VH]{{8}}: {message}", line) for line in failed[:2])
+    assert all(re.fullmatch(rf"FAIL [a-z-]+: frame 8: {message}", line) for line in failed[2:])
     assert lines[-1] == "verify: FAILURES"
 
 
