@@ -28,7 +28,6 @@ from .diagrams import (  # noqa: F401
     boundary,
     enumerate_diagrams,
 )
-from .errors import DomainError, _json_field, _json_int
 from .flags import FlagDescriptor, is_gorenstein, relative_dimension
 from .marking import lf_ktheory, padded_scheme, uses_type1
 from .picard import Twist, _member, scheme_alignment
@@ -68,22 +67,6 @@ class Summand:
             "base_twist": self.base_twist,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "Summand":
-        def optional_int(value):
-            return None if value is None else _json_int(value)
-
-        return cls(
-            kind=_json_field(payload, "kind", Kind),
-            source_diagram=_json_field(
-                payload, "diagram", lambda steps: ShiftedDiagram(len(steps), steps)
-            ),
-            scheme=FlagDescriptor.from_json(_json_field(payload, "scheme")),
-            map_label=_json_field(payload, "map", MapLabel),
-            shift=_json_field(payload, "shift", optional_int, default=None),
-            base_twist=_json_field(payload, "base_twist", optional_int, default=None),
-        )
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -105,22 +88,6 @@ class Decomposition:
             "theory": self.theory.value,
             "summands": [s.to_json() for s in self.summands],
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Decomposition":
-        decomposition = cls(
-            n=_json_field(payload, "n", _json_int),
-            twist=_json_field(payload, "twist", Twist),
-            theory=_json_field(payload, "theory", Kind),
-            summands=tuple(
-                Summand.from_json(s) for s in _json_field(payload, "summands", list)
-            ),
-        )
-        n = decomposition.n
-        for diagram in (summand.source_diagram for summand in decomposition.summands):
-            if diagram.n != n:
-                raise DomainError(f"summand diagram {diagram.steps!r} is not in frame {n}")
-        return decomposition
 
 
 def k_summands(n: int) -> Iterator[Summand]:
@@ -193,18 +160,17 @@ def _gw_stream(frame, even_frame: bool, twist: Twist) -> Iterator[Summand]:
     """Build a diagram and its scheme only for the walks that yield a summand."""
     n = frame.n
     for steps, ends, index in frame.walks():
-        segments = len(ends)
         role = _summand_role(
-            even_frame, twist, steps[0] == DOWN, index == segments, index % 2 == 0
+            even_frame, twist, steps[0] == DOWN, index == len(ends), index % 2 == 0
         )
         if role is None:
             continue
         diag = _walked(n, steps, ends)
         kind, label = role
+        scheme = padded_scheme(diag, index)
         if kind is Kind.K:
-            yield Summand(kind, diag, padded_scheme(diag, index), label)
+            yield Summand(kind, diag, scheme, label)
             continue
-        scheme = padded_scheme(diag, segments)
         # the type-1 construction leaves a residual det twist
         base_twist = 1 if uses_type1(diag) else None
         yield Summand(kind, diag, scheme, label, shift=diag.weight, base_twist=base_twist)

@@ -29,7 +29,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import product, repeat
 
-from .errors import DomainError, _json_field
+from .errors import DomainError
 
 DOWN = "V"
 LEFT = "H"
@@ -102,17 +102,6 @@ class ShiftedDiagram:
             "parts": list(self.parts),
             "weight": self.weight,
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ShiftedDiagram":
-        diagram = cls(_json_field(payload, "n"), _json_field(payload, "steps"))
-        parts = _json_field(payload, "parts", tuple, default=diagram.parts)
-        if parts != diagram.parts:
-            raise DomainError(f"parts {list(parts)} do not match steps {diagram.steps!r}")
-        weight = _json_field(payload, "weight", default=diagram.weight)
-        if weight != diagram.weight:
-            raise DomainError(f"weight {weight} does not match steps")
-        return diagram
 
     def __str__(self) -> str:
         return self.steps

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import DescriptorError, DomainError, UnsupportedError, _json_field
+from .errors import DescriptorError, DomainError, UnsupportedError
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,6 @@ class FlagDescriptor:
             "e": list(self.e),
             "t": list(self.t),
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FlagDescriptor":
-        return cls(
-            _json_field(payload, "half_rank"),
-            _json_field(payload, "d", tuple),
-            _json_field(payload, "e", tuple),
-            _json_field(payload, "t", tuple),
-        )
 
     def __str__(self) -> str:
         d = ",".join(map(str, self.d))

@@ -311,8 +311,9 @@ def uses_type1(diagram: ShiftedDiagram) -> bool:
 def padded_scheme(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
     """The padded scheme a basis summand of the diagram carries, cut at ``w``.
 
-    GW summands cut at the last segment and K summands at the index; the
-    construction is chosen by `uses_type1`.
+    The basis cuts every summand at the diagram's index, which for a GW
+    summand's almost even diagram is its last segment; the construction is
+    chosen by `uses_type1`.
     """
     build = lf_b if uses_type1(diagram) else lf_a
     return build(diagram, w)

@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagrams import DOWN, ShiftedDiagram, _require_frame_size, boundary, classify
-from .errors import DomainError, UnsupportedError, _json_field
+from .errors import DomainError, UnsupportedError
 from .flags import FlagDescriptor, _require_valid, is_gorenstein
 from .marking import padded_scheme, uses_type1
 
@@ -260,32 +260,6 @@ class PicElement:
             else:
                 out[gen.kind][str(gen.index)] = value
         return out
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "PicElement":
-        def decode(value) -> Exponent:
-            if type(value) is list and len(value) == 2 and all(type(v) is int for v in value):
-                return affine(value[0], value[1])
-            if type(value) is not int:
-                raise ValueError(value)
-            return value
-
-        items: list[tuple[Generator, Exponent]] = []
-        for kind in ("Delta", "Nabla", "DetV"):
-            table = _json_field(payload, kind, default={})
-            try:
-                if type(table) is not dict:
-                    raise ValueError(table)
-                for index, value in table.items():
-                    items.append((Generator(kind, int(index)), decode(value)))
-            except (TypeError, ValueError):
-                raise DomainError(f"bad value for key {kind!r}: {table!r}") from None
-        unknown = [key for key in payload if key not in _KIND_ORDER]
-        if unknown:
-            raise DomainError(f"unknown key {unknown[0]!r}")
-        for kind in ("AmbientDelta", "E1", "E2"):
-            items.append((Generator(kind), _json_field(payload, kind, decode, default=0)))
-        return cls(items)
 
     def __str__(self) -> str:
         if not self._items:

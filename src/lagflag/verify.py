@@ -5,7 +5,8 @@ Each suite checks one identity of the paper over every frame up to
 failure, ``detail`` names the first frame, diagram, descriptor or case that
 broke.  A library error raised while a suite builds a frame's schemes fails
 the suite the same way, named by the walk (``marking-tuples``,
-``twist-alignment``) or the frame (``recursions``, ``geometry``) it hit.
+``descriptor-dimensions``, ``twist-alignment``) or the frame
+(``recursions``, ``geometry``) it hit.
 `SUITES` lists the suites by name, in the order ``verify`` runs them.
 
 Library functions are called through their modules (``diagrams.boundary``,
@@ -134,8 +135,8 @@ def _check_walks(max_n: int, top: int, problem) -> tuple[bool, str]:
 
 def _marking_problem(n: int, steps: str, ends: tuple[int, ...], index: int) -> str:
     diagram = diagrams._walked(n, steps, ends)
-    # the padded schemes at both cutoffs the basis uses: GW summands cut
-    # at the last segment, K summands at the index
+    # the padded scheme the basis builds, cut at the index; the cut at the
+    # last segment checks the construction beyond what the basis builds
     schemes = [marking.padded_scheme(diagram, w) for w in (len(ends), index)]
     unpadded = marking.lf_ktheory(diagram)
     # unpadded distance tuples transform correctly under deletions
@@ -161,16 +162,18 @@ def _suite_marking(max_n: int):
     return _check_walks(max_n, 10, _marking_problem)
 
 
+def _dimension_problem(n: int, steps: str, ends: tuple[int, ...], index: int) -> str:
+    diagram = diagrams._walked(n, steps, ends)
+    desc = marking.lf_ktheory(diagram)
+    if flags.relative_dimension(desc) != comb(n + 1, 2) - diagram.weight:
+        return "K-theory scheme dimension is off"
+    if flags.component_count(desc) != 1:
+        return "K-theory scheme is not irreducible"
+    return ""
+
+
 def _suite_descriptor_dimensions(max_n: int):
-    for n in range(1, min(max_n, 8) + 1):
-        ambient = comb(n + 1, 2)
-        for diagram in diagrams.enumerate_diagrams(n):
-            desc = marking.lf_ktheory(diagram)
-            if flags.relative_dimension(desc) != ambient - diagram.weight:
-                return False, f"{diagram.steps}: K-theory scheme dimension is off"
-            if flags.component_count(desc) != 1:
-                return False, f"{diagram.steps}: K-theory scheme is not irreducible"
-    return True, ""
+    return _check_walks(max_n, 8, _dimension_problem)
 
 
 def _gorenstein_descriptors(max_half_rank: int):

@@ -122,7 +122,6 @@ def test_free_abelian_group_laws(a, b, c):
         lambda: PicElement({Generator("Nabla", True): 1}),
         lambda: PicElement({Generator("DetV", -1): 1}),
         lambda: PicElement([(Generator("Delta", 2.0), 1), (Generator("Delta", 2.0), -1)]),
-        lambda: PicElement.from_json({"Delta": {"-1": 1}}),
         lambda: Affine(1.5, 0),
         lambda: Affine(1, True),
     ],
@@ -136,7 +135,6 @@ def test_free_abelian_group_laws(a, b, c):
         "bool-index",
         "negative-index",
         "float-index-summing-to-zero",
-        "json-negative-index",
         "float-affine-coefficient",
         "bool-affine-constant",
     ],

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from lagflag import counting, diagrams, flags, marking, picard, verify
+from lagflag import basis, counting, diagrams, flags, marking, picard, verify
 
 SUITE = dict(verify.SUITES)
 
@@ -106,6 +106,9 @@ CASES = [
      "HHHHHHHH: parity Delta(0), required 0"),
     ("recursions", 10, counting, "gw_atoms", _extra_atom_at_10,
      "frame 10 twist O: counted and enumerated atoms differ at ('GW', 99)"),
+    # verify_geometry calls the binding in basis, which a patch on picard does not reach
+    ("geometry", 8, basis, "scheme_alignment", _misaligned_at_8,
+     "frame 8: O/xi0(HHHHHHHH): twist parity Delta(0), required 0"),
     ("connecting-case-table", 10, picard, "classify_connecting", _wrong_case_at_10,
      "n=10 twist=O: got SplitCaseI"),
 ]
