@@ -21,7 +21,7 @@ from typing import Iterator
 from . import counting
 # boundary is unused here; perfbench/test_harness.py asserts that this module binds it
 from .diagrams import (  # noqa: F401
-    DOWN,
+    RowType,
     ShiftedDiagram,
     _require_frame_size,
     _walked,
@@ -159,15 +159,14 @@ def gw_summands(n: int, twist: Twist) -> Iterator[Summand]:
 def _gw_stream(frame, even_frame: bool, twist: Twist) -> Iterator[Summand]:
     """Build a diagram and its scheme only for the walks that yield a summand."""
     n = frame.n
-    for steps, ends, index in frame.walks():
-        role = _summand_role(
-            even_frame, twist, steps[0] == DOWN, index == len(ends), index % 2 == 0
-        )
+    for steps, ends, cls in frame.walks():
+        full_top = cls.row_type is RowType.FULL_TOP_ROW
+        role = _summand_role(even_frame, twist, full_top, cls.is_almost_even, cls.is_k_even)
         if role is None:
             continue
         diag = _walked(n, steps, ends)
         kind, label = role
-        scheme = padded_scheme(diag, index)
+        scheme = padded_scheme(diag, cls.index_w)
         if kind is Kind.K:
             yield Summand(kind, diag, scheme, label)
             continue

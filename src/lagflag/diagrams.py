@@ -17,8 +17,10 @@ leading vertical segment of length zero is inserted when the walk starts
 with a horizontal step, so that the alternation always starts vertically.
 
 A `Frame` holds no diagram: it builds each one as iteration reaches it, and
-`Frame.walks` yields each walk's steps, segment ends and index without one.
-`_require_frame_size` is the package's one check of a frame size.
+`Frame.walks` yields each walk's steps, segment ends and class
+``(steps, ends, cls)`` without one.  `_walk_class` is the one home of the
+class rule, which `classify` and the walk share, and `_require_frame_size`
+the package's one check of a frame size.
 """
 
 from __future__ import annotations
@@ -126,20 +128,24 @@ class Frame:
         walks = map("".join, product((DOWN, LEFT), repeat=self.n))
         return map(ShiftedDiagram, repeat(self.n), walks)
 
-    def walks(self) -> Iterator[tuple[str, tuple[int, ...], int]]:
-        """``(steps, ends, index)`` of every walk, in frame order, building no diagram.
+    def walks(self) -> Iterator[tuple[str, tuple[int, ...], DiagramClass]]:
+        """``(steps, ends, cls)`` of every walk, in frame order, building no diagram.
 
-        ``ends`` is what a diagram's `ends` holds and ``index`` what `classify`
-        calls ``index_w``.  The walk goes depth first and carries both down
-        each step prefix, so siblings share their prefix's work and the stack
-        holds one path from the root.  Frame 0 has no index.
+        ``ends`` is what a diagram's `ends` holds and ``cls`` what `classify`
+        returns.  The walk goes depth first and carries the ends and the index
+        down each step prefix, so siblings share their prefix's work and the
+        stack holds one path from the root.  Walks with the same first step,
+        index and segment count share one `DiagramClass`, kept only for this
+        call.  Frame 0 has no index.
         """
         n = self.n
         _require_frame_size(n, 1, "classification needs")
         return self._walks([is_index_end(i, n) for i in range(n)])
 
-    def _walks(self, holds: list[bool]) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    def _walks(self, holds: list[bool]) -> Iterator[tuple[str, tuple[int, ...], DiagramClass]]:
         n = self.n
+        # (first step, index, segment count) -> the class those walks share
+        classes: dict[tuple[str, int, int], DiagramClass] = {}
         # (steps, ends of the closed segments, current step, index or 0 while unfound)
         stack = [("", (), DOWN, 0)]
         while stack:
@@ -147,7 +153,12 @@ class Frame:
             i = len(steps)
             if i == n:
                 ends = closed + (n,)
-                yield steps, ends, index or len(ends)
+                index = index or len(ends)
+                key = (steps[0], index, len(ends))
+                cls = classes.get(key)
+                if cls is None:
+                    cls = classes[key] = _walk_class(steps, ends, index)
+                yield steps, ends, cls
                 continue
             for step in (LEFT, DOWN):  # pushed last, V is read first
                 if step == run:
@@ -216,7 +227,8 @@ class DiagramClass:
 
     ``index_w`` is the least segment index ``t`` whose end passes
     `is_index_end`.  A diagram is almost even when the index equals the
-    number of segments, and K-even when the index is even.
+    number of segments, and K-even when the index is even; `_walk_class` is
+    the one place that rule is stated, for `classify` and `Frame.walks`.
     """
 
     index_w: int
@@ -243,19 +255,19 @@ def is_index_end(end: int, n: int) -> bool:
     return end > 0 and end % 2 == n % 2
 
 
+def _walk_class(steps: str, ends: tuple[int, ...], index: int) -> DiagramClass:
+    """The class of a walk with these steps, segment ends and index."""
+    row = RowType.FULL_TOP_ROW if steps[0] == DOWN else RowType.EMPTY_RIGHT_COLUMN
+    return DiagramClass(index, index == len(ends), index % 2 == 0, row)
+
+
 def classify(diagram: ShiftedDiagram) -> DiagramClass:
     """Compute the index and the derived class flags of a diagram (frame >= 1)."""
     n = diagram.n
     _require_frame_size(n, 1, "classification needs")
     ends = boundary(diagram).ends
     index = next(t for t, end in enumerate(ends, 1) if is_index_end(end, n))
-    row = RowType.FULL_TOP_ROW if diagram.steps[0] == DOWN else RowType.EMPTY_RIGHT_COLUMN
-    return DiagramClass(
-        index_w=index,
-        is_almost_even=(index == len(ends)),
-        is_k_even=(index % 2 == 0),
-        row_type=row,
-    )
+    return _walk_class(diagram.steps, ends, index)
 
 
 def delete_top_row(diagram: ShiftedDiagram) -> ShiftedDiagram:
@@ -319,8 +331,7 @@ class ClassSets:
 def class_sets(n: int) -> ClassSets:
     """Enumerate frame ``n`` and split it into the U/A/E families.
 
-    Each walk's index classifies it: almost even when the index is the last
-    segment, K-even when the index is even (see `DiagramClass`).
+    Each walk's class (see `DiagramClass`) puts it in the families.
     """
     frame = enumerate_diagrams(n)
     if n == 0:
@@ -329,11 +340,11 @@ def class_sets(n: int) -> ClassSets:
         diagrams = tuple(frame)
         return ClassSets(0, diagrams, diagrams, diagrams)
     all_diagrams, almost_even, k_even = [], [], []
-    for steps, ends, index in frame.walks():
+    for steps, ends, cls in frame.walks():
         diagram = _walked(n, steps, ends)
         all_diagrams.append(diagram)
-        if index == len(ends):
+        if cls.is_almost_even:
             almost_even.append(diagram)
-        if index % 2 == 0:
+        if cls.is_k_even:
             k_even.append(diagram)
     return ClassSets(n, tuple(all_diagrams), tuple(almost_even), tuple(k_even))

@@ -35,9 +35,15 @@ class FlagDescriptor:
     violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(self.d))
-        object.__setattr__(self, "e", tuple(self.e))
-        object.__setattr__(self, "t", tuple(self.t))
+        try:
+            object.__setattr__(self, "d", tuple(self.d))
+            object.__setattr__(self, "e", tuple(self.e))
+            object.__setattr__(self, "t", tuple(self.t))
+        except TypeError:
+            raise DomainError(
+                "d, e and t must be sequences of integers, "
+                f"got {self.d!r}, {self.e!r}, {self.t!r}"
+            ) from None
         for value in (self.half_rank, *self.d, *self.e, *self.t):
             if type(value) is not int:  # rejects bools too
                 raise DomainError(

@@ -1,4 +1,4 @@
-"""Exponent-vector arithmetic for formal line bundles on flag schemes.
+"""Exponent vectors of formal line bundles on flag schemes.
 
 Line bundles are modeled as elements of the free abelian group on the
 generator symbols
@@ -69,9 +69,6 @@ class Affine:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Affine":
-        return Affine(-self.n_coeff, -self.const)
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -83,16 +80,6 @@ class Affine:
         if o is NotImplemented:
             return o
         return affine(o.n_coeff - self.n_coeff, o.const - self.const)
-
-    def __mul__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return affine(self.n_coeff * other, self.const * other)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, n: int) -> int:
-        return self.n_coeff * n + self.const
 
     def to_json(self) -> list[int]:
         return [self.n_coeff, self.const]
@@ -174,10 +161,10 @@ def _gen_key(gen: Generator) -> tuple[int, int]:
 class PicElement:
     """A formal line bundle as a finitely supported exponent vector.
 
-    Immutable; supports addition, negation, subtraction and integer scaling,
-    which make the elements a free abelian group on the generators.
-    Construction raises `DomainError` for a malformed generator (see
-    `_gen_key`) or an exponent that is neither a plain ``int`` nor `Affine`.
+    Immutable.  Construction adds up the exponents given for one generator
+    and drops the zero ones; it raises `DomainError` for a malformed
+    generator (see `_gen_key`) or an exponent that is neither a plain
+    ``int`` nor `Affine`.
     """
 
     __slots__ = ("_items",)
@@ -224,26 +211,6 @@ class PicElement:
     @property
     def is_zero(self) -> bool:
         return not self._items
-
-    def __add__(self, other: "PicElement") -> "PicElement":
-        if not isinstance(other, PicElement):
-            return NotImplemented
-        return PicElement(list(self._items) + list(other._items))
-
-    def __neg__(self) -> "PicElement":
-        return PicElement([(g, -e) for g, e in self._items])
-
-    def __sub__(self, other: "PicElement") -> "PicElement":
-        if not isinstance(other, PicElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> "PicElement":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return PicElement([(g, e * scalar) for g, e in self._items])
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PicElement) and self._items == other._items
@@ -341,7 +308,11 @@ def canonical_sheaf_in_n(
     involving it, so exactly the constraints among ``d``, ``e`` and ``t``
     themselves are checked; a violation names the descriptor at ``@N``.
     """
-    least = max((0, *d, *(ei + ti for ei, ti in zip(e, t))))
+    try:
+        least = max((0, *d, *(ei + ti for ei, ti in zip(e, t))))
+    except TypeError:
+        FlagDescriptor(0, d, e, t)  # raises its DomainError naming the bad part
+        raise
     probe = FlagDescriptor(least, d, e, t)
     _require_valid(probe, shown=str(probe).rpartition("@")[0] + "@N")
     if not is_gorenstein(probe):
@@ -436,6 +407,9 @@ def classify_connecting(c1: int, c2: int, lam1: int, lam2: int) -> ConnectingCas
     at least 2); ``lam1``, ``lam2`` the divisor-exponent parities (0 or 1) of
     the coefficient bundle.
     """
+    for value in (c1, c2, lam1, lam2):
+        if type(value) is not int:  # rejects bools too
+            raise DomainError(f"codimensions and parities must be integers, got {value!r}")
     if c1 < 2 or c2 < 2:
         raise DomainError(f"blow-up codimensions must be at least 2, got {c1}, {c2}")
     if lam1 not in (0, 1) or lam2 not in (0, 1):

@@ -118,14 +118,14 @@ def _suite_bijections(max_n: int):
 def _check_walks(max_n: int, top: int, problem) -> tuple[bool, str]:
     """Fail at the first walk of frames 1 to ``min(max_n, top)`` with a problem.
 
-    ``problem(n, steps, ends, index)`` returns ``""`` for a walk that passes;
-    a library error it raises is that walk's problem too.  The detail names
-    the walk by its steps.
+    ``problem(diagram, cls)`` gets each walk's diagram and class and returns
+    ``""`` for a walk that passes; a library error it raises is that walk's
+    problem too.  The detail names the walk by its steps.
     """
     for n in range(1, min(max_n, top) + 1):
-        for steps, ends, index in diagrams.enumerate_diagrams(n).walks():
+        for steps, ends, cls in diagrams.enumerate_diagrams(n).walks():
             try:
-                found = problem(n, steps, ends, index)
+                found = problem(diagrams._walked(n, steps, ends), cls)
             except LagflagError as exc:
                 found = str(exc)
             if found:
@@ -133,11 +133,11 @@ def _check_walks(max_n: int, top: int, problem) -> tuple[bool, str]:
     return True, ""
 
 
-def _marking_problem(n: int, steps: str, ends: tuple[int, ...], index: int) -> str:
-    diagram = diagrams._walked(n, steps, ends)
+def _marking_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramClass) -> str:
+    n, steps = diagram.n, diagram.steps
     # the padded scheme the basis builds, cut at the index; the cut at the
     # last segment checks the construction beyond what the basis builds
-    schemes = [marking.padded_scheme(diagram, w) for w in (len(ends), index)]
+    schemes = [marking.padded_scheme(diagram, w) for w in (len(diagram.ends), cls.index_w)]
     unpadded = marking.lf_ktheory(diagram)
     # unpadded distance tuples transform correctly under deletions
     d_all = unpadded.d
@@ -162,10 +162,9 @@ def _suite_marking(max_n: int):
     return _check_walks(max_n, 10, _marking_problem)
 
 
-def _dimension_problem(n: int, steps: str, ends: tuple[int, ...], index: int) -> str:
-    diagram = diagrams._walked(n, steps, ends)
+def _dimension_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramClass) -> str:
     desc = marking.lf_ktheory(diagram)
-    if flags.relative_dimension(desc) != comb(n + 1, 2) - diagram.weight:
+    if flags.relative_dimension(desc) != comb(diagram.n + 1, 2) - diagram.weight:
         return "K-theory scheme dimension is off"
     if flags.component_count(desc) != 1:
         return "K-theory scheme is not irreducible"
@@ -218,12 +217,11 @@ def _suite_canonical_goldens(max_n: int):
     return True, ""
 
 
-def _alignment_problem(n: int, steps: str, ends: tuple[int, ...], index: int) -> str:
-    if index != len(ends):
+def _alignment_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramClass) -> str:
+    if not cls.is_almost_even:
         return ""
     # an almost even diagram's GW summand cuts at the last segment
-    diagram = diagrams._walked(n, steps, ends)
-    result = picard.scheme_alignment(diagram, marking.padded_scheme(diagram, index))
+    result = picard.scheme_alignment(diagram, marking.padded_scheme(diagram, cls.index_w))
     return "" if result.ok else f"parity {result.parity}, required {result.required}"
 
 

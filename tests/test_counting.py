@@ -1,10 +1,20 @@
 """The counting engine against enumeration and against the closed form."""
 
 from collections import Counter
+from itertools import accumulate, groupby
 
 import pytest
 
-from lagflag import DomainError, Kind, Twist, atom_multiset, gw_basis, verify_recursions, witt_table
+from lagflag import (
+    DomainError,
+    Kind,
+    Twist,
+    atom_multiset,
+    enumerate_diagrams,
+    gw_basis,
+    verify_recursions,
+    witt_table,
+)
 from lagflag.counting import class_weights, gw_atoms
 from lagflag.verify import _genfunc_coefficients
 
@@ -22,6 +32,30 @@ def test_counting_matches_enumeration(n, twist):
     assert gw_atoms(n, twist) == atom_multiset(decomp)
     table = witt_table(n, twist)
     assert (table.degrees, table.k_count) == _witt_by_enumeration(decomp)
+
+
+def _scanned_class(steps: str) -> tuple[str, bool, bool]:
+    """(first step, almost even, K-even) of a walk, from its run ends.
+
+    The index is the first run, after an empty one when the walk opens with
+    H, that ends at a nonzero position of the frame size's parity.
+    """
+    n = len(steps)
+    runs = ([0] if steps[0] == "H" else []) + [len(list(run)) for _, run in groupby(steps)]
+    ends = list(accumulate(runs))
+    index = next(t for t, end in enumerate(ends, 1) if end and end % 2 == n % 2)
+    return steps[0], index == len(ends), index % 2 == 0
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_class_weights_match_each_enumerated_class(n):
+    # the class (first, False, False) yields no atom under either twist, so
+    # only a per-class table sees it
+    expected: dict = {}
+    for d in enumerate_diagrams(n):
+        histogram = expected.setdefault(_scanned_class(d.steps), [0] * (n * (n + 1) // 2 + 1))
+        histogram[d.weight] += 1
+    assert class_weights(n) == expected
 
 
 def test_class_tables_sum_to_generating_function():

@@ -61,6 +61,14 @@ def oracle_index(n: int, lengths: list[int]) -> int:
     raise AssertionError("index scan must terminate")
 
 
+def oracle_class(n: int, steps: str) -> tuple[int, bool, bool, RowType]:
+    """Index, almost even, K-even and row type of a walk, by the scan oracle."""
+    lengths = [length for _, length in oracle_runs(steps)]
+    index = oracle_index(n, lengths)
+    row = RowType.FULL_TOP_ROW if steps[0] == "V" else RowType.EMPTY_RIGHT_COLUMN
+    return index, index == len(lengths), index % 2 == 0, row
+
+
 def oracle_steps(n: int, parts) -> str:
     """The walk whose step i (0-based) goes down exactly when row n - i is a part."""
     return "".join("V" if n - i in parts else "H" for i in range(n))
@@ -285,9 +293,14 @@ def test_classify_rejects_empty_frame():
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_walks_match_boundary_and_classify(n):
+    # classify shares the walk's class rule, so the scan oracle checks the class
     frame = enumerate_diagrams(n)
-    expected = [(d.steps, boundary(d).ends, classify(d).index_w) for d in frame]
-    assert list(frame.walks()) == expected
+    walks = list(frame.walks())
+    assert [steps for steps, _, _ in walks] == [d.steps for d in frame]
+    for steps, ends, cls in walks:
+        assert ends == ShiftedDiagram(n, steps).ends
+        read = (cls.index_w, cls.is_almost_even, cls.is_k_even, cls.row_type)
+        assert read == oracle_class(n, steps)
 
 
 def test_walks_reject_empty_frame():
@@ -369,16 +382,17 @@ def test_class_sets_n3():
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_class_sets_split_the_frame_as_classify_does(n):
-    # class_sets reads each walk's index; classify is the independent split
+    # class_sets reads each walk's class, which classify shares; the scan
+    # oracle is the independent split
     sets = class_sets(n)
     frame = list(enumerate_diagrams(n))
     assert sets.all_diagrams == tuple(frame)
     if n == 0:  # the empty frame lies in every family
         assert sets.almost_even == sets.k_even == tuple(frame)
         return
-    classes = [classify(d) for d in frame]
-    assert sets.almost_even == tuple(d for d, c in zip(frame, classes) if c.is_almost_even)
-    assert sets.k_even == tuple(d for d, c in zip(frame, classes) if c.is_k_even)
+    classes = [oracle_class(n, d.steps) for d in frame]
+    assert sets.almost_even == tuple(d for d, c in zip(frame, classes) if c[1])
+    assert sets.k_even == tuple(d for d, c in zip(frame, classes) if c[2])
 
 
 def test_class_sets_n0_convention():

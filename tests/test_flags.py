@@ -81,6 +81,12 @@ def test_non_integer_values_are_construction_errors():
         FlagDescriptor(True, (0,), (), ())
 
 
+@pytest.mark.parametrize("d,e,t", [(1, (), ()), ((1,), None, ()), ((1, 2), (0,), 1)])
+def test_parts_that_are_not_sequences_are_construction_errors(d, e, t):
+    with pytest.raises(DomainError, match="d, e and t must be sequences of integers"):
+        FlagDescriptor(3, d, e, t)
+
+
 def test_regular_and_gorenstein_examples():
     b2 = FlagDescriptor(2, (0, 1), (0,), (1,))
     assert is_regular(b2) and is_gorenstein(b2)

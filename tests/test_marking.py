@@ -61,6 +61,13 @@ def segment_spans(steps: str) -> list[tuple[str, int, int]]:
     return spans
 
 
+def oracle_index(steps: str) -> int:
+    """The first segment ending at a nonzero position of the frame size's parity."""
+    parity = len(steps) % 2
+    spans = enumerate(segment_spans(steps), start=1)
+    return next(s for s, (_, _, end) in spans if end and end % 2 == parity)
+
+
 def oracle_distance(steps: str, segment: int, offset: int) -> int:
     return segment_spans(steps)[segment - 1][1] + offset
 
@@ -390,12 +397,13 @@ def test_constructions_match_the_selection_views(n):
 def test_constructions_given_the_ends_match_those_that_read_them(n):
     # a diagram built from a walk keeps the ends the walk read; it must be the
     # diagram that reads its own, in value and in every construction
-    for steps, ends, index in enumerate_diagrams(n).walks():
+    for steps, ends, cls in enumerate_diagrams(n).walks():
         walked, read = diagrams._walked(n, steps, ends), ShiftedDiagram(n, steps)
         assert walked == read and hash(walked) == hash(read)
         assert walked.ends == read.ends
+        assert cls.index_w == oracle_index(steps)
         assert lf_ktheory(walked) == lf_ktheory(read)
-        for w in (0, index, len(ends)):
+        for w in (0, cls.index_w, len(ends)):
             assert padded_scheme(walked, w) == padded_scheme(read, w)
             for build in (lf_a, lf_b):
                 assert outcome(lambda: build(walked, w)) == outcome(lambda: build(read, w))

@@ -60,8 +60,11 @@ def _off_by_one_when_raised_at_half_rank_6(real):
 
 
 def _wrong_third_golden(real):
-    extra = picard.PicElement({picard.E1: 1})
-    return lambda d, e, t: real(d, e, t) + extra if d == (0, 2) else real(d, e, t)
+    def canonical_sheaf_in_n(d, e, t):
+        items = real(d, e, t).items()
+        return picard.PicElement([*items, (picard.E1, 1)] if d == (0, 2) else items)
+
+    return canonical_sheaf_in_n
 
 
 def _misaligned_at_8(real):
