@@ -319,7 +319,7 @@ class ClassSets:
         for a left step.  Two letters constrain the first two steps; the
         frame must be at least as large as the number of letters.
         """
-        if any(ch not in _LETTER_STEP for ch in letters):
+        if not isinstance(letters, str) or any(ch not in _LETTER_STEP for ch in letters):
             raise DomainError(f"refinement letters must be 'r' or 'c', got {letters!r}")
         if len(letters) > 2:
             raise DomainError("at most two refinement letters are supported")

@@ -271,11 +271,10 @@ def named_scheme(name: str, n: int) -> FlagDescriptor:
     elif name == "F2":
         desc = FlagDescriptor(n, (1, 1), (0,), (1,))
     elif name.startswith("LF_"):
-        try:
-            i = int(name[3:])
-        except ValueError:
-            raise DomainError(f"unknown scheme name {name!r}") from None
-        desc = FlagDescriptor(n, (i,), (), ())
+        index = name[3:]
+        if not (index.isascii() and index.isdigit()):
+            raise DomainError(f"unknown scheme name {name!r}")
+        desc = FlagDescriptor(n, (int(index),), (), ())
     else:
         raise DomainError(f"unknown scheme name {name!r}; expected B2, E2, F2 or LF_<i>")
     return _require_valid(desc)

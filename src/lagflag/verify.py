@@ -1,13 +1,13 @@
 """The exact verification suites that ``lagflag verify`` runs.
 
-Each suite checks one identity of the paper over every frame up to
-``max_n``, capped at a size of its own, and returns ``(ok, detail)``: on
-failure, ``detail`` names the first frame, diagram, descriptor or case that
-broke.  A library error raised while a suite builds a frame's schemes fails
-the suite the same way, named by the walk (``marking-tuples``,
-``descriptor-dimensions``, ``twist-alignment``) or the frame
-(``recursions``, ``geometry``) it hit.
-`SUITES` lists the suites by name, in the order ``verify`` runs them.
+Each suite checks one identity of the paper and returns ``(ok, detail)``:
+on failure, ``detail`` names the first frame, diagram, descriptor or case
+that broke.  `SUITES` lists the suites by name, in the order ``verify`` runs
+them, and is the one place that states each suite's range of frames: every
+suite but ``canonical-goldens`` is a per-frame check run by `_frames`.  A
+library error raised at a frame fails the suite, named by the walk it hit
+(``marking-tuples``, ``descriptor-dimensions``, ``twist-alignment``) or by
+the frame.
 
 Library functions are called through their modules (``diagrams.boundary``,
 not a ``from`` import), so a wrapper or test double installed on a module is
@@ -24,6 +24,27 @@ from . import basis, counting, diagrams, flags, marking, picard
 from .errors import LagflagError
 
 
+def _frames(first: int, last: int, check, step: int = 1):
+    """The suite that runs ``check(n)`` on frames ``first`` to ``min(max_n, last)``.
+
+    ``check`` returns ``""`` for a frame that passes, else the suite's
+    detail; a library error it raises at frame ``n`` becomes the detail
+    ``frame <n>: <message>``.
+    """
+
+    def suite(max_n: int) -> tuple[bool, str]:
+        for n in range(first, min(max_n, last) + 1, step):
+            try:
+                detail = check(n)
+            except LagflagError as exc:
+                detail = f"frame {n}: {exc}"
+            if detail:
+                return False, detail
+        return True, ""
+
+    return suite
+
+
 def _genfunc_coefficients(n: int) -> list[int]:
     """Coefficients of the weight generating function prod_{i=1..n} (1 + q**i)."""
     poly = [1]
@@ -32,51 +53,47 @@ def _genfunc_coefficients(n: int) -> list[int]:
     return poly
 
 
-def _suite_counting(max_n: int):
-    for n in range(0, min(max_n, 16) + 1):
-        # count what iteration yields: the frame's own length is declared, not counted
-        steps, counts = set(), Counter()
-        for d in diagrams.enumerate_diagrams(n):
-            steps.add(d.steps)
-            counts[d.weight] += 1
-        total = counts.total()
-        if total != 2**n:
-            return False, f"frame {n}: {total} diagrams, expected {2 ** n}"
-        if len(steps) != total:
-            return False, f"frame {n}: duplicate diagrams"
-        expected = _genfunc_coefficients(n)
-        actual = [counts.get(w, 0) for w in range(len(expected))]
-        if actual != expected:
-            return False, f"frame {n}: weight generating function mismatch"
-    return True, ""
+def _counting(n: int) -> str:
+    # count what iteration yields: the frame's own length is declared, not counted
+    steps, counts = set(), Counter()
+    for d in diagrams.enumerate_diagrams(n):
+        steps.add(d.steps)
+        counts[d.weight] += 1
+    total = counts.total()
+    if total != 2**n:
+        return f"frame {n}: {total} diagrams, expected {2 ** n}"
+    if len(steps) != total:
+        return f"frame {n}: duplicate diagrams"
+    expected = _genfunc_coefficients(n)
+    if [counts.get(w, 0) for w in range(len(expected))] != expected:
+        return f"frame {n}: weight generating function mismatch"
+    return ""
 
 
-def _suite_boundary(max_n: int):
-    for n in range(0, min(max_n, 12) + 1):
-        for d in diagrams.enumerate_diagrams(n):
-            b = diagrams.boundary(d)
-            # oracle: the ends of the walk's runs, after an empty run if it starts with H
-            expected = list(accumulate(len(list(run)) for _, run in groupby(d.steps)))
-            if d.steps.startswith(diagrams.LEFT):
-                expected.insert(0, 0)
-            if list(b.ends) != expected:
-                return False, f"{d.steps}: segment ends {list(b.ends)}, expected {expected}"
-            # round trip: concatenating the runs recovers the walk
-            if "".join(step * ln for step, ln in b.segments) != d.steps:
-                return False, f"{d.steps}: boundary does not reconcatenate"
-    return True, ""
+def _boundary(n: int) -> str:
+    for d in diagrams.enumerate_diagrams(n):
+        b = diagrams.boundary(d)
+        # oracle: the ends of the walk's runs, after an empty run if it starts with H
+        expected = list(accumulate(len(list(run)) for _, run in groupby(d.steps)))
+        if d.steps.startswith(diagrams.LEFT):
+            expected.insert(0, 0)
+        if list(b.ends) != expected:
+            return f"{d.steps}: segment ends {list(b.ends)}, expected {expected}"
+        # round trip: concatenating the runs recovers the walk
+        if "".join(step * ln for step, ln in b.segments) != d.steps:
+            return f"{d.steps}: boundary does not reconcatenate"
+    return ""
 
 
-def _suite_class_partitions(max_n: int):
-    for n in range(3, min(max_n, 11) + 1, 2):
-        sets = diagrams.class_sets(n)
-        a = set(sets.refine("A"))
-        if a != set(sets.refine("A", "rr")) | set(sets.refine("A", "cc")):
-            return False, f"frame {n}: A is not A^rr + A^cc"
-        e = set(sets.refine("E"))
-        if e != set().union(*(sets.refine("E", letters) for letters in ("rr", "cr", "cc"))):
-            return False, f"frame {n}: E is not E^rr + E^cr + E^cc"
-    return True, ""
+def _class_partitions(n: int) -> str:
+    sets = diagrams.class_sets(n)
+    a = set(sets.refine("A"))
+    if a != set(sets.refine("A", "rr")) | set(sets.refine("A", "cc")):
+        return f"frame {n}: A is not A^rr + A^cc"
+    e = set(sets.refine("E"))
+    if e != set().union(*(sets.refine("E", letters) for letters in ("rr", "cr", "cc"))):
+        return f"frame {n}: E is not E^rr + E^cr + E^cc"
+    return ""
 
 
 def _check_bijection(source, target, op):
@@ -84,53 +101,55 @@ def _check_bijection(source, target, op):
     return len(set(image)) == len(image) and set(image) == set(target)
 
 
-def _suite_bijections(max_n: int):
+def _bijections(n: int) -> str:
     top = diagrams.delete_top_row
     col = diagrams.delete_right_column
-    frames = [diagrams.class_sets(n) for n in range(0, min(max_n, 12) + 1)]
-    for n in range(1, min(max_n, 12) + 1):
-        sets, prev = frames[n], frames[n - 1]
-        if not _check_bijection(sets.refine("U", "r"), prev.all_diagrams, top):
-            return False, f"frame {n}: row deletion is not a bijection onto frame {n - 1}"
-        if not _check_bijection(sets.refine("U", "c"), prev.all_diagrams, col):
-            return False, f"frame {n}: column deletion is not a bijection"
-        for d in sets.refine("U", "r"):
-            if d.weight != top(d).weight + n:
-                return False, f"{d.steps}: weight does not drop by {n} under row deletion"
-        for d in sets.refine("U", "c"):
-            if d.weight != col(d).weight:
-                return False, f"{d.steps}: weight changes under column deletion"
-    for n in range(3, min(max_n, 11) + 1, 2):
-        sets, prev2 = frames[n], frames[n - 2]
-        pairs = [
-            ("E", "rr", prev2.refine("E"), lambda d: top(top(d))),
-            ("E", "cr", prev2.all_diagrams, lambda d: top(col(d))),
-            ("E", "cc", prev2.refine("E"), lambda d: col(col(d))),
-            ("A", "rr", prev2.refine("A"), lambda d: top(top(d))),
-            ("A", "cc", prev2.refine("A"), lambda d: col(col(d))),
-        ]
-        for family, letters, target, op in pairs:
-            if not _check_bijection(sets.refine(family, letters), target, op):
-                return False, f"frame {n}: {family}^{letters} deletion is not a bijection"
-    return True, ""
+    sets, prev = diagrams.class_sets(n), diagrams.class_sets(n - 1)
+    if not _check_bijection(sets.refine("U", "r"), prev.all_diagrams, top):
+        return f"frame {n}: row deletion is not a bijection onto frame {n - 1}"
+    if not _check_bijection(sets.refine("U", "c"), prev.all_diagrams, col):
+        return f"frame {n}: column deletion is not a bijection"
+    for d in sets.refine("U", "r"):
+        if d.weight != top(d).weight + n:
+            return f"{d.steps}: weight does not drop by {n} under row deletion"
+    for d in sets.refine("U", "c"):
+        if d.weight != col(d).weight:
+            return f"{d.steps}: weight changes under column deletion"
+    if n < 3 or n % 2 == 0:  # the two-step deletions act on the odd frames from 3
+        return ""
+    prev2 = diagrams.class_sets(n - 2)
+    pairs = [
+        ("E", "rr", prev2.refine("E"), lambda d: top(top(d))),
+        ("E", "cr", prev2.all_diagrams, lambda d: top(col(d))),
+        ("E", "cc", prev2.refine("E"), lambda d: col(col(d))),
+        ("A", "rr", prev2.refine("A"), lambda d: top(top(d))),
+        ("A", "cc", prev2.refine("A"), lambda d: col(col(d))),
+    ]
+    for family, letters, target, op in pairs:
+        if not _check_bijection(sets.refine(family, letters), target, op):
+            return f"frame {n}: {family}^{letters} deletion is not a bijection"
+    return ""
 
 
-def _check_walks(max_n: int, top: int, problem) -> tuple[bool, str]:
-    """Fail at the first walk of frames 1 to ``min(max_n, top)`` with a problem.
+def _each_walk(problem):
+    """The per-frame check that fails at the first walk of the frame with a problem.
 
     ``problem(diagram, cls)`` gets each walk's diagram and class and returns
     ``""`` for a walk that passes; a library error it raises is that walk's
     problem too.  The detail names the walk by its steps.
     """
-    for n in range(1, min(max_n, top) + 1):
+
+    def check(n: int) -> str:
         for steps, ends, cls in diagrams.enumerate_diagrams(n).walks():
             try:
                 found = problem(diagrams._walked(n, steps, ends), cls)
             except LagflagError as exc:
                 found = str(exc)
             if found:
-                return False, f"{steps}: {found}"
-    return True, ""
+                return f"{steps}: {found}"
+        return ""
+
+    return check
 
 
 def _marking_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramClass) -> str:
@@ -158,10 +177,6 @@ def _marking_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramClas
     return ""
 
 
-def _suite_marking(max_n: int):
-    return _check_walks(max_n, 10, _marking_problem)
-
-
 def _dimension_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramClass) -> str:
     desc = marking.lf_ktheory(diagram)
     if flags.relative_dimension(desc) != comb(diagram.n + 1, 2) - diagram.weight:
@@ -171,32 +186,27 @@ def _dimension_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramCl
     return ""
 
 
-def _suite_descriptor_dimensions(max_n: int):
-    return _check_walks(max_n, 8, _dimension_problem)
+def _gorenstein_descriptors(n: int):
+    """Valid half-rank-n descriptors with k <= 2, t in {1,2}, d - e in {0,1}, in a fixed order."""
+    for k in range(0, 3):
+        for d in combinations_with_replacement(range(n + 1), k + 1):
+            for t in product((1, 2), repeat=k):
+                for gaps in product((0, 1), repeat=k):
+                    e = tuple(d[i] - gaps[i] for i in range(k))
+                    desc = flags.FlagDescriptor(n, d, e, t)
+                    if flags.is_valid(desc):
+                        yield desc
 
 
-def _gorenstein_descriptors(max_half_rank: int):
-    """Valid descriptors with k <= 2, t in {1,2} and d - e in {0,1}, in a fixed order."""
-    for n in range(1, max_half_rank + 1):
-        for k in range(0, 3):
-            for d in combinations_with_replacement(range(n + 1), k + 1):
-                for t in product((1, 2), repeat=k):
-                    for gaps in product((0, 1), repeat=k):
-                        e = tuple(d[i] - gaps[i] for i in range(k))
-                        desc = flags.FlagDescriptor(n, d, e, t)
-                        if flags.is_valid(desc):
-                            yield desc
-
-
-def _suite_dimension_e_independence(max_n: int):
-    for desc in _gorenstein_descriptors(min(max_n, 6)):
+def _dimension_e_independence(n: int) -> str:
+    for desc in _gorenstein_descriptors(n):
         if desc.k >= 1 and desc.d[0] - desc.e[0] == 1:
-            raised = flags.FlagDescriptor(desc.half_rank, desc.d, (desc.d[0],) + desc.e[1:], desc.t)
+            raised = flags.FlagDescriptor(n, desc.d, (desc.d[0],) + desc.e[1:], desc.t)
             if not flags.is_valid(raised):
                 continue
             if flags.relative_dimension(desc) != flags.relative_dimension(raised):
-                return False, f"{desc}: dimension changed when raising e_0"
-    return True, ""
+                return f"{desc}: dimension changed when raising e_0"
+    return ""
 
 
 def _suite_canonical_goldens(max_n: int):
@@ -225,69 +235,51 @@ def _alignment_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramCl
     return "" if result.ok else f"parity {result.parity}, required {result.required}"
 
 
-def _suite_alignment(max_n: int):
-    return _check_walks(max_n, 8, _alignment_problem)
+def _recursions(n: int) -> str:
+    for twist in picard.Twist:
+        counted = counting.gw_atoms(n, twist)
+        enumerated = basis.atom_multiset(basis.gw_basis(n, twist))
+        if counted != enumerated:
+            atom = basis.first_mismatch(counted, enumerated)
+            return f"frame {n} twist {twist.value}: counted and enumerated atoms differ at {atom}"
+    report = basis.verify_recursions(n)
+    if not report.passed:
+        bad = next(c for c in report.cases if not c.passed)
+        return f"frame {n} case ({bad.label}) mismatch at {bad.first_mismatch}"
+    return ""
 
 
-def _suite_recursions(max_n: int):
-    for n in range(2, min(max_n, 10) + 1):
-        for twist in picard.Twist:
-            counted = counting.gw_atoms(n, twist)
-            try:  # the enumeration builds every summand's scheme
-                enumerated = basis.atom_multiset(basis.gw_basis(n, twist))
-            except LagflagError as exc:
-                return False, f"frame {n}: {exc}"
-            if counted != enumerated:
-                atom = basis.first_mismatch(counted, enumerated)
-                return False, (
-                    f"frame {n} twist {twist.value}: counted and enumerated atoms "
-                    f"differ at {atom}"
-                )
-        report = basis.verify_recursions(n)
-        if not report.passed:
-            bad = next(c for c in report.cases if not c.passed)
-            return False, f"frame {n} case ({bad.label}) mismatch at {bad.first_mismatch}"
-    return True, ""
+def _geometry(n: int) -> str:
+    report = basis.verify_geometry(n)
+    return "" if report.passed else f"frame {n}: {report.failures[0]}"
 
 
-def _suite_geometry(max_n: int):
-    for n in range(1, min(max_n, 8) + 1):
-        try:
-            report = basis.verify_geometry(n)
-        except LagflagError as exc:
-            return False, f"frame {n}: {exc}"
-        if not report.passed:
-            return False, f"frame {n}: {report.failures[0]}"
-    return True, ""
-
-
-def _suite_connecting(max_n: int):
+def _connecting(n: int) -> str:
     expected = {
         (0, picard.Twist.DELTA): picard.ConnectingCase.SPLIT_CASE_I,
         (0, picard.Twist.TRIVIAL): picard.ConnectingCase.NEEDS_PADDING,
         (1, picard.Twist.TRIVIAL): picard.ConnectingCase.ETA_CASE_II,
         (1, picard.Twist.DELTA): picard.ConnectingCase.ETA_CASE_III,
     }
-    for n in range(2, min(max_n, 10) + 1):
-        for twist in (picard.Twist.TRIVIAL, picard.Twist.DELTA):
-            lam1, lam2 = picard.lambda_pair(twist)
-            case = picard.classify_connecting(n, 2, lam1, lam2)
-            if case is not expected[(n % 2, twist)]:
-                return False, f"n={n} twist={twist.value}: got {case.value}"
-    return True, ""
+    for twist in (picard.Twist.TRIVIAL, picard.Twist.DELTA):
+        lam1, lam2 = picard.lambda_pair(twist)
+        case = picard.classify_connecting(n, 2, lam1, lam2)
+        if case is not expected[(n % 2, twist)]:
+            return f"n={n} twist={twist.value}: got {case.value}"
+    return ""
 
 
 SUITES = (
-    ("counting", _suite_counting),
-    ("boundary-structure", _suite_boundary),
-    ("class-partitions", _suite_class_partitions),
-    ("deletion-bijections", _suite_bijections),
-    ("marking-tuples", _suite_marking),
-    ("descriptor-dimensions", _suite_descriptor_dimensions),
-    ("dimension-e-independence", _suite_dimension_e_independence),
+    ("counting", _frames(0, 16, _counting)),
+    ("boundary-structure", _frames(0, 12, _boundary)),
+    ("class-partitions", _frames(3, 11, _class_partitions, 2)),
+    ("deletion-bijections", _frames(1, 12, _bijections)),
+    ("marking-tuples", _frames(1, 10, _each_walk(_marking_problem))),
+    ("descriptor-dimensions", _frames(1, 8, _each_walk(_dimension_problem))),
+    ("dimension-e-independence", _frames(1, 6, _dimension_e_independence)),
     ("canonical-goldens", _suite_canonical_goldens),
-    ("twist-alignment", _suite_alignment),
-    ("recursions", _suite_recursions),
-    ("geometry", _suite_geometry),
-    ("connecting-case-table", _suite_connecting),
+    ("twist-alignment", _frames(1, 8, _each_walk(_alignment_problem))),
+    ("recursions", _frames(2, 10, _recursions)),
+    ("geometry", _frames(1, 8, _geometry)),
+    ("connecting-case-table", _frames(2, 10, _connecting)),
 )

@@ -419,6 +419,9 @@ def test_refine_rejects_bad_input():
         sets.refine("X")
     with pytest.raises(DomainError):
         sets.refine("A", "q")
+    for letters in (5, None, ["r"]):  # letters that are not a string
+        with pytest.raises(DomainError, match="refinement letters must be 'r' or 'c'"):
+            sets.refine("A", letters)
 
 
 def test_diagram_json():

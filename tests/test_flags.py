@@ -130,7 +130,8 @@ def test_component_count_examples():
 def test_dimension_is_independent_of_e():
     assert dict(SUITES)["dimension-e-independence"](6) == (True, "")
     # the suite skips raised descriptors that are invalid; make sure it compares many
-    lowered = [d for d in _gorenstein_descriptors(6) if d.k >= 1 and d.d[0] - d.e[0] == 1]
+    descs = [d for n in range(1, 7) for d in _gorenstein_descriptors(n)]
+    lowered = [d for d in descs if d.k >= 1 and d.d[0] - d.e[0] == 1]
     raised = [FlagDescriptor(d.half_rank, d.d, (d.d[0],) + d.e[1:], d.t) for d in lowered]
     assert sum(map(is_valid, raised)) > 100
 
@@ -172,7 +173,7 @@ def test_scheme_report_validates_once(monkeypatch):
 
 
 def test_scheme_report_agrees_with_the_checked_forms():
-    descs = list(_gorenstein_descriptors(4))
+    descs = [d for n in range(1, 5) for d in _gorenstein_descriptors(n)]
     # lowering e by one leaves many of them valid but not Gorenstein
     descs += [
         FlagDescriptor(d.half_rank, d.d, tuple(x - 1 for x in d.e), d.t) for d in descs
@@ -224,9 +225,10 @@ def test_each_closed_form_reading_checks_gorenstein_once(monkeypatch):
 
 
 def test_regular_implies_gorenstein():
-    for desc in _gorenstein_descriptors(5):
-        if is_regular(desc):
-            assert is_gorenstein(desc)
+    for n in range(1, 6):
+        for desc in _gorenstein_descriptors(n):
+            if is_regular(desc):
+                assert is_gorenstein(desc)
 
 
 def test_named_schemes():
@@ -244,6 +246,10 @@ def test_named_schemes():
 
     with pytest.raises(DomainError):
         named_scheme("Z9", 3)
+    # only ASCII digits follow LF_, though int() would read each of these
+    for name in ("LF_", "LF_1_0", "LF_ 1", "LF_+1", "LF_\u0661", "LF_1 "):
+        with pytest.raises(DomainError, match="unknown scheme name"):
+            named_scheme(name, 12)
     with pytest.raises(DescriptorError):
         named_scheme("LF_7", 3)
 

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from lagflag import basis, counting, diagrams, flags, marking, picard, verify
+from lagflag.errors import DomainError
 
 SUITE = dict(verify.SUITES)
 
@@ -127,6 +128,34 @@ def test_suite_fails_at_the_top_of_its_range(
     ok, got = SUITE[suite](max_n)
     assert not ok
     assert got.startswith(detail)
+
+
+# (suite, top frame, module, function, the frame a call of the function is at)
+FRAME_ERRORS = [
+    ("counting", 16, diagrams, "enumerate_diagrams", lambda n: n),
+    ("boundary-structure", 12, diagrams, "boundary", lambda d: d.n),
+    ("class-partitions", 11, diagrams, "class_sets", lambda n: n),
+    ("deletion-bijections", 12, diagrams, "delete_top_row", lambda d: d.n),
+    ("dimension-e-independence", 6, flags, "relative_dimension", lambda desc: desc.half_rank),
+    ("recursions", 10, counting, "gw_atoms", lambda n, twist: n),
+    ("geometry", 8, basis, "verify_geometry", lambda n: n),
+    ("connecting-case-table", 10, picard, "classify_connecting", lambda n, c2, lam1, lam2: n),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,top,module,name,frame_of", FRAME_ERRORS, ids=[case[0] for case in FRAME_ERRORS]
+)
+def test_suite_names_the_frame_of_a_library_error(monkeypatch, suite, top, module, name, frame_of):
+    real = getattr(module, name)
+
+    def broken(*args):
+        if frame_of(*args) == top:
+            raise DomainError("broken here")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, broken)
+    assert SUITE[suite](top) == (False, f"frame {top}: broken here")
 
 
 def test_marking_tuples_checks_the_padded_schemes(monkeypatch):
