@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -48,6 +47,7 @@ def _bound(default: int) -> int:
 
 
 def _emit_json(payload, out) -> None:
+    import json  # here, not at the top: basis and enumerate write their JSON by hand
     print(json.dumps(payload, indent=2), file=out)
 
 

@@ -6,7 +6,8 @@ Lagrangian subbundles of a rank ``2*half_rank`` symplectic bundle, where the
 and consecutive Lagrangians share an intermediate stratum of corank ``t_i``
 containing ``V_{e_i}``.  None of that geometry is materialized here: this
 module evaluates the descriptor-level criteria (regularity, the Gorenstein
-bound, relative dimension, component count).
+bound, relative dimension, component count).  `_closed_forms` is the one
+home of the last two, and each reading calls it behind one Gorenstein check.
 """
 
 from __future__ import annotations
@@ -175,7 +176,10 @@ def is_regular(desc: FlagDescriptor) -> bool:
 def is_gorenstein(desc: FlagDescriptor) -> bool:
     """True when ``0 <= d_i - e_i <= 1`` for all ``i < k``."""
     _require_valid(desc)
-    return all(0 <= di - ei <= 1 for di, ei in zip(desc.d, desc.e))
+    for di, ei in zip(desc.d, desc.e):
+        if not 0 <= di - ei <= 1:
+            return False
+    return True
 
 
 def relative_dimension(desc: FlagDescriptor) -> int:
@@ -183,40 +187,37 @@ def relative_dimension(desc: FlagDescriptor) -> int:
 
     Equals ``C(half_rank - d_k + 1, 2)`` plus, for each intermediate stratum,
     ``(half_rank - t_i - d_i) * t_i + C(t_i + 1, 2)``.  Note the formula does
-    not involve ``e``.
+    not involve ``e``.  `_closed_forms` evaluates it.
     """
-    if not is_gorenstein(desc):  # raises DescriptorError on an invalid descriptor
-        raise UnsupportedError(
-            f"relative dimension is only asserted for Gorenstein descriptors "
-            f"(d_i - e_i <= 1); got {desc}"
-        )
-    return _dimension(desc)
+    return dimension_and_components(desc)[0]
 
 
 def component_count(desc: FlagDescriptor) -> int:
     """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
     if not is_gorenstein(desc):
         raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
-    return _components(desc)
+    return _closed_forms(desc)[1]
 
 
 def dimension_and_components(desc: FlagDescriptor) -> tuple[int, int]:
     """`relative_dimension` and `component_count`, behind one Gorenstein check."""
-    return relative_dimension(desc), _components(desc)
+    if not is_gorenstein(desc):  # raises DescriptorError on an invalid descriptor
+        raise UnsupportedError(
+            f"relative dimension is only asserted for Gorenstein descriptors "
+            f"(d_i - e_i <= 1); got {desc}"
+        )
+    return _closed_forms(desc)
 
 
-def _dimension(desc: FlagDescriptor) -> int:
-    """The formula of `relative_dimension`, on a descriptor known to be Gorenstein."""
+def _closed_forms(desc: FlagDescriptor) -> tuple[int, int]:
+    """Both closed forms of a descriptor known to be Gorenstein, in one loop over it."""
     n = desc.half_rank
-    total = comb(n - desc.d[-1] + 1, 2)
-    for di, ti in zip(desc.d, desc.t):
-        total += (n - ti - di) * ti + comb(ti + 1, 2)
-    return total
-
-
-def _components(desc: FlagDescriptor) -> int:
-    """The formula of `component_count`, on a descriptor known to be Gorenstein."""
-    return 2 ** sum(1 for di, ei in zip(desc.d, desc.e) if di - ei == 1)
+    dimension = comb(n - desc.d[-1] + 1, 2)
+    s = 0
+    for di, ei, ti in zip(desc.d, desc.e, desc.t):
+        dimension += (n - ti - di) * ti + ti * (ti + 1) // 2
+        s += di - ei  # 0 or 1 in the Gorenstein regime
+    return dimension, 2**s
 
 
 @dataclass(frozen=True)
@@ -246,11 +247,12 @@ class SchemeReport:
 def scheme_report(desc: FlagDescriptor) -> SchemeReport:
     """Every predicate and closed form of the descriptor, checked once."""
     gor = is_gorenstein(desc)
+    dimension, components = _closed_forms(desc) if gor else (None, None)
     return SchemeReport(
         regular=is_regular(desc),
         gorenstein=gor,
-        relative_dimension=_dimension(desc) if gor else None,
-        component_count=_components(desc) if gor else None,
+        relative_dimension=dimension,
+        component_count=components,
         # The structure-map pushforward of the structure sheaf is the base's
         # structure sheaf in the Gorenstein regime with every t_i equal to 1.
         reduced_with_trivial_pushforward=gor and all(ti == 1 for ti in desc.t),

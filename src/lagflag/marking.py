@@ -13,12 +13,10 @@ rules, and the chosen points turn into descriptor tuples:
 
 The padded constructions shift the frame up by one (``half_rank = n + 1``)
 and adjust the tuples entrywise; they are the intermediate schemes used by
-the additive-basis maps.  Each construction reads the diagram's segment
-``ends``, which the diagram computes at most once, and builds its
-descriptor in one loop over them: the padded ones
-(`_padded`) pick each horizontal segment's marks inline and append ``d``,
-``e`` and ``t`` as the marks are visited, and `lf_ktheory`, which selects
-every point, reads ``d`` off the ends.  `selection_S`, `selection_S_tilde`
+the additive-basis maps.  They (`_padded`) read the segment ``ends``,
+which a diagram computes at most once, and append ``d``, ``e`` and ``t`` as
+each horizontal segment's marks are visited; `lf_ktheory` selects every
+point and reads ``d`` off the steps.  `selection_S`, `selection_S_tilde`
 and `tuples` take the documented steps one at a time, a rule per segment
 (`_cutoff_rules`), its offsets (`_offsets`) and the tuples (`_entries`);
 they are kept for inspection, and nothing else in the package calls them.
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .diagrams import LEFT, Boundary, ShiftedDiagram, _require_frame_size, boundary
+from .diagrams import DOWN, LEFT, Boundary, ShiftedDiagram, _require_frame_size, boundary
 from .errors import DomainError
 from .flags import FlagDescriptor, _require_valid
 
@@ -322,16 +320,15 @@ def padded_scheme(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
 def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:
     """Unpadded descriptor of the K-theory model attached to a diagram.
 
-    Selects every special marked point (rule 1 on every segment), so
-    ``d`` is every boundary position inside a horizontal segment, with the
-    frame size appended when the segment count is odd; consecutive marks
-    are one horizontal step apart, so all ``t`` entries are 1.  The frame
-    size stays the half rank.
+    Selects every special marked point (rule 1 on every segment), so ``d``
+    is the positions of the ``H`` steps, the ones inside a horizontal
+    segment, with the frame size appended when the last step is ``V`` (an
+    odd segment count); consecutive marks are one horizontal step apart, so
+    all ``t`` entries are 1.  The frame size stays the half rank.
     """
     _require_frame_size(diagram.n, 1, "the K-theory descriptor needs")
-    ends = diagram.ends
-    # segment s (0-based) is horizontal for odd s and starts at ends[s - 1]
-    d = [p for s in range(1, len(ends), 2) for p in range(ends[s - 1], ends[s])]
-    if len(ends) % 2:
+    steps = diagram.steps
+    d = [i for i, step in enumerate(steps) if step == LEFT]
+    if steps[-1] == DOWN:
         d.append(diagram.n)
     return _require_valid(FlagDescriptor(diagram.n, d, d[:-1], [1] * (len(d) - 1)))

@@ -18,6 +18,7 @@ from lagflag import (
     blowup_pullback,
     class_sets,
     counting,
+    diagrams,
     gw_basis,
     gw_summands,
     k_basis,
@@ -63,6 +64,24 @@ def test_k_basis_n0():
 @pytest.mark.parametrize("n", range(0, 13))
 def test_k_basis_cardinality(n):
     assert len(k_basis(n).summands) == 2**n
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_k_basis_reads_no_walk(monkeypatch, n):
+    # a K scheme is read off the steps, so no summand's diagram holds segment
+    # ends and no walk's class is looked up
+    classes = []
+    real = diagrams._walk_class
+
+    def counted(*args):
+        classes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(diagrams, "_walk_class", counted)
+    summands = list(k_summands(n))
+    assert len(summands) == 2**n
+    assert [s for s in summands if "ends" in vars(s.source_diagram)] == []
+    assert classes == []
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Descriptor validation and the closed-form scheme predicates."""
 
+import re
 from math import comb
 
 import pytest
@@ -8,16 +9,20 @@ from lagflag import (
     DescriptorError,
     DomainError,
     FlagDescriptor,
+    Twist,
     UnsupportedError,
     component_count,
+    gw_basis,
     is_gorenstein,
     is_regular,
     is_valid,
+    k_basis,
     named_scheme,
     relative_dimension,
     scheme_report,
     validate,
 )
+from lagflag.flags import dimension_and_components
 from lagflag.verify import SUITES, _gorenstein_descriptors
 
 
@@ -192,6 +197,55 @@ def test_scheme_report_agrees_with_the_checked_forms():
                 relative_dimension(desc)
             with pytest.raises(UnsupportedError):
                 component_count(desc)
+
+
+def closed_forms_by_formula(desc):
+    """The docstring formulas of relative dimension and component count, term by term."""
+    n = desc.half_rank
+    strata = sum((n - ti - di) * ti + comb(ti + 1, 2) for di, ti in zip(desc.d, desc.t))
+    s = sum(1 for di, ei in zip(desc.d, desc.e) if di - ei == 1)
+    return comb(n - desc.d[-1] + 1, 2) + strata, 2**s
+
+
+def basis_schemes(n):
+    """The schemes of the K basis and, from frame 1, of both Hermitian bases."""
+    decomps = [k_basis(n), *(gw_basis(n, twist) for twist in Twist if n >= 1)]
+    return [s.scheme for decomp in decomps for s in decomp.summands]
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_closed_forms_match_the_docstring_formulas(n):
+    descs = basis_schemes(n)
+    if n <= 6:
+        descs += _gorenstein_descriptors(n)
+    assert len(descs) >= 2**n
+    for desc in descs:
+        assert all(0 <= di - ei <= 1 for di, ei in zip(desc.d, desc.e))
+        dimension, components = closed_forms_by_formula(desc)
+        assert relative_dimension(desc) == dimension
+        assert component_count(desc) == components
+        assert dimension_and_components(desc) == (dimension, components)
+        report = scheme_report(desc)
+        assert (report.relative_dimension, report.component_count) == (dimension, components)
+
+
+def test_closed_form_readings_keep_their_errors():
+    not_gorenstein = FlagDescriptor(4, (2, 3), (0,), (1,))
+    dimension_message = (
+        "relative dimension is only asserted for Gorenstein descriptors "
+        "(d_i - e_i <= 1); got LF[2,3](0)_[1]@4"
+    )
+    for read in (relative_dimension, dimension_and_components):
+        with pytest.raises(UnsupportedError, match=re.escape(dimension_message)):
+            read(not_gorenstein)
+    count_message = "component count needs a Gorenstein descriptor, got LF[2,3](0)_[1]@4"
+    with pytest.raises(UnsupportedError, match=re.escape(count_message)):
+        component_count(not_gorenstein)
+    invalid = FlagDescriptor(2, (0, 3), (0,), (1,))
+    invalid_message = "invalid descriptor LF[0,3](0)_[1]@2: d_1 = 3 exceeds half_rank 2"
+    for read in (relative_dimension, component_count, dimension_and_components, scheme_report):
+        with pytest.raises(DescriptorError, match=re.escape(invalid_message)):
+            read(invalid)
 
 
 def test_each_closed_form_reading_checks_gorenstein_once(monkeypatch):

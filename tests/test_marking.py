@@ -412,7 +412,7 @@ def test_constructions_given_the_ends_match_those_that_read_them(n):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(9, 40).flatmap(lambda n: st.text("VH", min_size=n, max_size=n)))
 def test_lf_ktheory_matches_the_selection_views_on_large_frames(steps):
-    # beyond the enumerated frames: lf_ktheory reads d off the segment ends,
+    # beyond the enumerated frames: lf_ktheory reads d off the steps,
     # the oracle selects every mark on the walk and counts the gaps
     diagram = ShiftedDiagram(len(steps), steps)
     assert lf_ktheory(diagram) == oracle_unpadded(diagram)
