@@ -9,17 +9,19 @@ suite's line as that suite ends, so its verdicts leave one by one through a
 pipe too, a run cut short keeps those it reached, and a reader that closes
 the pipe ends the run at the next suite's line.  The other commands leave
 stdout block-buffered: a flush per summand or diagram would cost a system
-call each.  The environment variable ``LAGFLAG_MAX_N`` overrides the frame-size
-bounds (default 16 for ``enumerate``, ``basis``, the diagram arguments of
-``classify`` and ``scheme``, and for ``recursion`` and ``witt``, which count
-without enumerating; 10 for ``verify``).  Each command checks its bound
+call each.  ``basis`` and ``enumerate`` write each JSON item and CSV row
+from a template, as ``json.dumps(..., indent=2)`` and ``csv.writer`` would
+(csv quotes only a ``basis`` scheme that holds a comma).  The environment
+variable ``LAGFLAG_MAX_N`` overrides the frame-size bounds (default 16 for
+``enumerate``, ``basis``, the diagram arguments of ``classify`` and
+``scheme``, and for ``recursion`` and ``witt``, which count without
+enumerating; 10 for ``verify``).  Each command checks its bound
 before any work; the library itself has no frame limit.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -47,7 +49,7 @@ def _bound(default: int) -> int:
 
 
 def _emit_json(payload, out) -> None:
-    import json  # here, not at the top: basis and enumerate write their JSON by hand
+    import json  # here, not at the top: basis and enumerate write their rows by hand
     print(json.dumps(payload, indent=2), file=out)
 
 
@@ -133,10 +135,9 @@ def _cmd_enumerate(args, out) -> int:
         _write_json_items(map(_diagram_json, diagrams), "", out)
         out.write("\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "steps", "parts", "weight"])
+        out.write("n,steps,parts,weight\n")
         for d in diagrams:
-            writer.writerow([d.n, d.steps, " ".join(map(str, d.parts)), d.weight])
+            out.write(f"{d.n},{d.steps},{' '.join(map(str, d.parts))},{d.weight}\n")
     else:
         for d in diagrams:
             parts = ",".join(map(str, d.parts))
@@ -321,23 +322,16 @@ def _cmd_basis(args, out) -> int:
         _write_json_items(map(_summand_json, summands), "  ", out)
         out.write("\n}\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["diagram", "kind", "shift", "map", "scheme", "dim", "components", "parity_ok"]
-        )
+        out.write("diagram,kind,shift,map,scheme,dim,components,parity_ok\n")
         for s in summands:
             dim, components = flags_mod.dimension_and_components(s.scheme)
-            writer.writerow(
-                [
-                    s.source_diagram.steps,
-                    s.kind.value,
-                    "" if s.shift is None else s.shift,
-                    s.map_label.value,
-                    str(s.scheme),
-                    dim,
-                    components,
-                    _parity_flag(s),
-                ]
+            scheme = str(s.scheme)
+            if "," in scheme:  # the one field that needs csv's minimal quoting
+                scheme = f'"{scheme}"'
+            out.write(
+                f"{s.source_diagram.steps},{s.kind.value},"
+                f"{'' if s.shift is None else s.shift},{s.map_label.value},"
+                f"{scheme},{dim},{components},{_parity_flag(s)}\n"
             )
     else:
         if theory is basis_mod.Kind.K:

@@ -6,8 +6,10 @@ Lagrangian subbundles of a rank ``2*half_rank`` symplectic bundle, where the
 and consecutive Lagrangians share an intermediate stratum of corank ``t_i``
 containing ``V_{e_i}``.  None of that geometry is materialized here: this
 module evaluates the descriptor-level criteria (regularity, the Gorenstein
-bound, relative dimension, component count).  `_closed_forms` is the one
-home of the last two, and each reading calls it behind one Gorenstein check.
+bound, relative dimension, component count).  `validate` runs once per
+descriptor, at construction, and decides in one loop whether anything
+fails; `_closed_forms`, the one home of the Gorenstein rule and of the last
+two criteria, is one loop per reading.
 """
 
 from __future__ import annotations
@@ -100,55 +102,74 @@ def validate(desc: FlagDescriptor) -> list[Violation]:
     Monotonicity of ``e`` and ``t`` is reported as a warning only: the
     constructed descriptors of the marking module do not always satisfy it
     and nothing downstream relies on it.
+
+    One loop decides whether anything fails: per index, one chained
+    comparison covers every error bound, and one flag covers monotonicity.
+    Only a group that fails runs its itemised loops, the one source of the
+    messages.
     """
+    n, d, e, t = desc.half_rank, desc.d, desc.e, desc.t
+    sound = bool(e) or 0 <= d[0] <= n  # the chain below bounds d when k >= 1
+    ordered = True
+    last_e = last_t = 0
+    for i, ei in enumerate(e):
+        ti = t[i]
+        if not (0 <= ei <= d[i] <= d[i + 1] <= n and 0 < ti <= n - ei):
+            sound = False
+        if ei < last_e or ti < last_t:
+            ordered = False
+        last_e, last_t = ei, ti
     out: list[Violation] = []
+    if sound and ordered:
+        return out
 
     def err(constraint: str, message: str) -> None:
         out.append(Violation(constraint, message))
 
-    n = desc.half_rank
-    if n < 0:
-        err("half_rank_nonnegative", f"half_rank must be non-negative, got {n}")
-    for j, dj in enumerate(desc.d):
-        if dj < 0:
-            err("d_nonnegative", f"d_{j} = {dj} is negative")
-        if dj > n:
-            err("d_leq_half_rank", f"d_{j} = {dj} exceeds half_rank {n}")
-    for j in range(len(desc.d) - 1):
-        if desc.d[j] > desc.d[j + 1]:
-            err("d_nondecreasing", f"d_{j} = {desc.d[j]} > d_{j+1} = {desc.d[j+1]}")
-    for i, ti in enumerate(desc.t):
-        if ti <= 0:
-            err("t_positive", f"t_{i} = {ti} is not positive")
-    for i, ei in enumerate(desc.e):
-        if ei < 0:
-            err("e_nonnegative", f"e_{i} = {ei} is negative")
-        if ei > desc.d[i]:
-            err("e_leq_d_i", f"e_{i} = {ei} exceeds d_{i} = {desc.d[i]}")
-        if ei > desc.d[i + 1]:
-            err("e_leq_d_next", f"e_{i} = {ei} exceeds d_{i+1} = {desc.d[i + 1]}")
-        if ei > n - desc.t[i]:
-            err(
-                "e_leq_half_rank_minus_t",
-                f"e_{i} = {ei} exceeds half_rank - t_{i} = {n - desc.t[i]}",
-            )
-    for i in range(len(desc.e) - 1):
-        if desc.e[i] > desc.e[i + 1]:
-            out.append(
-                Violation(
-                    "e_nondecreasing",
-                    f"e_{i} = {desc.e[i]} > e_{i+1} = {desc.e[i + 1]}",
-                    severity="warning",
+    if not sound:
+        if n < 0:
+            err("half_rank_nonnegative", f"half_rank must be non-negative, got {n}")
+        for j, dj in enumerate(d):
+            if dj < 0:
+                err("d_nonnegative", f"d_{j} = {dj} is negative")
+            if dj > n:
+                err("d_leq_half_rank", f"d_{j} = {dj} exceeds half_rank {n}")
+        for j in range(len(d) - 1):
+            if d[j] > d[j + 1]:
+                err("d_nondecreasing", f"d_{j} = {d[j]} > d_{j+1} = {d[j+1]}")
+        for i, ti in enumerate(t):
+            if ti <= 0:
+                err("t_positive", f"t_{i} = {ti} is not positive")
+        for i, ei in enumerate(e):
+            if ei < 0:
+                err("e_nonnegative", f"e_{i} = {ei} is negative")
+            if ei > d[i]:
+                err("e_leq_d_i", f"e_{i} = {ei} exceeds d_{i} = {d[i]}")
+            if ei > d[i + 1]:
+                err("e_leq_d_next", f"e_{i} = {ei} exceeds d_{i+1} = {d[i + 1]}")
+            if ei > n - t[i]:
+                err(
+                    "e_leq_half_rank_minus_t",
+                    f"e_{i} = {ei} exceeds half_rank - t_{i} = {n - t[i]}",
                 )
-            )
-        if desc.t[i] > desc.t[i + 1]:
-            out.append(
-                Violation(
-                    "t_nondecreasing",
-                    f"t_{i} = {desc.t[i]} > t_{i+1} = {desc.t[i + 1]}",
-                    severity="warning",
+    if not ordered:
+        for i in range(len(e) - 1):
+            if e[i] > e[i + 1]:
+                out.append(
+                    Violation(
+                        "e_nondecreasing",
+                        f"e_{i} = {e[i]} > e_{i+1} = {e[i + 1]}",
+                        severity="warning",
+                    )
                 )
-            )
+            if t[i] > t[i + 1]:
+                out.append(
+                    Violation(
+                        "t_nondecreasing",
+                        f"t_{i} = {t[i]} > t_{i+1} = {t[i + 1]}",
+                        severity="warning",
+                    )
+                )
     return out
 
 
@@ -174,12 +195,8 @@ def is_regular(desc: FlagDescriptor) -> bool:
 
 
 def is_gorenstein(desc: FlagDescriptor) -> bool:
-    """True when ``0 <= d_i - e_i <= 1`` for all ``i < k``."""
-    _require_valid(desc)
-    for di, ei in zip(desc.d, desc.e):
-        if not 0 <= di - ei <= 1:
-            return False
-    return True
+    """True when ``0 <= d_i - e_i <= 1`` for all ``i < k``, the rule `_closed_forms` applies."""
+    return _closed_forms(_require_valid(desc)) is not None
 
 
 def relative_dimension(desc: FlagDescriptor) -> int:
@@ -194,29 +211,37 @@ def relative_dimension(desc: FlagDescriptor) -> int:
 
 def component_count(desc: FlagDescriptor) -> int:
     """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
-    if not is_gorenstein(desc):
+    forms = _closed_forms(_require_valid(desc))
+    if forms is None:
         raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
-    return _closed_forms(desc)[1]
+    return forms[1]
 
 
 def dimension_and_components(desc: FlagDescriptor) -> tuple[int, int]:
-    """`relative_dimension` and `component_count`, behind one Gorenstein check."""
-    if not is_gorenstein(desc):  # raises DescriptorError on an invalid descriptor
+    """`relative_dimension` and `component_count`, in one pass over the descriptor."""
+    forms = _closed_forms(_require_valid(desc))
+    if forms is None:
         raise UnsupportedError(
             f"relative dimension is only asserted for Gorenstein descriptors "
             f"(d_i - e_i <= 1); got {desc}"
         )
-    return _closed_forms(desc)
+    return forms
 
 
-def _closed_forms(desc: FlagDescriptor) -> tuple[int, int]:
-    """Both closed forms of a descriptor known to be Gorenstein, in one loop over it."""
+def _closed_forms(desc: FlagDescriptor) -> tuple[int, int] | None:
+    """Both closed forms of a valid descriptor in one loop over it.
+
+    None at a gap ``d_i - e_i`` outside 0..1: the descriptor is not Gorenstein.
+    """
     n = desc.half_rank
     dimension = comb(n - desc.d[-1] + 1, 2)
     s = 0
     for di, ei, ti in zip(desc.d, desc.e, desc.t):
+        gap = di - ei
+        if not 0 <= gap <= 1:
+            return None
         dimension += (n - ti - di) * ti + ti * (ti + 1) // 2
-        s += di - ei  # 0 or 1 in the Gorenstein regime
+        s += gap
     return dimension, 2**s
 
 
@@ -245,9 +270,10 @@ class SchemeReport:
 
 
 def scheme_report(desc: FlagDescriptor) -> SchemeReport:
-    """Every predicate and closed form of the descriptor, checked once."""
-    gor = is_gorenstein(desc)
-    dimension, components = _closed_forms(desc) if gor else (None, None)
+    """Every predicate and closed form of the descriptor, in one pass over it."""
+    forms = _closed_forms(_require_valid(desc))
+    gor = forms is not None
+    dimension, components = forms or (None, None)
     return SchemeReport(
         regular=is_regular(desc),
         gorenstein=gor,

@@ -101,34 +101,50 @@ def _check_bijection(source, target, op):
     return len(set(image)) == len(image) and set(image) == set(target)
 
 
-def _bijections(n: int) -> str:
-    top = diagrams.delete_top_row
-    col = diagrams.delete_right_column
-    sets, prev = diagrams.class_sets(n), diagrams.class_sets(n - 1)
-    if not _check_bijection(sets.refine("U", "r"), prev.all_diagrams, top):
-        return f"frame {n}: row deletion is not a bijection onto frame {n - 1}"
-    if not _check_bijection(sets.refine("U", "c"), prev.all_diagrams, col):
-        return f"frame {n}: column deletion is not a bijection"
-    for d in sets.refine("U", "r"):
-        if d.weight != top(d).weight + n:
-            return f"{d.steps}: weight does not drop by {n} under row deletion"
-    for d in sets.refine("U", "c"):
-        if d.weight != col(d).weight:
-            return f"{d.steps}: weight changes under column deletion"
-    if n < 3 or n % 2 == 0:  # the two-step deletions act on the odd frames from 3
+def _bijections():
+    """A new deletion-bijections check, for one suite run.
+
+    Frame ``n`` reads the ClassSets of frames ``n`` to ``n - 2``.  The check
+    keeps the last three it built, so the run builds each frame's once.
+    """
+    built: dict[int, diagrams.ClassSets] = {}
+
+    def class_sets(n: int) -> diagrams.ClassSets:
+        if n not in built:
+            built.pop(n - 3, None)
+            built[n] = diagrams.class_sets(n)
+        return built[n]
+
+    def check(n: int) -> str:
+        top = diagrams.delete_top_row
+        col = diagrams.delete_right_column
+        sets, prev = class_sets(n), class_sets(n - 1)
+        if not _check_bijection(sets.refine("U", "r"), prev.all_diagrams, top):
+            return f"frame {n}: row deletion is not a bijection onto frame {n - 1}"
+        if not _check_bijection(sets.refine("U", "c"), prev.all_diagrams, col):
+            return f"frame {n}: column deletion is not a bijection"
+        for d in sets.refine("U", "r"):
+            if d.weight != top(d).weight + n:
+                return f"{d.steps}: weight does not drop by {n} under row deletion"
+        for d in sets.refine("U", "c"):
+            if d.weight != col(d).weight:
+                return f"{d.steps}: weight changes under column deletion"
+        if n < 3 or n % 2 == 0:  # the two-step deletions act on the odd frames from 3
+            return ""
+        prev2 = class_sets(n - 2)
+        pairs = [
+            ("E", "rr", prev2.refine("E"), lambda d: top(top(d))),
+            ("E", "cr", prev2.all_diagrams, lambda d: top(col(d))),
+            ("E", "cc", prev2.refine("E"), lambda d: col(col(d))),
+            ("A", "rr", prev2.refine("A"), lambda d: top(top(d))),
+            ("A", "cc", prev2.refine("A"), lambda d: col(col(d))),
+        ]
+        for family, letters, target, op in pairs:
+            if not _check_bijection(sets.refine(family, letters), target, op):
+                return f"frame {n}: {family}^{letters} deletion is not a bijection"
         return ""
-    prev2 = diagrams.class_sets(n - 2)
-    pairs = [
-        ("E", "rr", prev2.refine("E"), lambda d: top(top(d))),
-        ("E", "cr", prev2.all_diagrams, lambda d: top(col(d))),
-        ("E", "cc", prev2.refine("E"), lambda d: col(col(d))),
-        ("A", "rr", prev2.refine("A"), lambda d: top(top(d))),
-        ("A", "cc", prev2.refine("A"), lambda d: col(col(d))),
-    ]
-    for family, letters, target, op in pairs:
-        if not _check_bijection(sets.refine(family, letters), target, op):
-            return f"frame {n}: {family}^{letters} deletion is not a bijection"
-    return ""
+
+    return check
 
 
 def _each_walk(problem):
@@ -273,7 +289,8 @@ SUITES = (
     ("counting", _frames(0, 16, _counting)),
     ("boundary-structure", _frames(0, 12, _boundary)),
     ("class-partitions", _frames(3, 11, _class_partitions, 2)),
-    ("deletion-bijections", _frames(1, 12, _bijections)),
+    # a new check per run, so no ClassSets outlives the run that built it
+    ("deletion-bijections", lambda max_n: _frames(1, 12, _bijections())(max_n)),
     ("marking-tuples", _frames(1, 10, _each_walk(_marking_problem))),
     ("descriptor-dimensions", _frames(1, 8, _each_walk(_dimension_problem))),
     ("dimension-e-independence", _frames(1, 6, _dimension_e_independence)),

@@ -21,6 +21,7 @@ from lagflag import (
     Twist,
     canonical_sheaf_in_n,
     component_count,
+    enumerate_diagrams,
     gw_basis,
     k_basis,
     relative_dimension,
@@ -127,6 +128,25 @@ def test_k_basis_csv_rows(capsys):
     assert lines[0] == "diagram,kind,shift,map,scheme,dim,components,parity_ok"
     assert len(lines) == 3  # header + one row per diagram
     assert all(line.split(",")[3] == "phi" for line in lines[1:])
+    # basis writes its rows by hand; a scheme without a comma stays unquoted, as in csv
+    assert lines[1] == "V,K,,phi,LF[1]()_[]@1,0,1,"
+    assert lines[1] == csv_rows([["V", "K", "", "phi", "LF[1]()_[]@1", 0, 1, ""]]).strip()
+
+
+def csv_rows(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_enumerate_csv_matches_csv_writer(capsys, n):
+    code, out, _ = run(capsys, ["enumerate", "-n", str(n), "--format", "csv"])
+    records = [
+        [d.n, d.steps, " ".join(map(str, d.parts)), d.weight] for d in enumerate_diagrams(n)
+    ]
+    assert code == 0
+    assert out == csv_rows([["n", "steps", "parts", "weight"], *records])
 
 
 def test_classify_connecting(capsys):

@@ -4,6 +4,8 @@ import re
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagflag import (
     DescriptorError,
@@ -22,7 +24,7 @@ from lagflag import (
     scheme_report,
     validate,
 )
-from lagflag.flags import dimension_and_components
+from lagflag.flags import Violation, dimension_and_components
 from lagflag.verify import SUITES, _gorenstein_descriptors
 
 
@@ -61,6 +63,101 @@ def test_validate_rejects_each_single_constraint():
     assert is_valid(base)
     for constraint, desc in SINGLE_VIOLATIONS.items():
         assert constraint in errors_of(desc), constraint
+
+
+def validate_by_items(desc):
+    """The oracle of `validate`: each constraint checked on its own, in the reported order."""
+    out = []
+
+    def err(constraint, message):
+        out.append(Violation(constraint, message))
+
+    n = desc.half_rank
+    if n < 0:
+        err("half_rank_nonnegative", f"half_rank must be non-negative, got {n}")
+    for j, dj in enumerate(desc.d):
+        if dj < 0:
+            err("d_nonnegative", f"d_{j} = {dj} is negative")
+        if dj > n:
+            err("d_leq_half_rank", f"d_{j} = {dj} exceeds half_rank {n}")
+    for j in range(len(desc.d) - 1):
+        if desc.d[j] > desc.d[j + 1]:
+            err("d_nondecreasing", f"d_{j} = {desc.d[j]} > d_{j+1} = {desc.d[j+1]}")
+    for i, ti in enumerate(desc.t):
+        if ti <= 0:
+            err("t_positive", f"t_{i} = {ti} is not positive")
+    for i, ei in enumerate(desc.e):
+        if ei < 0:
+            err("e_nonnegative", f"e_{i} = {ei} is negative")
+        if ei > desc.d[i]:
+            err("e_leq_d_i", f"e_{i} = {ei} exceeds d_{i} = {desc.d[i]}")
+        if ei > desc.d[i + 1]:
+            err("e_leq_d_next", f"e_{i} = {ei} exceeds d_{i+1} = {desc.d[i + 1]}")
+        if ei > n - desc.t[i]:
+            err(
+                "e_leq_half_rank_minus_t",
+                f"e_{i} = {ei} exceeds half_rank - t_{i} = {n - desc.t[i]}",
+            )
+    for i in range(len(desc.e) - 1):
+        if desc.e[i] > desc.e[i + 1]:
+            out.append(
+                Violation(
+                    "e_nondecreasing",
+                    f"e_{i} = {desc.e[i]} > e_{i+1} = {desc.e[i + 1]}",
+                    severity="warning",
+                )
+            )
+        if desc.t[i] > desc.t[i + 1]:
+            out.append(
+                Violation(
+                    "t_nondecreasing",
+                    f"t_{i} = {desc.t[i]} > t_{i+1} = {desc.t[i + 1]}",
+                    severity="warning",
+                )
+            )
+    return out
+
+
+def assert_validate_matches_the_oracle(fields):
+    desc = FlagDescriptor(*fields)
+    expected = [(v.constraint, v.message, v.severity) for v in validate_by_items(desc)]
+    for got in (validate(desc), desc.violations):
+        assert [(v.constraint, v.message, v.severity) for v in got] == expected, desc
+
+
+def entries(size):
+    """``size`` small integers, sorted half the time so that valid tuples come up too."""
+    values = st.lists(st.integers(-2, 9), min_size=size, max_size=size)
+    return st.one_of(values, values.map(sorted)).map(tuple)
+
+
+DESCRIPTOR_FIELDS = st.integers(0, 5).flatmap(
+    lambda k: st.tuples(st.integers(-1, 8), entries(k + 1), entries(k), entries(k))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DESCRIPTOR_FIELDS)
+def test_validate_matches_the_itemised_oracle(fields):
+    assert_validate_matches_the_oracle(fields)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_validate_matches_the_oracle_around_the_basis_schemes(n):
+    # each scheme the bases build, and each with one entry moved by 1 or 2
+    schemes = {(s.half_rank, s.d, s.e, s.t) for s in basis_schemes(n)}
+    for fields in schemes:
+        assert_validate_matches_the_oracle(fields)
+        for part, values in enumerate(fields):
+            for i in range(len(values) if part else 1):
+                for step in (-2, -1, 1, 2):
+                    if part == 0:
+                        moved = values + step
+                    else:
+                        moved = values[:i] + (values[i] + step,) + values[i + 1 :]
+                    assert_validate_matches_the_oracle(
+                        fields[:part] + (moved,) + fields[part + 1 :]
+                    )
 
 
 def test_monotonicity_is_warning_only():
@@ -249,16 +346,17 @@ def test_closed_form_readings_keep_their_errors():
 
 
 def test_each_closed_form_reading_checks_gorenstein_once(monkeypatch):
+    # the Gorenstein rule lives in _closed_forms, so one pass per reading
     from lagflag import flags
 
     calls = []
-    real = flags.is_gorenstein
+    real = flags._closed_forms
 
     def counted(desc):
         calls.append(desc)
         return real(desc)
 
-    monkeypatch.setattr(flags, "is_gorenstein", counted)
+    monkeypatch.setattr(flags, "_closed_forms", counted)
     gorenstein, not_gorenstein = (
         FlagDescriptor(3, (1, 2), (0,), (1,)),
         FlagDescriptor(4, (2, 3), (0,), (1,)),
@@ -267,6 +365,10 @@ def test_each_closed_form_reading_checks_gorenstein_once(monkeypatch):
         calls.clear()
         scheme_report(desc)
         assert calls == [desc]
+    for read in (is_gorenstein, relative_dimension, component_count):
+        calls.clear()
+        read(gorenstein)
+        assert calls == [gorenstein]
     calls.clear()
     pair = flags.dimension_and_components(gorenstein)
     assert calls == [gorenstein]

@@ -169,3 +169,18 @@ def test_marking_tuples_checks_the_padded_schemes(monkeypatch):
 
     monkeypatch.setattr(marking, "padded_scheme", padded_scheme)
     assert SUITE["marking-tuples"](10) == (False, f"{broken}: t entries outside {{1,2}}")
+
+
+def test_deletion_bijections_builds_each_frame_once_per_run(monkeypatch):
+    built = []
+    real = diagrams.class_sets
+
+    def class_sets(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(diagrams, "class_sets", class_sets)
+    for _ in range(2):  # a second run builds its own, so no run reads another's
+        built.clear()
+        assert SUITE["deletion-bijections"](8) == (True, "")
+        assert sorted(built) == list(range(0, 9))
