@@ -31,7 +31,7 @@ from . import diagrams as diag_mod
 from . import flags as flags_mod
 from . import marking as marking_mod
 from . import picard as pic_mod
-from .errors import DomainError, LagflagError
+from .errors import DescriptorError, DomainError, LagflagError
 from .verify import SUITES
 
 ENUMERATE_BOUND = 16
@@ -210,21 +210,23 @@ def _scheme_from_args(args) -> flags_mod.FlagDescriptor:
 
 
 def _cmd_scheme(args, out) -> int:
-    desc = _scheme_from_args(args)
-    violations = desc.violations
-    errors = [v for v in violations if v.severity == "error"]
-    if errors:
-        payload = {
-            "descriptor": desc.to_json(),
-            "valid": False,
-            "violations": [v.to_json() for v in violations],
-        }
+    try:
+        desc = _scheme_from_args(args)
+    except DescriptorError as exc:
+        if args.d is None:  # --name and --diagram reject a bad input as a usage error
+            raise
+        rejected = exc.descriptor
         if args.format == "json":
+            payload = {
+                "descriptor": rejected.to_json(),
+                "valid": False,
+                "violations": [v.to_json() for v in rejected.violations],
+            }
             _emit_json(payload, out)
         else:
-            print(f"descriptor  {desc}", file=out)
+            print(f"descriptor  {rejected}", file=out)
             print("valid       false", file=out)
-            for v in violations:
+            for v in rejected.violations:
                 print(f"{v.severity:<7}     {v.message}", file=out)
         return 1
     report = flags_mod.scheme_report(desc)
@@ -232,7 +234,7 @@ def _cmd_scheme(args, out) -> int:
         payload = {
             "descriptor": desc.to_json(),
             "valid": True,
-            "warnings": [v.to_json() for v in violations],
+            "warnings": [v.to_json() for v in desc.violations],
             "report": report.to_json(),
         }
         _emit_json(payload, out)
@@ -246,7 +248,7 @@ def _cmd_scheme(args, out) -> int:
             f"trivial_pushforward  {str(report.reduced_with_trivial_pushforward).lower()}",
             file=out,
         )
-        for v in violations:
+        for v in desc.violations:
             print(f"warning              {v.message}", file=out)
     return 0
 

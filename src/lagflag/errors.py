@@ -12,13 +12,15 @@ class DomainError(LagflagError):
 class DescriptorError(DomainError):
     """A flag-scheme descriptor violates its defining constraints.
 
-    Carries the list of violations so callers can report which constraint
-    failed rather than a bare message.
+    Raised when one is built.  Carries the violated constraints (errors
+    only), so callers can report which one failed rather than a bare
+    message, and the rejected ``descriptor``, warnings included.
     """
 
-    def __init__(self, message, violations=()):
+    def __init__(self, message, violations=(), descriptor=None):
         super().__init__(message)
         self.violations = tuple(violations)
+        self.descriptor = descriptor
 
 
 class UnsupportedError(LagflagError):

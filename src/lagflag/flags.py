@@ -6,10 +6,10 @@ Lagrangian subbundles of a rank ``2*half_rank`` symplectic bundle, where the
 and consecutive Lagrangians share an intermediate stratum of corank ``t_i``
 containing ``V_{e_i}``.  None of that geometry is materialized here: this
 module evaluates the descriptor-level criteria (regularity, the Gorenstein
-bound, relative dimension, component count).  `validate` runs once per
-descriptor, at construction, and decides in one loop whether anything
-fails; `_closed_forms`, the one home of the Gorenstein rule and of the last
-two criteria, is one loop per reading.
+bound, relative dimension, component count).  Construction is the one
+validity gate: `validate` runs there once and an invalid descriptor is
+rejected, so readers need no check; `_closed_forms`, the one home of the
+Gorenstein rule and of the last two criteria, is one loop per reading.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ class FlagDescriptor:
 
     ``d`` has ``k+1`` entries and ``e``, ``t`` have ``k`` each.  Construction
     checks that every value is a plain ``int`` (not a bool) and checks shapes,
-    then runs `validate` once and keeps its result as ``violations``: the
-    defining inequalities are reported as data rather than raised, and every
-    checked closed form reads them instead of validating again.
+    then runs `validate` once and keeps its result as ``violations``.  A
+    broken defining inequality raises `DescriptorError`, which carries the
+    rejected instance as ``descriptor``, so a built descriptor is valid and
+    its ``violations`` are warnings only.
     """
 
     half_rank: int
@@ -60,6 +61,8 @@ class FlagDescriptor:
                 f"len(e)=len(t)={len(self.d) - 1}, got {len(self.e)}, {len(self.t)}"
             )
         object.__setattr__(self, "violations", tuple(validate(self)))
+        if self.violations and self.violations[0].severity == "error":  # errors come first
+            raise _rejection(self)
 
     @property
     def k(self) -> int:
@@ -173,30 +176,24 @@ def validate(desc: FlagDescriptor) -> list[Violation]:
     return out
 
 
-def is_valid(desc: FlagDescriptor) -> bool:
-    return not any(v.severity == "error" for v in desc.violations)
-
-
-def _require_valid(desc: FlagDescriptor, shown: str | None = None) -> FlagDescriptor:
-    """Return ``desc``, or raise `DescriptorError` naming it (as ``shown`` if given)."""
+def _rejection(desc: FlagDescriptor, shown: str | None = None) -> DescriptorError:
+    """The `DescriptorError` that rejects ``desc``, naming it as ``shown`` if given."""
     bad = [v for v in desc.violations if v.severity == "error"]
-    if bad:
-        raise DescriptorError(
-            f"invalid descriptor {shown or desc}: " + "; ".join(v.message for v in bad),
-            violations=bad,
-        )
-    return desc
+    return DescriptorError(
+        f"invalid descriptor {shown or desc}: " + "; ".join(v.message for v in bad),
+        violations=bad,
+        descriptor=desc,
+    )
 
 
 def is_regular(desc: FlagDescriptor) -> bool:
     """True when ``d`` with its last entry dropped equals ``e`` componentwise."""
-    _require_valid(desc)
     return desc.d[: desc.k] == desc.e
 
 
 def is_gorenstein(desc: FlagDescriptor) -> bool:
     """True when ``0 <= d_i - e_i <= 1`` for all ``i < k``, the rule `_closed_forms` applies."""
-    return _closed_forms(_require_valid(desc)) is not None
+    return _closed_forms(desc) is not None
 
 
 def relative_dimension(desc: FlagDescriptor) -> int:
@@ -211,7 +208,7 @@ def relative_dimension(desc: FlagDescriptor) -> int:
 
 def component_count(desc: FlagDescriptor) -> int:
     """Number of irreducible components: ``2**s`` with ``s = #{i : d_i - e_i = 1}``."""
-    forms = _closed_forms(_require_valid(desc))
+    forms = _closed_forms(desc)
     if forms is None:
         raise UnsupportedError(f"component count needs a Gorenstein descriptor, got {desc}")
     return forms[1]
@@ -219,7 +216,7 @@ def component_count(desc: FlagDescriptor) -> int:
 
 def dimension_and_components(desc: FlagDescriptor) -> tuple[int, int]:
     """`relative_dimension` and `component_count`, in one pass over the descriptor."""
-    forms = _closed_forms(_require_valid(desc))
+    forms = _closed_forms(desc)
     if forms is None:
         raise UnsupportedError(
             f"relative dimension is only asserted for Gorenstein descriptors "
@@ -271,7 +268,7 @@ class SchemeReport:
 
 def scheme_report(desc: FlagDescriptor) -> SchemeReport:
     """Every predicate and closed form of the descriptor, in one pass over it."""
-    forms = _closed_forms(_require_valid(desc))
+    forms = _closed_forms(desc)
     gor = forms is not None
     dimension, components = forms or (None, None)
     return SchemeReport(
@@ -293,16 +290,14 @@ def named_scheme(name: str, n: int) -> FlagDescriptor:
     containing the flag step ``V_i`` (``LF_0`` is the full Grassmannian).
     """
     if name == "B2":
-        desc = FlagDescriptor(n, (0, 1), (0,), (1,))
-    elif name == "E2":
-        desc = FlagDescriptor(n, (1, 1), (1,), (1,))
-    elif name == "F2":
-        desc = FlagDescriptor(n, (1, 1), (0,), (1,))
-    elif name.startswith("LF_"):
+        return FlagDescriptor(n, (0, 1), (0,), (1,))
+    if name == "E2":
+        return FlagDescriptor(n, (1, 1), (1,), (1,))
+    if name == "F2":
+        return FlagDescriptor(n, (1, 1), (0,), (1,))
+    if name.startswith("LF_"):
         index = name[3:]
         if not (index.isascii() and index.isdigit()):
             raise DomainError(f"unknown scheme name {name!r}")
-        desc = FlagDescriptor(n, (int(index),), (), ())
-    else:
-        raise DomainError(f"unknown scheme name {name!r}; expected B2, E2, F2 or LF_<i>")
-    return _require_valid(desc)
+        return FlagDescriptor(n, (int(index),), (), ())
+    raise DomainError(f"unknown scheme name {name!r}; expected B2, E2, F2 or LF_<i>")

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 from .diagrams import DOWN, LEFT, Boundary, ShiftedDiagram, _require_frame_size, boundary
 from .errors import DomainError
-from .flags import FlagDescriptor, _require_valid
+from .flags import FlagDescriptor
 
 
 class SelectionRule(Enum):
@@ -283,7 +283,7 @@ def _padded(diagram: ShiftedDiagram, w: int, type1: bool) -> FlagDescriptor:
                 f"type-1 construction needs k >= 1, got k = 0 for {diagram.steps!r}"
             )
         e[0] -= 1
-    return _require_valid(FlagDescriptor(diagram.n + 1, tuple(d), tuple(e), tuple(t)))
+    return FlagDescriptor(diagram.n + 1, tuple(d), tuple(e), tuple(t))
 
 
 def lf_a(diagram: ShiftedDiagram, w: int) -> FlagDescriptor:
@@ -331,4 +331,4 @@ def lf_ktheory(diagram: ShiftedDiagram) -> FlagDescriptor:
     d = [i for i, step in enumerate(steps) if step == LEFT]
     if steps[-1] == DOWN:
         d.append(diagram.n)
-    return _require_valid(FlagDescriptor(diagram.n, d, d[:-1], [1] * (len(d) - 1)))
+    return FlagDescriptor(diagram.n, d, d[:-1], [1] * (len(d) - 1))

@@ -36,8 +36,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagrams import DOWN, ShiftedDiagram, _require_frame_size, boundary, classify
-from .errors import DomainError, UnsupportedError
-from .flags import FlagDescriptor, _require_valid, is_gorenstein
+from .errors import DescriptorError, DomainError, UnsupportedError
+from .flags import FlagDescriptor, _rejection, is_gorenstein
 from .marking import padded_scheme, uses_type1
 
 
@@ -267,7 +267,7 @@ def canonical_exponents(
     """Canonical-sheaf exponent vector of ``(half_rank, d, e, t)``.
 
     The unchecked formula of the module docstring: `canonical_sheaf` and
-    `canonical_sheaf_in_n` call it after they validate the descriptor.
+    `canonical_sheaf_in_n` call it on a built descriptor that is Gorenstein.
     ``half_rank`` may be `SYMBOLIC_N`, in which case exponents come out as
     affine expressions in the half rank.  Each kind accumulates on its own
     and the nonzero items are emitted already in generator order.
@@ -313,8 +313,11 @@ def canonical_sheaf_in_n(
     except TypeError:
         FlagDescriptor(0, d, e, t)  # raises its DomainError naming the bad part
         raise
-    probe = FlagDescriptor(least, d, e, t)
-    _require_valid(probe, shown=str(probe).rpartition("@")[0] + "@N")
+    try:
+        probe = FlagDescriptor(least, d, e, t)
+    except DescriptorError as exc:
+        shown = str(exc.descriptor).rpartition("@")[0] + "@N"
+        raise _rejection(exc.descriptor, shown) from None
     if not is_gorenstein(probe):
         raise UnsupportedError("the canonical-sheaf formula needs d_i - e_i in {0, 1}")
     return canonical_exponents(d, e, t, SYMBOLIC_N)

@@ -21,7 +21,7 @@ from itertools import accumulate, combinations_with_replacement, groupby, produc
 from math import comb
 
 from . import basis, counting, diagrams, flags, marking, picard
-from .errors import LagflagError
+from .errors import DescriptorError, LagflagError
 
 
 def _frames(first: int, last: int, check, step: int = 1):
@@ -209,16 +209,19 @@ def _gorenstein_descriptors(n: int):
             for t in product((1, 2), repeat=k):
                 for gaps in product((0, 1), repeat=k):
                     e = tuple(d[i] - gaps[i] for i in range(k))
-                    desc = flags.FlagDescriptor(n, d, e, t)
-                    if flags.is_valid(desc):
-                        yield desc
+                    try:
+                        desc = flags.FlagDescriptor(n, d, e, t)
+                    except DescriptorError:
+                        continue
+                    yield desc
 
 
 def _dimension_e_independence(n: int) -> str:
     for desc in _gorenstein_descriptors(n):
         if desc.k >= 1 and desc.d[0] - desc.e[0] == 1:
-            raised = flags.FlagDescriptor(n, desc.d, (desc.d[0],) + desc.e[1:], desc.t)
-            if not flags.is_valid(raised):
+            try:
+                raised = flags.FlagDescriptor(n, desc.d, (desc.d[0],) + desc.e[1:], desc.t)
+            except DescriptorError:
                 continue
             if flags.relative_dimension(desc) != flags.relative_dimension(raised):
                 return f"{desc}: dimension changed when raising e_0"

@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from math import comb
 
+import pytest
 
 from lagflag import (
     AMBIENT_DELTA,
@@ -28,7 +29,6 @@ from lagflag import (
     gw_basis,
     is_gorenstein,
     is_regular,
-    is_valid,
     lf_b,
     lf_ktheory,
     mod2_reduce,
@@ -38,6 +38,7 @@ from lagflag import (
     validate,
 )
 from lagflag import verify
+from lagflag.errors import DescriptorError
 from lagflag.cli import main as cli_main
 
 SUITE = dict(verify.SUITES)
@@ -125,20 +126,21 @@ def test_criterion_8_property_suites(capsys):
         assert plus(plus(a, b), c) == plus(a, plus(b, c))
         assert plus(a, PicElement([(g, -exp) for g, exp in a.items()])) == PicElement.zero()
 
-    # each single-constraint violation is rejected
+    # each single-constraint violation is rejected when the descriptor is built
     violating = {
-        "d_leq_half_rank": FlagDescriptor(5, (1, 6), (1,), (1,)),
-        "d_nondecreasing": FlagDescriptor(5, (3, 1), (1,), (1,)),
-        "t_positive": FlagDescriptor(5, (1, 3), (1,), (0,)),
-        "e_nonnegative": FlagDescriptor(5, (1, 3), (-1,), (1,)),
-        "e_leq_d_i": FlagDescriptor(5, (1, 3), (2,), (1,)),
-        "e_leq_d_next": FlagDescriptor(5, (3, 1), (2,), (1,)),
-        "e_leq_half_rank_minus_t": FlagDescriptor(5, (1, 5), (1,), (5,)),
+        "d_leq_half_rank": ((1, 6), (1,), (1,)),
+        "d_nondecreasing": ((3, 1), (1,), (1,)),
+        "t_positive": ((1, 3), (1,), (0,)),
+        "e_nonnegative": ((1, 3), (-1,), (1,)),
+        "e_leq_d_i": ((1, 3), (2,), (1,)),
+        "e_leq_d_next": ((3, 1), (2,), (1,)),
+        "e_leq_half_rank_minus_t": ((1, 5), (1,), (5,)),
     }
-    assert is_valid(FlagDescriptor(5, (1, 3), (1,), (1,)))
-    for constraint, desc in violating.items():
-        found = {v.constraint for v in validate(desc) if v.severity == "error"}
-        assert constraint in found, constraint
+    assert validate(FlagDescriptor(5, (1, 3), (1,), (1,))) == []
+    for constraint, (d, e, t) in violating.items():
+        with pytest.raises(DescriptorError) as rejected:
+            FlagDescriptor(5, d, e, t)
+        assert constraint in {v.constraint for v in rejected.value.violations}, constraint
 
     # CLI output is byte-identical across two runs
     for argv in (

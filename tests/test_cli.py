@@ -346,6 +346,50 @@ def test_invalid_descriptor_exits_one(capsys):
     assert "false" in out
 
 
+INVALID_WITH_WARNINGS = ["scheme", "--d", "1,2,4", "--e", "1,0", "--t", "2,1", "--half-rank", "3"]
+
+
+def test_invalid_descriptor_report_lists_its_error_then_its_warnings(capsys):
+    assert run(capsys, INVALID_WITH_WARNINGS) == (
+        1,
+        "descriptor  LF[1,2,4](1,0)_[2,1]@3\n"
+        "valid       false\n"
+        "error       d_2 = 4 exceeds half_rank 3\n"
+        "warning     e_0 = 1 > e_1 = 0\n"
+        "warning     t_0 = 2 > t_1 = 1\n",
+        "",
+    )
+    code, out, err = run(capsys, [*INVALID_WITH_WARNINGS, "--format", "json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "descriptor": {"half_rank": 3, "d": [1, 2, 4], "e": [1, 0], "t": [2, 1]},
+        "valid": False,
+        "violations": [
+            {"constraint": "d_leq_half_rank", "message": "d_2 = 4 exceeds half_rank 3",
+             "severity": "error"},
+            {"constraint": "e_nondecreasing", "message": "e_0 = 1 > e_1 = 0",
+             "severity": "warning"},
+            {"constraint": "t_nondecreasing", "message": "t_0 = 2 > t_1 = 1",
+             "severity": "warning"},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (
+            ["canonical", "--d", "1,2", "--e", "3", "--t", "1", "--half-rank", "N"],
+            "LF[1,2](3)_[1]@N: e_0 = 3 exceeds d_0 = 1; e_0 = 3 exceeds d_1 = 2",
+        ),
+        (["scheme", "--name", "LF_5", "-n", "3"], "LF[5]()_[]@3: d_0 = 5 exceeds half_rank 3"),
+    ],
+    ids=["canonical-at-N", "named-scheme"],
+)
+def test_an_invalid_descriptor_from_a_name_or_at_N_is_a_usage_error(capsys, argv, named):
+    assert run(capsys, argv) == (2, "", f"lagflag: error: invalid descriptor {named}\n")
+
+
 def test_each_descriptor_is_validated_once(capsys, monkeypatch):
     from lagflag import flags
 
@@ -379,6 +423,13 @@ def test_env_bound_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["enumerate", "-n", "17", "--format", "csv"])
     assert code == 0
     assert out.count("\n") == 2**17 + 1
+
+
+def test_verify_max_n_above_its_bound_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("LAGFLAG_MAX_N", raising=False)
+    assert run(capsys, ["verify", "--max-n", "11"]) == (
+        2, "", "lagflag: error: --max-n 11 is above the configured bound 10\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -563,7 +614,7 @@ def test_verify_names_counting_mismatch(capsys, monkeypatch):
 
 def test_verify_reports_a_library_error_as_a_failed_suite(capsys, monkeypatch):
     # a DescriptorError inside a suite fails that suite, not the command
-    from lagflag import flags, marking
+    from lagflag import marking
 
     real = marking._padded
 
@@ -571,7 +622,7 @@ def test_verify_reports_a_library_error_as_a_failed_suite(capsys, monkeypatch):
         desc = real(diagram, w, type1)
         if diagram.n != 8:
             return desc
-        return flags._require_valid(dataclasses.replace(desc, d=(-1,) + desc.d[1:]))
+        return dataclasses.replace(desc, d=(-1,) + desc.d[1:])
 
     monkeypatch.setattr(marking, "_padded", invalid_at_8)
     code, out, err = run(capsys, ["verify", "--max-n", "8"])
@@ -594,7 +645,7 @@ def test_verify_reports_a_library_error_as_a_failed_suite(capsys, monkeypatch):
 def test_verify_names_the_walk_where_descriptor_dimensions_hit_a_library_error(
     capsys, monkeypatch
 ):
-    from lagflag import flags, marking
+    from lagflag import marking
 
     real = marking.lf_ktheory
 
@@ -602,7 +653,7 @@ def test_verify_names_the_walk_where_descriptor_dimensions_hit_a_library_error(
         desc = real(diagram)
         if diagram.n != 8:
             return desc
-        return flags._require_valid(dataclasses.replace(desc, d=(-1,) + desc.d[1:]))
+        return dataclasses.replace(desc, d=(-1,) + desc.d[1:])
 
     monkeypatch.setattr(marking, "lf_ktheory", invalid_at_8)
     code, out, err = run(capsys, ["verify", "--max-n", "8"])

@@ -1,5 +1,6 @@
 """Descriptor validation and the closed-form scheme predicates."""
 
+import dataclasses
 import re
 from math import comb
 
@@ -17,7 +18,6 @@ from lagflag import (
     gw_basis,
     is_gorenstein,
     is_regular,
-    is_valid,
     k_basis,
     named_scheme,
     relative_dimension,
@@ -28,41 +28,77 @@ from lagflag.flags import Violation, dimension_and_components
 from lagflag.verify import SUITES, _gorenstein_descriptors
 
 
-def errors_of(desc):
-    return {v.constraint for v in validate(desc) if v.severity == "error"}
+def build(fields):
+    """``(descriptor, None)`` for valid ``fields``, else the rejected descriptor and its error."""
+    try:
+        return FlagDescriptor(*fields), None
+    except DescriptorError as exc:
+        return exc.descriptor, exc
 
 
-def warnings_of(desc):
-    return {v.constraint for v in validate(desc) if v.severity == "warning"}
+def errors_of(*fields):
+    return {v.constraint for v in build(fields)[0].violations if v.severity == "error"}
+
+
+def warnings_of(*fields):
+    return {v.constraint for v in build(fields)[0].violations if v.severity == "warning"}
 
 
 def test_validate_examples():
     assert validate(FlagDescriptor(3, (1, 2), (0,), (1,))) == []
-    assert errors_of(FlagDescriptor(2, (0, 3), (0,), (1,))) == {"d_leq_half_rank"}
-    assert errors_of(FlagDescriptor(4, (1, 3), (3,), (2,))) == {
+    assert errors_of(2, (0, 3), (0,), (1,)) == {"d_leq_half_rank"}
+    assert errors_of(4, (1, 3), (3,), (2,)) == {
         "e_leq_d_i",
         "e_leq_half_rank_minus_t",
     }
 
 
+def test_an_invalid_descriptor_is_rejected_when_built():
+    valid = FlagDescriptor(2, (0, 1), (0,), (1,))
+    error = Violation("d_leq_half_rank", "d_1 = 3 exceeds half_rank 2")
+    for construct in (
+        lambda: FlagDescriptor(2, (0, 3), (0,), (1,)),
+        lambda: dataclasses.replace(valid, d=(0, 3)),
+    ):
+        with pytest.raises(DescriptorError) as rejected:
+            construct()
+        exc = rejected.value
+        assert str(exc) == "invalid descriptor LF[0,3](0)_[1]@2: d_1 = 3 exceeds half_rank 2"
+        assert exc.violations == (error,)
+        assert exc.descriptor.violations == (error,) == tuple(validate(exc.descriptor))
+    # the error carries the errors only; the rejected descriptor keeps its warnings too
+    with pytest.raises(DescriptorError) as rejected:
+        FlagDescriptor(3, (1, 2, 4), (1, 0), (2, 1))
+    exc = rejected.value
+    assert str(exc) == "invalid descriptor LF[1,2,4](1,0)_[2,1]@3: d_2 = 4 exceeds half_rank 3"
+    assert [v.constraint for v in exc.violations] == ["d_leq_half_rank"]
+    assert [(v.constraint, v.severity) for v in exc.descriptor.violations] == [
+        ("d_leq_half_rank", "error"),
+        ("e_nondecreasing", "warning"),
+        ("t_nondecreasing", "warning"),
+    ]
+    assert list(exc.descriptor.violations) == validate(exc.descriptor)
+
+
 # each breaks the named constraint of the valid LF[1,3](1)_[1]@5
 SINGLE_VIOLATIONS = {
-    "d_nonnegative": FlagDescriptor(5, (-1, 3), (-1,), (1,)),
-    "d_leq_half_rank": FlagDescriptor(5, (1, 6), (1,), (1,)),
-    "d_nondecreasing": FlagDescriptor(5, (3, 1), (1,), (1,)),
-    "t_positive": FlagDescriptor(5, (1, 3), (1,), (0,)),
-    "e_nonnegative": FlagDescriptor(5, (1, 3), (-1,), (1,)),
-    "e_leq_d_i": FlagDescriptor(5, (1, 3), (2,), (1,)),
-    "e_leq_d_next": FlagDescriptor(5, (3, 3), (4,), (1,)),
-    "e_leq_half_rank_minus_t": FlagDescriptor(5, (1, 5), (1,), (5,)),
+    "d_nonnegative": (5, (-1, 3), (-1,), (1,)),
+    "d_leq_half_rank": (5, (1, 6), (1,), (1,)),
+    "d_nondecreasing": (5, (3, 1), (1,), (1,)),
+    "t_positive": (5, (1, 3), (1,), (0,)),
+    "e_nonnegative": (5, (1, 3), (-1,), (1,)),
+    "e_leq_d_i": (5, (1, 3), (2,), (1,)),
+    "e_leq_d_next": (5, (3, 3), (4,), (1,)),
+    "e_leq_half_rank_minus_t": (5, (1, 5), (1,), (5,)),
 }
 
 
 def test_validate_rejects_each_single_constraint():
-    base = FlagDescriptor(5, (1, 3), (1,), (1,))
-    assert is_valid(base)
-    for constraint, desc in SINGLE_VIOLATIONS.items():
-        assert constraint in errors_of(desc), constraint
+    assert FlagDescriptor(5, (1, 3), (1,), (1,)).violations == ()
+    for constraint, fields in SINGLE_VIOLATIONS.items():
+        with pytest.raises(DescriptorError) as rejected:
+            FlagDescriptor(*fields)
+        assert constraint in {v.constraint for v in rejected.value.violations}, constraint
 
 
 def validate_by_items(desc):
@@ -119,10 +155,14 @@ def validate_by_items(desc):
 
 
 def assert_validate_matches_the_oracle(fields):
-    desc = FlagDescriptor(*fields)
+    desc, rejection = build(fields)
     expected = [(v.constraint, v.message, v.severity) for v in validate_by_items(desc)]
     for got in (validate(desc), desc.violations):
         assert [(v.constraint, v.message, v.severity) for v in got] == expected, desc
+    # rejected exactly when an error is found, carrying the errors
+    errors = [item for item in expected if item[2] == "error"]
+    got = [(v.constraint, v.message, v.severity) for v in rejection.violations] if rejection else []
+    assert got == errors, desc
 
 
 def entries(size):
@@ -161,12 +201,12 @@ def test_validate_matches_the_oracle_around_the_basis_schemes(n):
 
 
 def test_monotonicity_is_warning_only():
-    desc = FlagDescriptor(6, (1, 3, 5), (1, 2), (2, 1))
-    assert errors_of(desc) == set()
-    assert "t_nondecreasing" in warnings_of(desc)
-    desc = FlagDescriptor(6, (2, 3, 5), (2, 1), (1, 1))
-    assert errors_of(desc) == set()
-    assert "e_nondecreasing" in warnings_of(desc)
+    fields = (6, (1, 3, 5), (1, 2), (2, 1))
+    assert errors_of(*fields) == set()
+    assert "t_nondecreasing" in warnings_of(*fields)
+    fields = (6, (2, 3, 5), (2, 1), (1, 1))
+    assert errors_of(*fields) == set()
+    assert "e_nondecreasing" in warnings_of(*fields)
 
 
 def test_shape_mismatch_is_construction_error():
@@ -205,11 +245,11 @@ def test_regular_and_gorenstein_examples():
 
 
 def test_predicates_reject_invalid_descriptors():
-    bad = FlagDescriptor(2, (0, 3), (0,), (1,))
+    # no predicate sees an invalid descriptor: building one raises
     with pytest.raises(DescriptorError):
-        is_regular(bad)
+        FlagDescriptor(2, (0, 3), (0,), (1,))
     with pytest.raises(DescriptorError):
-        relative_dimension(bad)
+        dataclasses.replace(FlagDescriptor(2, (0, 1), (0,), (1,)), d=(0, 3))
 
 
 @pytest.mark.parametrize("n", range(0, 21))
@@ -234,8 +274,8 @@ def test_dimension_is_independent_of_e():
     # the suite skips raised descriptors that are invalid; make sure it compares many
     descs = [d for n in range(1, 7) for d in _gorenstein_descriptors(n)]
     lowered = [d for d in descs if d.k >= 1 and d.d[0] - d.e[0] == 1]
-    raised = [FlagDescriptor(d.half_rank, d.d, (d.d[0],) + d.e[1:], d.t) for d in lowered]
-    assert sum(map(is_valid, raised)) > 100
+    raised = [build((d.half_rank, d.d, (d.d[0],) + d.e[1:], d.t)) for d in lowered]
+    assert sum(rejection is None for _, rejection in raised) > 100
 
 
 def test_scheme_report():
@@ -270,19 +310,22 @@ def test_scheme_report_validates_once(monkeypatch):
         desc = FlagDescriptor(*fields)  # validated here, at construction
         scheme_report(desc)
         assert calls == [desc]
-    with pytest.raises(DescriptorError):
-        scheme_report(FlagDescriptor(2, (0, 3), (0,), (1,)))
+    calls.clear()
+    with pytest.raises(DescriptorError) as rejected:
+        FlagDescriptor(2, (0, 3), (0,), (1,))
+    assert calls == [rejected.value.descriptor]
 
 
 def test_scheme_report_agrees_with_the_checked_forms():
     descs = [d for n in range(1, 5) for d in _gorenstein_descriptors(n)]
     # lowering e by one leaves many of them valid but not Gorenstein
-    descs += [
-        FlagDescriptor(d.half_rank, d.d, tuple(x - 1 for x in d.e), d.t) for d in descs
-    ]
-    for desc in [*descs, *SINGLE_VIOLATIONS.values()]:
+    lowered = [build((d.half_rank, d.d, tuple(x - 1 for x in d.e), d.t)) for d in descs]
+    descs += [desc for desc, rejection in lowered if rejection is None]
+    rejected = [desc for desc, rejection in lowered if rejection]
+    rejected += [build(fields)[0] for fields in SINGLE_VIOLATIONS.values()]
+    for desc in [*descs, *rejected]:
         assert list(desc.violations) == validate(desc)
-    for desc in filter(is_valid, descs):
+    for desc in descs:
         report = scheme_report(desc)
         assert report.regular == is_regular(desc)
         assert report.gorenstein == is_gorenstein(desc)
@@ -338,11 +381,6 @@ def test_closed_form_readings_keep_their_errors():
     count_message = "component count needs a Gorenstein descriptor, got LF[2,3](0)_[1]@4"
     with pytest.raises(UnsupportedError, match=re.escape(count_message)):
         component_count(not_gorenstein)
-    invalid = FlagDescriptor(2, (0, 3), (0,), (1,))
-    invalid_message = "invalid descriptor LF[0,3](0)_[1]@2: d_1 = 3 exceeds half_rank 2"
-    for read in (relative_dimension, component_count, dimension_and_components, scheme_report):
-        with pytest.raises(DescriptorError, match=re.escape(invalid_message)):
-            read(invalid)
 
 
 def test_each_closed_form_reading_checks_gorenstein_once(monkeypatch):

@@ -52,8 +52,17 @@ def _shift_distances_at_8(real):
     return lf_ktheory
 
 
-def _off_by_one_at_half_rank_8(real):
-    return lambda desc: real(desc) + (desc.half_rank == 8)
+def _off_by_one_at_half_rank(half_rank):
+    return lambda real: lambda desc: real(desc) + (desc.half_rank == half_rank)
+
+
+def _doubled_at_half_rank_8(real):
+    return lambda desc: real(desc) * (2 if desc.half_rank == 8 else 1)
+
+
+def _not_gorenstein_at_half_rank_9(real):
+    # only a frame-8 padded scheme has half rank 9
+    return lambda desc: real(desc) and desc.half_rank != 9
 
 
 def _off_by_one_when_raised_at_half_rank_6(real):
@@ -99,8 +108,10 @@ CASES = [
      "frame 12: column deletion is not a bijection"),
     ("marking-tuples", 8, marking, "lf_ktheory", _shift_distances_at_8,
      "HHHHHHHH: column deletion breaks distances"),
-    ("descriptor-dimensions", 8, flags, "relative_dimension", _off_by_one_at_half_rank_8,
+    ("descriptor-dimensions", 8, flags, "relative_dimension", _off_by_one_at_half_rank(8),
      "VVVVVVVV: K-theory scheme dimension is off"),
+    ("descriptor-dimensions", 8, flags, "component_count", _doubled_at_half_rank_8,
+     "VVVVVVVV: K-theory scheme is not irreducible"),
     ("dimension-e-independence", 6, flags, "relative_dimension",
      _off_by_one_when_raised_at_half_rank_6,
      "LF[1,1](0)_[1]@6: dimension changed when raising e_0"),
@@ -113,14 +124,26 @@ CASES = [
     # verify_geometry calls the binding in basis, which a patch on picard does not reach
     ("geometry", 8, basis, "scheme_alignment", _misaligned_at_8,
      "frame 8: O/xi0(HHHHHHHH): twist parity Delta(0), required 0"),
+    ("geometry", 8, basis, "is_gorenstein", _not_gorenstein_at_half_rank_9,
+     "frame 8: O/mu0(VVVVVVVH): descriptor is not Gorenstein"),
+    ("geometry", 8, basis, "relative_dimension", _off_by_one_at_half_rank(9),
+     "frame 8: O/xi0(HVVVVVVV): dimension 9, expected 8"),
     ("connecting-case-table", 10, picard, "classify_connecting", _wrong_case_at_10,
      "n=10 twist=O: got SplitCaseI"),
 ]
 
 
-@pytest.mark.parametrize(
-    "suite,max_n,module,name,breaker,detail", CASES, ids=[case[0] for case in CASES]
-)
+def _case_ids(cases):
+    """Each case by its suite; a later case of the same suite adds the function it breaks."""
+    seen = set()
+    ids = []
+    for suite, _, _, name, _, _ in cases:
+        ids.append(f"{suite}-{name}" if suite in seen else suite)
+        seen.add(suite)
+    return ids
+
+
+@pytest.mark.parametrize("suite,max_n,module,name,breaker,detail", CASES, ids=_case_ids(CASES))
 def test_suite_fails_at_the_top_of_its_range(
     monkeypatch, suite, max_n, module, name, breaker, detail
 ):
