@@ -13,7 +13,6 @@ identities the decompositions satisfy.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
 from typing import Iterator
@@ -31,6 +30,7 @@ from .diagrams import (  # noqa: F401
 from .flags import FlagDescriptor, is_gorenstein, relative_dimension
 from .marking import lf_ktheory, padded_scheme, uses_type1
 from .picard import Twist, _member, scheme_alignment
+from .record import Record
 
 
 class Kind(str, Enum):
@@ -46,16 +46,20 @@ class MapLabel(str, Enum):
     MU1 = "mu1"
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Record):
     """One basis summand: a K-atom or a shifted (possibly twisted) GW-atom."""
 
-    kind: Kind
-    source_diagram: ShiftedDiagram
-    scheme: FlagDescriptor
-    map_label: MapLabel
-    shift: int | None = None
-    base_twist: int | None = None  # flag-step index of a residual det twist
+    __slots__ = _fields = ("kind", "source_diagram", "scheme", "map_label", "shift", "base_twist")
+
+    def __init__(self, kind: Kind, source_diagram: ShiftedDiagram, scheme: FlagDescriptor,
+                 map_label: MapLabel, shift: int | None = None, base_twist: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "source_diagram", source_diagram)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "map_label", map_label)
+        object.__setattr__(self, "shift", shift)
+        # the flag-step index of a residual det twist
+        object.__setattr__(self, "base_twist", base_twist)
 
     def to_json(self) -> dict:
         return {
@@ -68,18 +72,16 @@ class Summand:
         }
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A whole basis; ``twist`` and ``theory`` may be given by value."""
 
-    n: int
-    twist: Twist
-    theory: Kind
-    summands: tuple[Summand, ...]
+    __slots__ = _fields = ("n", "twist", "theory", "summands")
 
-    def __post_init__(self):
-        object.__setattr__(self, "twist", _member(Twist, self.twist))
-        object.__setattr__(self, "theory", _member(Kind, self.theory))
+    def __init__(self, n: int, twist: Twist, theory: Kind, summands: tuple[Summand, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "twist", _member(Twist, twist))
+        object.__setattr__(self, "theory", _member(Kind, theory))
+        object.__setattr__(self, "summands", summands)
 
     def to_json(self) -> dict:
         return {
@@ -213,14 +215,18 @@ def first_mismatch(lhs: Counter, rhs: Counter) -> Atom | None:
     return None
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    label: str
-    description: str
-    passed: bool
-    lhs: tuple[tuple[Atom, int], ...]
-    rhs: tuple[tuple[Atom, int], ...]
-    first_mismatch: Atom | None
+class CaseResult(Record):
+    __slots__ = _fields = ("label", "description", "passed", "lhs", "rhs", "first_mismatch")
+
+    def __init__(self, label: str, description: str, passed: bool,
+                 lhs: tuple[tuple[Atom, int], ...], rhs: tuple[tuple[Atom, int], ...],
+                 first_mismatch: Atom | None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
 
     def to_json(self) -> dict:
         return {
@@ -233,12 +239,15 @@ class CaseResult:
         }
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    n: int
-    cases: tuple[CaseResult, ...]
-    passed: bool
-    notes: tuple[str, ...]
+class RecursionReport(Record):
+    __slots__ = _fields = ("n", "cases", "passed", "notes")
+
+    def __init__(self, n: int, cases: tuple[CaseResult, ...], passed: bool,
+                 notes: tuple[str, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "notes", notes)
 
     def to_json(self) -> dict:
         return {
@@ -292,11 +301,13 @@ def verify_recursions(n: int) -> RecursionReport:
     )
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    n: int
-    checked: int
-    failures: tuple[str, ...]
+class GeometryReport(Record):
+    __slots__ = _fields = ("n", "checked", "failures")
+
+    def __init__(self, n: int, checked: int, failures: tuple[str, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:
@@ -345,20 +356,19 @@ def verify_geometry(n: int) -> GeometryReport:
     return GeometryReport(n=n, checked=checked, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class WittTable:
+class WittTable(Record):
     """GW-atom counts folded mod 4, with K-atoms tallied separately.
 
     ``twist`` may be given by value.
     """
 
-    n: int
-    twist: Twist
-    degrees: tuple[tuple[int, int], ...]
-    k_count: int
+    __slots__ = _fields = ("n", "twist", "degrees", "k_count")
 
-    def __post_init__(self):
-        object.__setattr__(self, "twist", _member(Twist, self.twist))
+    def __init__(self, n: int, twist: Twist, degrees: tuple[tuple[int, int], ...], k_count: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "twist", _member(Twist, twist))
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "k_count", k_count)
 
     def to_json(self) -> dict:
         return {

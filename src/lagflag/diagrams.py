@@ -26,12 +26,12 @@ the package's one check of a frame size.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product, repeat
 
 from .errors import DomainError
+from .record import Record
 
 DOWN = "V"
 LEFT = "H"
@@ -51,27 +51,26 @@ def _require_frame_size(n, least: int = 0, needs: str = "expected") -> None:
         raise DomainError(f"{needs} frame size >= {least}, got {n}")
 
 
-@dataclass(frozen=True)
-class ShiftedDiagram:
+class ShiftedDiagram(Record):
     """A shifted Young diagram, stored as its boundary step string."""
 
-    n: int
-    steps: str
+    _fields = ("n", "steps")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the `ends` cache
 
-    def __post_init__(self) -> None:
-        _require_frame_size(self.n)
-        if type(self.steps) is not str:
-            raise DomainError(f"steps must be a string, got {self.steps!r}")
-        if len(self.steps) != self.n:
-            raise DomainError(
-                f"expected {self.n} boundary steps, got {len(self.steps)}"
-            )
-        bad = set(self.steps) - {DOWN, LEFT}
+    def __init__(self, n: int, steps: str):
+        _require_frame_size(n)
+        if type(steps) is not str:
+            raise DomainError(f"steps must be a string, got {steps!r}")
+        if len(steps) != n:
+            raise DomainError(f"expected {n} boundary steps, got {len(steps)}")
+        bad = set(steps) - {DOWN, LEFT}
         if bad:
             raise DomainError(f"boundary steps must be 'V' or 'H', got {sorted(bad)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "steps", steps)
 
-    # not a field, so ==, hash and to_json see only the walk; the cache writes
-    # the instance __dict__, which the frozen dataclass leaves open
+    # not a field, so ==, hash, repr and to_json see only the walk; the cache
+    # writes the __dict__ slot directly, past the __setattr__ that refuses assignment
     @cached_property
     def ends(self) -> tuple[int, ...]:
         """Segment ends of the boundary walk (see `Boundary`), read at most once."""
@@ -182,8 +181,7 @@ def enumerate_diagrams(n: int) -> Frame:
     return Frame(n)
 
 
-@dataclass(frozen=True)
-class Boundary:
+class Boundary(Record):
     """Run-length decomposition of a boundary walk into alternating segments.
 
     ``ends[i]`` is the boundary distance from the origin to the end of the
@@ -193,7 +191,10 @@ class Boundary:
     (the ``(step, length)`` pairs) are derived from the ends when read.
     """
 
-    ends: tuple[int, ...]
+    __slots__ = _fields = ("ends",)
+
+    def __init__(self, ends: tuple[int, ...]):
+        object.__setattr__(self, "ends", ends)
 
     @property
     def segment_count(self) -> int:
@@ -221,8 +222,7 @@ class RowType(str, Enum):
     EMPTY_RIGHT_COLUMN = "EmptyRightColumn"
 
 
-@dataclass(frozen=True)
-class DiagramClass:
+class DiagramClass(Record):
     """Classification data of a diagram.
 
     ``index_w`` is the least segment index ``t`` whose end passes
@@ -231,10 +231,13 @@ class DiagramClass:
     the one place that rule is stated, for `classify` and `Frame.walks`.
     """
 
-    index_w: int
-    is_almost_even: bool
-    is_k_even: bool
-    row_type: RowType
+    __slots__ = _fields = ("index_w", "is_almost_even", "is_k_even", "row_type")
+
+    def __init__(self, index_w: int, is_almost_even: bool, is_k_even: bool, row_type: RowType):
+        object.__setattr__(self, "index_w", index_w)
+        object.__setattr__(self, "is_almost_even", is_almost_even)
+        object.__setattr__(self, "is_k_even", is_k_even)
+        object.__setattr__(self, "row_type", row_type)
 
     def to_json(self) -> dict:
         return {
@@ -289,18 +292,21 @@ def delete_right_column(diagram: ShiftedDiagram) -> ShiftedDiagram:
 _LETTER_STEP = {"r": DOWN, "c": LEFT}
 
 
-@dataclass(frozen=True)
-class ClassSets:
+class ClassSets(Record):
     """The named diagram families of one frame.
 
     ``all_diagrams`` is the full family (U), ``almost_even`` the almost even
     diagrams (A), ``k_even`` the K-even ones (E), each in enumeration order.
     """
 
-    n: int
-    all_diagrams: tuple[ShiftedDiagram, ...]
-    almost_even: tuple[ShiftedDiagram, ...]
-    k_even: tuple[ShiftedDiagram, ...]
+    __slots__ = _fields = ("n", "all_diagrams", "almost_even", "k_even")
+
+    def __init__(self, n: int, all_diagrams: tuple[ShiftedDiagram, ...],
+                 almost_even: tuple[ShiftedDiagram, ...], k_even: tuple[ShiftedDiagram, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "all_diagrams", all_diagrams)
+        object.__setattr__(self, "almost_even", almost_even)
+        object.__setattr__(self, "k_even", k_even)
 
     def family(self, name: str) -> tuple[ShiftedDiagram, ...]:
         try:

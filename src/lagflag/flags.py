@@ -7,61 +7,63 @@ and consecutive Lagrangians share an intermediate stratum of corank ``t_i``
 containing ``V_{e_i}``.  None of that geometry is materialized here: this
 module evaluates the descriptor-level criteria (regularity, the Gorenstein
 bound, relative dimension, component count).  Construction is the one
-validity gate: `validate` runs there once and an invalid descriptor is
-rejected, so readers need no check; `_closed_forms`, the one home of the
-Gorenstein rule and of the last two criteria, is one loop per reading.
+validity gate: `validate` runs there once, an invalid descriptor is
+rejected and a built one cannot be changed, so readers need no check;
+`_closed_forms`, the one home of the Gorenstein rule and of the last two
+criteria, is one loop per reading.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from math import comb
 
 from .errors import DescriptorError, DomainError, UnsupportedError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FlagDescriptor:
+class FlagDescriptor(Record):
     """The data (half_rank, d, e, t) of a generalized Lagrangian flag scheme.
 
     ``d`` has ``k+1`` entries and ``e``, ``t`` have ``k`` each.  Construction
     checks that every value is a plain ``int`` (not a bool) and checks shapes,
     then runs `validate` once and keeps its result as ``violations``.  A
     broken defining inequality raises `DescriptorError`, which carries the
-    rejected instance as ``descriptor``, so a built descriptor is valid and
-    its ``violations`` are warnings only.
+    rejected instance as ``descriptor``.  Fields cannot be assigned, so a
+    built descriptor stays valid and its ``violations`` are warnings only.
     """
 
-    half_rank: int
-    d: tuple[int, ...]
-    e: tuple[int, ...]
-    t: tuple[int, ...]
-    violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("half_rank", "d", "e", "t")
+    __slots__ = (*_fields, "violations")  # not a field: ==, hash and repr skip it
 
-    def __post_init__(self) -> None:
+    def __init__(self, half_rank: int, d: Sequence[int], e: Sequence[int], t: Sequence[int]):
         try:
-            object.__setattr__(self, "d", tuple(self.d))
-            object.__setattr__(self, "e", tuple(self.e))
-            object.__setattr__(self, "t", tuple(self.t))
+            d = tuple(d)
+            e = tuple(e)
+            t = tuple(t)
         except TypeError:
             raise DomainError(
-                "d, e and t must be sequences of integers, "
-                f"got {self.d!r}, {self.e!r}, {self.t!r}"
+                f"d, e and t must be sequences of integers, got {d!r}, {e!r}, {t!r}"
             ) from None
-        for value in (self.half_rank, *self.d, *self.e, *self.t):
+        object.__setattr__(self, "half_rank", half_rank)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "t", t)
+        for value in (half_rank, *d, *e, *t):
             if type(value) is not int:  # rejects bools too
                 raise DomainError(
                     f"descriptor values must be integers, got {value!r} in {self}"
                 )
-        if len(self.d) == 0:
+        if len(d) == 0:
             raise DomainError("d must have at least one entry")
-        if len(self.e) != len(self.d) - 1 or len(self.t) != len(self.e):
+        if len(e) != len(d) - 1 or len(t) != len(e):
             raise DomainError(
-                f"shape mismatch: len(d)={len(self.d)} needs "
-                f"len(e)=len(t)={len(self.d) - 1}, got {len(self.e)}, {len(self.t)}"
+                f"shape mismatch: len(d)={len(d)} needs "
+                f"len(e)=len(t)={len(d) - 1}, got {len(e)}, {len(t)}"
             )
-        object.__setattr__(self, "violations", tuple(validate(self)))
-        if self.violations and self.violations[0].severity == "error":  # errors come first
+        violations = tuple(validate(self))  # the module global, which a tracer may wrap
+        object.__setattr__(self, "violations", violations)
+        if violations and violations[0].severity == "error":  # errors come first
             raise _rejection(self)
 
     @property
@@ -83,13 +85,15 @@ class FlagDescriptor:
         return f"LF[{d}]({e})_[{t}]@{self.half_rank}"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One violated descriptor constraint; warnings do not make it invalid."""
 
-    constraint: str
-    message: str
-    severity: str = "error"
+    __slots__ = _fields = ("constraint", "message", "severity")
+
+    def __init__(self, constraint: str, message: str, severity: str = "error"):
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "severity", severity)
 
     def to_json(self) -> dict:
         return {
@@ -242,19 +246,24 @@ def _closed_forms(desc: FlagDescriptor) -> tuple[int, int] | None:
     return dimension, 2**s
 
 
-@dataclass(frozen=True)
-class SchemeReport:
+class SchemeReport(Record):
     """Evaluated predicates and quantities of one descriptor.
 
     ``relative_dimension`` and ``component_count`` are None outside the
     Gorenstein regime, where the closed forms do not apply.
     """
 
-    regular: bool
-    gorenstein: bool
-    relative_dimension: int | None
-    component_count: int | None
-    reduced_with_trivial_pushforward: bool
+    __slots__ = _fields = ("regular", "gorenstein", "relative_dimension", "component_count",
+                           "reduced_with_trivial_pushforward")
+
+    def __init__(self, regular: bool, gorenstein: bool, relative_dimension: int | None,
+                 component_count: int | None, reduced_with_trivial_pushforward: bool):
+        object.__setattr__(self, "regular", regular)
+        object.__setattr__(self, "gorenstein", gorenstein)
+        object.__setattr__(self, "relative_dimension", relative_dimension)
+        object.__setattr__(self, "component_count", component_count)
+        object.__setattr__(self, "reduced_with_trivial_pushforward",
+                           reduced_with_trivial_pushforward)
 
     def to_json(self) -> dict:
         return {

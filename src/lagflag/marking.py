@@ -24,13 +24,13 @@ they are kept for inspection, and nothing else in the package calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
 from .diagrams import DOWN, LEFT, Boundary, ShiftedDiagram, _require_frame_size, boundary
 from .errors import DomainError
 from .flags import FlagDescriptor
+from .record import Record
 
 
 class SelectionRule(Enum):
@@ -55,11 +55,13 @@ class SelectionRule(Enum):
         return (0,) + tuple(range(1, length, 2))
 
 
-@dataclass(frozen=True)
-class SegmentSelection:
-    segment: int
-    rule: SelectionRule
-    offsets: tuple[int, ...]
+class SegmentSelection(Record):
+    __slots__ = _fields = ("segment", "rule", "offsets")
+
+    def __init__(self, segment: int, rule: SelectionRule, offsets: tuple[int, ...]):
+        object.__setattr__(self, "segment", segment)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "offsets", offsets)
 
     def to_json(self) -> dict:
         return {
@@ -69,16 +71,19 @@ class SegmentSelection:
         }
 
 
-@dataclass(frozen=True)
-class MarkedSelection:
+class MarkedSelection(Record):
     """Selected points of one diagram, grouped per horizontal segment.
 
     ``boundary`` is the diagram's boundary the selection was read from.
     """
 
-    diagram: ShiftedDiagram
-    per_segment: tuple[SegmentSelection, ...]
-    boundary: Boundary
+    __slots__ = _fields = ("diagram", "per_segment", "boundary")
+
+    def __init__(self, diagram: ShiftedDiagram, per_segment: tuple[SegmentSelection, ...],
+                 boundary: Boundary):
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "per_segment", per_segment)
+        object.__setattr__(self, "boundary", boundary)
 
     @property
     def points(self) -> tuple[tuple[int, int], ...]:
@@ -197,14 +202,17 @@ def selection_S_tilde(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
     return _select(diagram, b, _cutoff_rules(diagram, b.ends, w, tilde=True))
 
 
-@dataclass(frozen=True)
-class TupleData:
+class TupleData(Record):
     """Descriptor tuples read off a marked selection."""
 
-    d: tuple[int, ...]
-    e: tuple[int, ...]
-    t: tuple[int, ...]
-    appended_n: bool
+    __slots__ = _fields = ("d", "e", "t", "appended_n")
+
+    def __init__(self, d: tuple[int, ...], e: tuple[int, ...], t: tuple[int, ...],
+                 appended_n: bool):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "appended_n", appended_n)
 
     @property
     def k(self) -> int:

@@ -30,7 +30,6 @@ stratum is pinched likewise (``e_i`` equal to half rank minus ``t_i``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -39,20 +38,19 @@ from .diagrams import DOWN, ShiftedDiagram, _require_frame_size, boundary, class
 from .errors import DescriptorError, DomainError, UnsupportedError
 from .flags import FlagDescriptor, _rejection, is_gorenstein
 from .marking import padded_scheme, uses_type1
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(Record):
     """An exponent of the form ``n_coeff * n + const`` for symbolic half rank."""
 
-    n_coeff: int
-    const: int
+    __slots__ = _fields = ("n_coeff", "const")
 
-    def __post_init__(self) -> None:
-        if type(self.n_coeff) is not int or type(self.const) is not int:  # rejects bools too
-            raise DomainError(
-                f"affine coefficients must be integers, got {self.n_coeff!r}, {self.const!r}"
-            )
+    def __init__(self, n_coeff: int, const: int):
+        if type(n_coeff) is not int or type(const) is not int:  # rejects bools too
+            raise DomainError(f"affine coefficients must be integers, got {n_coeff!r}, {const!r}")
+        object.__setattr__(self, "n_coeff", n_coeff)
+        object.__setattr__(self, "const", const)
 
     def _coerce(self, other) -> "Affine":
         if isinstance(other, Affine):
@@ -240,11 +238,13 @@ class PicElement:
         return f"PicElement({dict(self._items)!r})"
 
 
-@dataclass(frozen=True)
-class ParityClass:
+class ParityClass(Record):
     """An exponent vector mod 2 after deleting base-trivial generators."""
 
-    generators: frozenset[Generator]
+    __slots__ = _fields = ("generators",)
+
+    def __init__(self, generators: frozenset[Generator]):
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def zero(cls) -> "ParityClass":
@@ -435,12 +435,15 @@ class TwistVariant(str, Enum):
     XI1 = "Xi1"
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    ok: bool
-    parity: ParityClass
-    required: ParityClass
-    scheme: FlagDescriptor
+class AlignmentResult(Record):
+    __slots__ = _fields = ("ok", "parity", "required", "scheme")
+
+    def __init__(self, ok: bool, parity: ParityClass, required: ParityClass,
+                 scheme: FlagDescriptor):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "required", required)
+        object.__setattr__(self, "scheme", scheme)
 
     def to_json(self) -> dict:
         return {

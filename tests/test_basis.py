@@ -212,13 +212,13 @@ def test_frame_size_must_be_a_plain_int(entry):
 )
 def test_summand_streams_build_the_frame_as_they_read_it(monkeypatch, summands):
     built = []
-    real = ShiftedDiagram.__post_init__
+    real = ShiftedDiagram.__init__
 
-    def counted(self):
-        built.append(self.steps)
-        real(self)
+    def counted(self, n, steps):
+        built.append(steps)
+        real(self, n, steps)
 
-    monkeypatch.setattr(ShiftedDiagram, "__post_init__", counted)
+    monkeypatch.setattr(ShiftedDiagram, "__init__", counted)
     next(summands())
     assert 0 < len(built) < 10
 
@@ -242,13 +242,13 @@ def test_summand_streams_build_a_diagram_only_for_a_summand(monkeypatch, summand
                 if value is original:
                     monkeypatch.setattr(module, name, unread)
     built = []
-    real = ShiftedDiagram.__post_init__
+    real = ShiftedDiagram.__init__
 
-    def counted(self):
-        built.append(self.steps)
-        real(self)
+    def counted(self, n, steps):
+        built.append(steps)
+        real(self, n, steps)
 
-    monkeypatch.setattr(ShiftedDiagram, "__post_init__", counted)
+    monkeypatch.setattr(ShiftedDiagram, "__init__", counted)
     drained = [s.source_diagram.steps for s in summands()]
     assert built == drained
 
@@ -324,9 +324,7 @@ def test_geometry_n2_details():
 
 
 def test_geometry_audits_the_scheme_a_summand_carries(monkeypatch):
-    from dataclasses import replace
-
-    from lagflag import ShiftedDiagram, basis, lf_a
+    from lagflag import Decomposition, ShiftedDiagram, Summand, basis, lf_a
 
     real = basis.gw_basis
     hv = ShiftedDiagram(2, "HV")
@@ -338,10 +336,12 @@ def test_geometry_audits_the_scheme_a_summand_carries(monkeypatch):
         if (n, twist) != (2, Twist.TRIVIAL):
             return decomp
         summands = tuple(
-            replace(s, scheme=wrong) if s.source_diagram == hv else s
+            Summand(s.kind, s.source_diagram, wrong, s.map_label, s.shift, s.base_twist)
+            if s.source_diagram == hv
+            else s
             for s in decomp.summands
         )
-        return replace(decomp, summands=summands)
+        return Decomposition(decomp.n, decomp.twist, decomp.theory, summands)
 
     monkeypatch.setattr(basis, "gw_basis", gw_basis_with_wrong_scheme)
     report = verify_geometry(2)

@@ -1,7 +1,6 @@
 """CLI behavior: golden output, determinism, exit codes, JSON payloads against the records."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -17,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lagflag import (
+    FlagDescriptor,
     ShiftedDiagram,
     Twist,
     canonical_sheaf_in_n,
@@ -622,7 +622,7 @@ def test_verify_reports_a_library_error_as_a_failed_suite(capsys, monkeypatch):
         desc = real(diagram, w, type1)
         if diagram.n != 8:
             return desc
-        return dataclasses.replace(desc, d=(-1,) + desc.d[1:])
+        return FlagDescriptor(desc.half_rank, (-1,) + desc.d[1:], desc.e, desc.t)
 
     monkeypatch.setattr(marking, "_padded", invalid_at_8)
     code, out, err = run(capsys, ["verify", "--max-n", "8"])
@@ -653,7 +653,7 @@ def test_verify_names_the_walk_where_descriptor_dimensions_hit_a_library_error(
         desc = real(diagram)
         if diagram.n != 8:
             return desc
-        return dataclasses.replace(desc, d=(-1,) + desc.d[1:])
+        return FlagDescriptor(desc.half_rank, (-1,) + desc.d[1:], desc.e, desc.t)
 
     monkeypatch.setattr(marking, "lf_ktheory", invalid_at_8)
     code, out, err = run(capsys, ["verify", "--max-n", "8"])

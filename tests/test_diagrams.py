@@ -7,7 +7,6 @@ and the odd-frame partitions are checked by the suites of `lagflag.verify`.
 """
 
 import re
-from dataclasses import replace
 from itertools import accumulate, groupby, product
 
 import pytest
@@ -254,7 +253,7 @@ def test_cached_ends_are_invisible():
     assert repr(read) == repr(unread)
     assert read == unread and hash(read) == hash(unread)
     assert read.to_json() == unread.to_json()
-    assert replace(read, steps="VVHHV").ends == (2, 4, 5)
+    assert ShiftedDiagram(read.n, "VVHHV").ends == (2, 4, 5)
     assert boundary(read).ends == read.ends
 
 

@@ -1,6 +1,5 @@
 """Descriptor validation and the closed-form scheme predicates."""
 
-import dataclasses
 import re
 from math import comb
 
@@ -56,9 +55,13 @@ def test_validate_examples():
 def test_an_invalid_descriptor_is_rejected_when_built():
     valid = FlagDescriptor(2, (0, 1), (0,), (1,))
     error = Violation("d_leq_half_rank", "d_1 = 3 exceeds half_rank 2")
+    # a built descriptor cannot be changed into an invalid one
+    with pytest.raises(AttributeError):
+        valid.d = (0, 3)
+    assert valid.d == (0, 1) and valid == FlagDescriptor(2, (0, 1), (0,), (1,))
     for construct in (
         lambda: FlagDescriptor(2, (0, 3), (0,), (1,)),
-        lambda: dataclasses.replace(valid, d=(0, 3)),
+        lambda: FlagDescriptor(valid.half_rank, (0, 3), valid.e, valid.t),
     ):
         with pytest.raises(DescriptorError) as rejected:
             construct()
@@ -248,8 +251,12 @@ def test_predicates_reject_invalid_descriptors():
     # no predicate sees an invalid descriptor: building one raises
     with pytest.raises(DescriptorError):
         FlagDescriptor(2, (0, 3), (0,), (1,))
+    valid = FlagDescriptor(2, (0, 1), (0,), (1,))
+    with pytest.raises(AttributeError):
+        valid.d = (0, 3)
+    assert valid.d == (0, 1)
     with pytest.raises(DescriptorError):
-        dataclasses.replace(FlagDescriptor(2, (0, 1), (0,), (1,)), d=(0, 3))
+        FlagDescriptor(valid.half_rank, (0, 3), valid.e, valid.t)
 
 
 @pytest.mark.parametrize("n", range(0, 21))

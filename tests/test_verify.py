@@ -6,7 +6,6 @@ library function on its module, only at the largest frame or the last case
 a delegating test relies on, and expects the suite to fail there and name it.
 """
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -33,7 +32,7 @@ def _extra_almost_even_at_9(real):
         if n != 9:
             return sets
         extra = next(d for d in sets.all_diagrams if d.steps.startswith("VH"))
-        return dataclasses.replace(sets, almost_even=sets.almost_even + (extra,))
+        return diagrams.ClassSets(n, sets.all_diagrams, sets.almost_even + (extra,), sets.k_even)
 
     return class_sets
 
@@ -47,7 +46,9 @@ def _collide_at_12(real):
 def _shift_distances_at_8(real):
     def lf_ktheory(d):
         desc = real(d)
-        return dataclasses.replace(desc, d=(1,) + desc.d[1:]) if d.steps == "H" * 8 else desc
+        if d.steps != "H" * 8:
+            return desc
+        return flags.FlagDescriptor(desc.half_rank, (1,) + desc.d[1:], desc.e, desc.t)
 
     return lf_ktheory
 
@@ -82,7 +83,8 @@ def _misaligned_at_8(real):
         result = real(d, scheme)
         if d.steps != "H" * 8:
             return result
-        return dataclasses.replace(result, ok=False, required=picard.ParityClass.zero())
+        zero = picard.ParityClass.zero()
+        return picard.AlignmentResult(False, result.parity, zero, result.scheme)
 
     return scheme_alignment
 
@@ -188,7 +190,9 @@ def test_marking_tuples_checks_the_padded_schemes(monkeypatch):
 
     def padded_scheme(diagram, w, **kwargs):
         desc = real(diagram, w, **kwargs)
-        return dataclasses.replace(desc, t=(3,) + desc.t[1:]) if diagram.steps == broken else desc
+        if diagram.steps != broken:
+            return desc
+        return flags.FlagDescriptor(desc.half_rank, desc.d, desc.e, (3,) + desc.t[1:])
 
     monkeypatch.setattr(marking, "padded_scheme", padded_scheme)
     assert SUITE["marking-tuples"](10) == (False, f"{broken}: t entries outside {{1,2}}")
