@@ -153,12 +153,21 @@ def gw_summands(n: int, twist: Twist) -> Iterator[Summand]:
 
     ``n`` is checked on the call, before the first summand is asked for.
     """
+    return _gw_stream(_gw_walks(n, twist))
+
+
+def _gw_walks(n: int, twist: Twist) -> Iterator[tuple]:
+    """``(diagram, cls, kind, label, shift)`` of each walk that yields a summand, in order.
+
+    A diagram is built only for those walks, and no scheme.  A GW atom's
+    shift is its diagram's weight; a K atom has none.  ``n`` is checked on
+    the call.
+    """
     _require_frame_size(n, 1, "the Hermitian decomposition needs")
-    return _gw_stream(enumerate_diagrams(n), n % 2 == 0, _member(Twist, twist))
+    return _role_stream(enumerate_diagrams(n), n % 2 == 0, _member(Twist, twist))
 
 
-def _gw_stream(frame, even_frame: bool, twist: Twist) -> Iterator[Summand]:
-    """Build a diagram and its scheme only for the walks that yield a summand."""
+def _role_stream(frame, even_frame: bool, twist: Twist) -> Iterator[tuple]:
     n = frame.n
     for steps, ends, cls in frame.walks():
         full_top = cls.row_type is RowType.FULL_TOP_ROW
@@ -167,13 +176,19 @@ def _gw_stream(frame, even_frame: bool, twist: Twist) -> Iterator[Summand]:
             continue
         diag = _walked(n, steps, ends)
         kind, label = role
+        yield diag, cls, kind, label, (diag.weight if kind is Kind.GW else None)
+
+
+def _gw_stream(walks) -> Iterator[Summand]:
+    """Each walk's summand, with the padded scheme cut at its index."""
+    for diag, cls, kind, label, shift in walks:
         scheme = padded_scheme(diag, cls.index_w)
         if kind is Kind.K:
             yield Summand(kind, diag, scheme, label)
             continue
         # the type-1 construction leaves a residual det twist
         base_twist = 1 if uses_type1(diag) else None
-        yield Summand(kind, diag, scheme, label, shift=diag.weight, base_twist=base_twist)
+        yield Summand(kind, diag, scheme, label, shift=shift, base_twist=base_twist)
 
 
 def gw_basis(n: int, twist: Twist) -> Decomposition:
@@ -193,6 +208,14 @@ def atom_multiset(decomp: Decomposition) -> Counter:
     return Counter(
         (s.kind.value, s.shift if s.kind is Kind.GW else None) for s in decomp.summands
     )
+
+
+def walk_atoms(n: int, twist: Twist) -> Counter:
+    """``atom_multiset(gw_basis(n, twist))``, read off the walk roles and shifts.
+
+    It builds no scheme and no summand.
+    """
+    return Counter((kind.value, shift) for _, _, kind, _, shift in _gw_walks(n, twist))
 
 
 def _shifted(atoms: Counter, by: int) -> Counter:
@@ -275,7 +298,8 @@ def verify_recursions(n: int) -> RecursionReport:
     _require_frame_size(n, 2, "the recursion identities need")
     back = n - 1 if n % 2 == 0 else n - 2
     notes = ["frame 1 decompositions are the definitional base"] if back == 1 else []
-    prev = {twist: counting.gw_atoms(back, twist) for twist in Twist}
+    # one class_weights run per frame gives both twists
+    prev, now = counting._atoms(back, Twist), counting._atoms(n, Twist)
     cases: list[CaseResult] = []
     if n % 2 == 0:
         table = (("a", Twist.DELTA, Twist.TRIVIAL), ("b", Twist.TRIVIAL, Twist.DELTA))
@@ -283,7 +307,7 @@ def verify_recursions(n: int) -> RecursionReport:
             t, o = twist.value, other.value
             description = f"{t}({n}) = shift({o}({back}), +{n}) + {t}({back})"
             rhs = _shifted(prev[other], n) + prev[twist]
-            cases.append(_case(label, description, counting.gw_atoms(n, twist), rhs))
+            cases.append(_case(label, description, now[twist], rhs))
     else:
         k_block = Counter({("K", None): 2 ** back})
         for label, twist in (("c", Twist.TRIVIAL), ("d", Twist.DELTA)):
@@ -292,7 +316,7 @@ def verify_recursions(n: int) -> RecursionReport:
                 f"{t}({n}) = shift({t}({back}), +{2 * n - 1}) + {2 ** back}*K + {t}({back})"
             )
             rhs = _shifted(prev[twist], 2 * n - 1) + k_block + prev[twist]
-            cases.append(_case(label, description, counting.gw_atoms(n, twist), rhs))
+            cases.append(_case(label, description, now[twist], rhs))
     return RecursionReport(
         n=n,
         cases=tuple(cases),
@@ -322,6 +346,11 @@ class GeometryReport(Record):
         }
 
 
+def _tag(decomp: Decomposition, summand: Summand) -> str:
+    """How a `verify_geometry` failure names its summand; built only on failure."""
+    return f"{decomp.twist.value}/{summand.map_label.value}({summand.source_diagram.steps})"
+
+
 def verify_geometry(n: int) -> GeometryReport:
     """Validate every basis scheme of frame ``n`` against the closed forms.
 
@@ -338,20 +367,22 @@ def verify_geometry(n: int) -> GeometryReport:
     for decomp in decomps:
         for summand in decomp.summands:
             checked += 1
-            tag = f"{decomp.twist.value}/{summand.map_label.value}({summand.source_diagram.steps})"
             if not is_gorenstein(summand.scheme):
-                failures.append(f"{tag}: descriptor is not Gorenstein")
+                failures.append(f"{_tag(decomp, summand)}: descriptor is not Gorenstein")
                 continue
             if summand.map_label in (MapLabel.PHI, MapLabel.XI0, MapLabel.XI1):
                 dim = relative_dimension(summand.scheme)
                 expected = ambient_dim - summand.source_diagram.weight
                 if dim != expected:
-                    failures.append(f"{tag}: dimension {dim}, expected {expected}")
+                    failures.append(
+                        f"{_tag(decomp, summand)}: dimension {dim}, expected {expected}"
+                    )
             if summand.kind is Kind.GW:
                 result = scheme_alignment(summand.source_diagram, summand.scheme)
                 if not result.ok:
                     failures.append(
-                        f"{tag}: twist parity {result.parity}, required {result.required}"
+                        f"{_tag(decomp, summand)}: twist parity {result.parity}, "
+                        f"required {result.required}"
                     )
     return GeometryReport(n=n, checked=checked, failures=tuple(failures))
 

@@ -80,15 +80,23 @@ def gw_atoms(n: int, twist: Twist) -> Counter:
     """The atom multiset of ``gw_basis(n, twist)``, counted per class."""
     _require_frame_size(n, 1, "the Hermitian decomposition needs")
     twist = _member(Twist, twist)
-    atoms: Counter = Counter()
-    for (first, almost_even, k_even), coeffs in class_weights(n).items():
-        role = basis._summand_role(n % 2 == 0, twist, first == DOWN, almost_even, k_even)
-        if role is None:
-            continue
-        if role[0] is basis.Kind.K:
-            atoms[("K", None)] += sum(coeffs)
-        else:
-            for shift, count in enumerate(coeffs):
-                if count:
-                    atoms[("GW", shift)] += count
-    return atoms
+    return _atoms(n, (twist,))[twist]
+
+
+def _atoms(n: int, twists) -> dict[Twist, Counter]:
+    """The atom multiset of frame ``n`` under each of ``twists``, from one `class_weights` run."""
+    tables = class_weights(n)
+    by_twist: dict[Twist, Counter] = {}
+    for twist in twists:
+        atoms = by_twist[twist] = Counter()
+        for (first, almost_even, k_even), coeffs in tables.items():
+            role = basis._summand_role(n % 2 == 0, twist, first == DOWN, almost_even, k_even)
+            if role is None:
+                continue
+            if role[0] is basis.Kind.K:
+                atoms[("K", None)] += sum(coeffs)
+            else:
+                for shift, count in enumerate(coeffs):
+                    if count:
+                        atoms[("GW", shift)] += count
+    return by_twist

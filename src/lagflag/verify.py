@@ -12,6 +12,12 @@ the frame.
 Library functions are called through their modules (``diagrams.boundary``,
 not a ``from`` import), so a wrapper or test double installed on a module is
 the one the suites call.
+
+A suite builds only what its checks read.  ``recursions`` compares the
+counted atoms with `basis.walk_atoms`, which reads each walk's role and
+shift and builds no scheme; the schemes themselves are checked by
+``marking-tuples`` (frames 1..10) and ``geometry`` (frames 1..8).
+``dimension-e-independence`` builds each descriptor it compares once.
 """
 
 from __future__ import annotations
@@ -202,29 +208,25 @@ def _dimension_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramCl
     return ""
 
 
-def _gorenstein_descriptors(n: int):
-    """Valid half-rank-n descriptors with k <= 2, t in {1,2}, d - e in {0,1}, in a fixed order."""
-    for k in range(0, 3):
+def _dimension_e_independence(n: int) -> str:
+    """Raising ``e_0`` from ``d_0 - 1`` to ``d_0`` leaves the relative dimension as it was.
+
+    The descriptors have k = 1 or 2, every ``t_i`` in {1, 2} and every later
+    gap ``d_i - e_i`` in {0, 1}.  Each of a pair is built once; a pair with
+    an invalid member is skipped.
+    """
+    for k in (1, 2):
         for d in combinations_with_replacement(range(n + 1), k + 1):
             for t in product((1, 2), repeat=k):
-                for gaps in product((0, 1), repeat=k):
-                    e = tuple(d[i] - gaps[i] for i in range(k))
+                for gaps in product((0, 1), repeat=k - 1):
+                    e = tuple(d[i] - gaps[i - 1] for i in range(1, k))
                     try:
-                        desc = flags.FlagDescriptor(n, d, e, t)
+                        desc = flags.FlagDescriptor(n, d, (d[0] - 1, *e), t)
+                        raised = flags.FlagDescriptor(n, d, (d[0], *e), t)
                     except DescriptorError:
                         continue
-                    yield desc
-
-
-def _dimension_e_independence(n: int) -> str:
-    for desc in _gorenstein_descriptors(n):
-        if desc.k >= 1 and desc.d[0] - desc.e[0] == 1:
-            try:
-                raised = flags.FlagDescriptor(n, desc.d, (desc.d[0],) + desc.e[1:], desc.t)
-            except DescriptorError:
-                continue
-            if flags.relative_dimension(desc) != flags.relative_dimension(raised):
-                return f"{desc}: dimension changed when raising e_0"
+                    if flags.relative_dimension(desc) != flags.relative_dimension(raised):
+                        return f"{desc}: dimension changed when raising e_0"
     return ""
 
 
@@ -257,7 +259,7 @@ def _alignment_problem(diagram: diagrams.ShiftedDiagram, cls: diagrams.DiagramCl
 def _recursions(n: int) -> str:
     for twist in picard.Twist:
         counted = counting.gw_atoms(n, twist)
-        enumerated = basis.atom_multiset(basis.gw_basis(n, twist))
+        enumerated = basis.walk_atoms(n, twist)
         if counted != enumerated:
             atom = basis.first_mismatch(counted, enumerated)
             return f"frame {n} twist {twist.value}: counted and enumerated atoms differ at {atom}"

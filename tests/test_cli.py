@@ -632,8 +632,9 @@ def test_verify_reports_a_library_error_as_a_failed_suite(capsys, monkeypatch):
         name for name, _ in verify.SUITES
     ]
     failed = [line for line in lines if line.startswith("FAIL ")]
+    # recursions reads the walk roles and builds no scheme, so the fault misses it
     assert [line.split(":")[0] for line in failed] == [
-        "FAIL marking-tuples", "FAIL twist-alignment", "FAIL recursions", "FAIL geometry"
+        "FAIL marking-tuples", "FAIL twist-alignment", "FAIL geometry"
     ]
     # each names where it broke: a frame-8 walk, or frame 8
     message = r"invalid descriptor LF\[-1\]\(\)_\[\]@9: d_0 = -1 is negative"

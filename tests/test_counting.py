@@ -15,6 +15,7 @@ from lagflag import (
     verify_recursions,
     witt_table,
 )
+from lagflag.basis import walk_atoms
 from lagflag.counting import class_weights, gw_atoms
 from lagflag.verify import _genfunc_coefficients
 
@@ -29,7 +30,7 @@ def _witt_by_enumeration(decomp):
 @pytest.mark.parametrize("twist", list(Twist))
 def test_counting_matches_enumeration(n, twist):
     decomp = gw_basis(n, twist)
-    assert gw_atoms(n, twist) == atom_multiset(decomp)
+    assert gw_atoms(n, twist) == atom_multiset(decomp) == walk_atoms(n, twist)
     table = witt_table(n, twist)
     assert (table.degrees, table.k_count) == _witt_by_enumeration(decomp)
 

@@ -117,6 +117,19 @@ def test_frame_matches_the_eager_product(n):
     assert len(frame) == len(listed)
 
 
+def test_frame_size_cannot_be_changed_after_construction():
+    # a frame's n was checked when it was built; a later -1 broke len, "x" iteration
+    frame = enumerate_diagrams(3)
+    for value in (-1, "x", 4):
+        with pytest.raises(AttributeError):
+            frame.n = value
+    with pytest.raises(AttributeError):
+        del frame.n
+    with pytest.raises(AttributeError):
+        frame.other = 1
+    assert frame.n == 3 and len(frame) == 8 and len(list(frame)) == 8
+
+
 def test_enumerate_limit_is_usage_error():
     with pytest.raises(DomainError):
         enumerate_diagrams(-1)

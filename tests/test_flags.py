@@ -24,7 +24,8 @@ from lagflag import (
     validate,
 )
 from lagflag.flags import Violation, dimension_and_components
-from lagflag.verify import SUITES, _gorenstein_descriptors
+from lagflag.verify import SUITES
+from gorenstein_descriptors import _gorenstein_descriptors
 
 
 def build(fields):

@@ -40,6 +40,7 @@ from lagflag import (
     twist_alignment,
     verify,
 )
+from gorenstein_descriptors import _gorenstein_descriptors
 
 n = SYMBOLIC_N
 SUITE = dict(verify.SUITES)
@@ -180,7 +181,7 @@ def _assert_matches_docstring_formula(desc):
 
 def test_canonical_exponents_match_the_docstring_formula():
     for n in range(1, 7):
-        for desc in verify._gorenstein_descriptors(n):
+        for desc in _gorenstein_descriptors(n):
             _assert_matches_docstring_formula(desc)
 
 

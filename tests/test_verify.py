@@ -211,3 +211,39 @@ def test_deletion_bijections_builds_each_frame_once_per_run(monkeypatch):
         built.clear()
         assert SUITE["deletion-bijections"](8) == (True, "")
         assert sorted(built) == list(range(0, 9))
+
+
+def _counted_constructions(monkeypatch):
+    """A list that grows by one on every `FlagDescriptor` construction, rejected ones too."""
+    built = []
+    real = flags.FlagDescriptor.__init__
+
+    def init(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(flags.FlagDescriptor, "__init__", init)
+    return built
+
+
+def test_recursions_count_enumerated_atoms_without_building_a_scheme(monkeypatch):
+    built = _counted_constructions(monkeypatch)
+    assert SUITE["recursions"](8) == (True, "")
+    assert built == []
+
+
+def test_dimension_e_independence_builds_each_compared_descriptor_once(monkeypatch):
+    # each e_0 = d_0 - 1 candidate and, when it is valid, its raise; the
+    # k = 0 and gap-0 candidates and a second build of the raise are gone
+    built = _counted_constructions(monkeypatch)
+    assert SUITE["dimension-e-independence"](6) == (True, "")
+    assert len(built) == 2760
+    assert len(set(built)) == len(built)
+
+
+def test_recursion_identities_run_one_counting_pass_per_frame(monkeypatch):
+    calls = []
+    real = counting.class_weights
+    monkeypatch.setattr(counting, "class_weights", lambda n: calls.append(n) or real(n))
+    assert basis.verify_recursions(14).passed
+    assert sorted(calls) == [13, 14]
