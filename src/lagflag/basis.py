@@ -241,16 +241,6 @@ def first_mismatch(lhs: Counter, rhs: Counter) -> Atom | None:
 class CaseResult(Record):
     __slots__ = _fields = ("label", "description", "passed", "lhs", "rhs", "first_mismatch")
 
-    def __init__(self, label: str, description: str, passed: bool,
-                 lhs: tuple[tuple[Atom, int], ...], rhs: tuple[tuple[Atom, int], ...],
-                 first_mismatch: Atom | None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
-
     def to_json(self) -> dict:
         return {
             "case": self.label,
@@ -264,13 +254,6 @@ class CaseResult(Record):
 
 class RecursionReport(Record):
     __slots__ = _fields = ("n", "cases", "passed", "notes")
-
-    def __init__(self, n: int, cases: tuple[CaseResult, ...], passed: bool,
-                 notes: tuple[str, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "notes", notes)
 
     def to_json(self) -> dict:
         return {
@@ -327,11 +310,6 @@ def verify_recursions(n: int) -> RecursionReport:
 
 class GeometryReport(Record):
     __slots__ = _fields = ("n", "checked", "failures")
-
-    def __init__(self, n: int, checked: int, failures: tuple[str, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

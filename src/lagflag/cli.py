@@ -398,6 +398,8 @@ def _cmd_verify(args, out) -> int:
         raise DomainError(f"--max-n {max_n} is above the configured bound {bound}")
     if max_n < 3:
         # below 3 the odd-frame suites would loop over empty ranges
+        if args.max_n is None:
+            raise DomainError(f"LAGFLAG_MAX_N must be at least 3 for verify, got {max_n}")
         raise DomainError(f"--max-n must be at least 3, got {max_n}")
     all_ok = True
     for name, suite in SUITES:  # this module's binding, so a wrapper set here is used

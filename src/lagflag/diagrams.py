@@ -197,9 +197,6 @@ class Boundary(Record):
 
     __slots__ = _fields = ("ends",)
 
-    def __init__(self, ends: tuple[int, ...]):
-        object.__setattr__(self, "ends", ends)
-
     @property
     def segment_count(self) -> int:
         return len(self.ends)
@@ -236,12 +233,6 @@ class DiagramClass(Record):
     """
 
     __slots__ = _fields = ("index_w", "is_almost_even", "is_k_even", "row_type")
-
-    def __init__(self, index_w: int, is_almost_even: bool, is_k_even: bool, row_type: RowType):
-        object.__setattr__(self, "index_w", index_w)
-        object.__setattr__(self, "is_almost_even", is_almost_even)
-        object.__setattr__(self, "is_k_even", is_k_even)
-        object.__setattr__(self, "row_type", row_type)
 
     def to_json(self) -> dict:
         return {
@@ -304,13 +295,6 @@ class ClassSets(Record):
     """
 
     __slots__ = _fields = ("n", "all_diagrams", "almost_even", "k_even")
-
-    def __init__(self, n: int, all_diagrams: tuple[ShiftedDiagram, ...],
-                 almost_even: tuple[ShiftedDiagram, ...], k_even: tuple[ShiftedDiagram, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "all_diagrams", all_diagrams)
-        object.__setattr__(self, "almost_even", almost_even)
-        object.__setattr__(self, "k_even", k_even)
 
     def family(self, name: str) -> tuple[ShiftedDiagram, ...]:
         try:

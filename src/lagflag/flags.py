@@ -256,15 +256,6 @@ class SchemeReport(Record):
     __slots__ = _fields = ("regular", "gorenstein", "relative_dimension", "component_count",
                            "reduced_with_trivial_pushforward")
 
-    def __init__(self, regular: bool, gorenstein: bool, relative_dimension: int | None,
-                 component_count: int | None, reduced_with_trivial_pushforward: bool):
-        object.__setattr__(self, "regular", regular)
-        object.__setattr__(self, "gorenstein", gorenstein)
-        object.__setattr__(self, "relative_dimension", relative_dimension)
-        object.__setattr__(self, "component_count", component_count)
-        object.__setattr__(self, "reduced_with_trivial_pushforward",
-                           reduced_with_trivial_pushforward)
-
     def to_json(self) -> dict:
         return {
             "regular": self.regular,

@@ -58,11 +58,6 @@ class SelectionRule(Enum):
 class SegmentSelection(Record):
     __slots__ = _fields = ("segment", "rule", "offsets")
 
-    def __init__(self, segment: int, rule: SelectionRule, offsets: tuple[int, ...]):
-        object.__setattr__(self, "segment", segment)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "offsets", offsets)
-
     def to_json(self) -> dict:
         return {
             "segment": self.segment,
@@ -78,12 +73,6 @@ class MarkedSelection(Record):
     """
 
     __slots__ = _fields = ("diagram", "per_segment", "boundary")
-
-    def __init__(self, diagram: ShiftedDiagram, per_segment: tuple[SegmentSelection, ...],
-                 boundary: Boundary):
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "per_segment", per_segment)
-        object.__setattr__(self, "boundary", boundary)
 
     @property
     def points(self) -> tuple[tuple[int, int], ...]:
@@ -206,13 +195,6 @@ class TupleData(Record):
     """Descriptor tuples read off a marked selection."""
 
     __slots__ = _fields = ("d", "e", "t", "appended_n")
-
-    def __init__(self, d: tuple[int, ...], e: tuple[int, ...], t: tuple[int, ...],
-                 appended_n: bool):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "appended_n", appended_n)
 
     @property
     def k(self) -> int:

@@ -243,9 +243,6 @@ class ParityClass(Record):
 
     __slots__ = _fields = ("generators",)
 
-    def __init__(self, generators: frozenset[Generator]):
-        object.__setattr__(self, "generators", generators)
-
     @classmethod
     def zero(cls) -> "ParityClass":
         return cls(frozenset())
@@ -437,13 +434,6 @@ class TwistVariant(str, Enum):
 
 class AlignmentResult(Record):
     __slots__ = _fields = ("ok", "parity", "required", "scheme")
-
-    def __init__(self, ok: bool, parity: ParityClass, required: ParityClass,
-                 scheme: FlagDescriptor):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "required", required)
-        object.__setattr__(self, "scheme", scheme)
 
     def to_json(self) -> dict:
         return {

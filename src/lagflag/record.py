@@ -9,16 +9,27 @@ class Record:
     """Equality, hash, the dataclass repr, immutability, copy and pickle.
 
     A subclass names in ``_fields`` the slots that equality, hash and repr
-    read, and writes an ``__init__`` that takes them in that order and sets
-    its slots with ``object.__setattr__``.  Copy and pickle call it again.
+    read.  One that only stores them writes no ``__init__``: it gets one
+    built from source, as `collections.namedtuple` builds its ``__new__``,
+    that takes the fields in order, by position or keyword, and sets each
+    with ``object.__setattr__``, so it costs what a hand-written one does.
+    One that checks, coerces or has defaults writes its own, which its
+    subclasses inherit.  Copy and pickle call ``__init__`` again.
     Assigning or deleting an attribute raises `AttributeError`.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        get = attrgetter(*cls._fields)  # of a single name, the bare value
-        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
+        fields = cls._fields
+        get = attrgetter(*fields)  # of a single name, the bare value
+        cls._values = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+        if cls.__init__ is object.__init__:
+            sets = "".join(f"\n _set(self, {name!r}, {name})" for name in fields)
+            scope = {"_set": object.__setattr__, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):{sets}", scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

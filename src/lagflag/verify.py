@@ -212,11 +212,12 @@ def _dimension_e_independence(n: int) -> str:
     """Raising ``e_0`` from ``d_0 - 1`` to ``d_0`` leaves the relative dimension as it was.
 
     The descriptors have k = 1 or 2, every ``t_i`` in {1, 2} and every later
-    gap ``d_i - e_i`` in {0, 1}.  Each of a pair is built once; a pair with
-    an invalid member is skipped.
+    gap ``d_i - e_i`` in {0, 1}.  ``d_0`` starts at 1, as ``e_0 = -1`` is
+    never valid.  Each of a pair is built once; a pair with an invalid
+    member is skipped.
     """
     for k in (1, 2):
-        for d in combinations_with_replacement(range(n + 1), k + 1):
+        for d in combinations_with_replacement(range(1, n + 1), k + 1):
             for t in product((1, 2), repeat=k):
                 for gaps in product((0, 1), repeat=k - 1):
                     e = tuple(d[i] - gaps[i - 1] for i in range(1, k))

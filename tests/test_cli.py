@@ -559,6 +559,19 @@ def test_small_frames_are_usage_errors(capsys, argv):
     assert err.startswith("lagflag: error:")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "LAGFLAG_MAX_N must be at least 3 for verify, got 2"),
+        (["--max-n", "2"], "--max-n must be at least 3, got 2"),
+    ],
+    ids=["bound-from-environment", "explicit-max-n"],
+)
+def test_verify_names_where_a_small_bound_came_from(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("LAGFLAG_MAX_N", "2")
+    assert run(capsys, ["verify", *argv]) == (2, "", f"lagflag: error: {message}\n")
+
+
 def test_canonical_rejects_non_integer_half_rank(capsys):
     code, _, err = run(capsys, ["canonical", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "x"])
     assert code == 2

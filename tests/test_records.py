@@ -57,6 +57,7 @@ from lagflag import (
     witt_table,
 )
 from lagflag.basis import CaseResult
+from lagflag.errors import DomainError
 from lagflag.marking import SegmentSelection
 
 HVVH = ShiftedDiagram(4, "HVVH")
@@ -186,6 +187,45 @@ def test_equality_and_hash_read_the_fields(cls):
     assert a != _values(a, fields)
     subclass = type("Sub", (cls,), {"__slots__": ()})
     assert a != subclass(*_values(a, fields))
+
+
+# the records whose __init__ checks, coerces or has defaults; the rest get one generated
+OWN_INIT = {ShiftedDiagram, FlagDescriptor, Affine, Decomposition, WittTable, Summand, Violation}
+GENERATED = [cls for cls in CASES if cls not in OWN_INIT]
+
+
+def test_only_records_that_check_coerce_or_default_write_an_init():
+    written = {
+        cls
+        for cls in CASES
+        if cls.__init__.__code__.co_filename == sys.modules[cls.__module__].__file__
+    }
+    assert written == OWN_INIT and len(GENERATED) == 12
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=[cls.__name__ for cls in GENERATED])
+def test_a_generated_init_takes_the_fields_by_position_or_keyword(cls):
+    build, _, fields = CASES[cls]
+    record = build()
+    values = _values(record, fields)
+    assert cls(*values) == record
+    assert cls(**dict(zip(fields, values))) == record
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == record
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values[:-1], not_a_field=values[-1])
+
+
+def test_a_subclass_of_a_checking_record_keeps_its_checks():
+    sub = type("Sub", (ShiftedDiagram,), {"__slots__": ()})
+    assert sub.__init__ is ShiftedDiagram.__init__
+    assert sub(2, "VH").steps == "VH"
+    with pytest.raises(DomainError):
+        sub(2, "XX")
 
 
 @pytest.mark.parametrize("cls", CASES, ids=IDS)

@@ -4,6 +4,8 @@ The other test files delegate to these suites, so a suite that looped over
 an empty or shortened range would pass them vacuously.  Each case breaks one
 library function on its module, only at the largest frame or the last case
 a delegating test relies on, and expects the suite to fail there and name it.
+Some cases break what only one check of their suite catches, so that check
+cannot stop checking unseen.
 """
 
 from collections import Counter
@@ -26,6 +28,21 @@ def _empty_segments_at_12(real):
     return lambda d: diagrams.Boundary((0, 0, 0, 12)) if d == walk else real(d)
 
 
+def _repeat_a_walk_at_16(real):
+    # parts 16 + 13 and 15 + 14 weigh the same, so the count and weights stay right
+    walk, twin = (diagrams.ShiftedDiagram(16, s + "V" * 12) for s in ("VHHV", "HVVH"))
+    return lambda n: [walk if d == twin else d for d in real(n)] if n == 16 else real(n)
+
+
+def _flipped_segments_at_12(real):
+    # the ends stay right; only the (step, length) pairs read off them are wrong
+    def segments(b):
+        pairs = real.fget(b)
+        return tuple((diagrams.DOWN, ln) for _, ln in pairs) if b.ends == (0, 12) else pairs
+
+    return property(segments)
+
+
 def _extra_almost_even_at_9(real):
     def class_sets(n):
         sets = real(n)
@@ -41,6 +58,24 @@ def _collide_at_12(real):
     collide = diagrams.ShiftedDiagram(12, "H" * 12)
     other = diagrams.ShiftedDiagram(12, "HV" + "H" * 10)
     return lambda d: real(other) if d == collide else real(d)
+
+
+def _trade_images_at_7(first, second):
+    # a bijection still, but the heavier diagram, met first, gets the lighter image
+    a, b = diagrams.ShiftedDiagram(7, first), diagrams.ShiftedDiagram(7, second)
+    return lambda real: lambda d: real(b) if d == a else real(a) if d == b else real(d)
+
+
+def _repeated_source_at_12(real):
+    # every target is still hit; only the repeat in the source shows
+    def class_sets(n):
+        sets = real(n)
+        if n != 12:
+            return sets
+        doubled = sets.all_diagrams + sets.all_diagrams[:1]
+        return diagrams.ClassSets(n, doubled, sets.almost_even, sets.k_even)
+
+    return class_sets
 
 
 def _shift_distances_at_8(real):
@@ -102,12 +137,25 @@ def _wrong_case_at_10(real):
 CASES = [
     ("counting", 16, diagrams, "enumerate_diagrams", _drop_last_at_16,
      "frame 16: 65535 diagrams, expected 65536"),
+    ("counting", 16, diagrams, "enumerate_diagrams", _repeat_a_walk_at_16,
+     "frame 16: duplicate diagrams"),
     ("boundary-structure", 12, diagrams, "boundary", _empty_segments_at_12,
      "HHHHHHHHHHHH: segment ends [0, 0, 0, 12], expected [0, 12]"),
+    ("boundary-structure", 12, diagrams.Boundary, "segments", _flipped_segments_at_12,
+     "HHHHHHHHHHHH: boundary does not reconcatenate"),
     ("class-partitions", 9, diagrams, "class_sets", _extra_almost_even_at_9,
      "frame 9: A is not A^rr + A^cc"),
     ("deletion-bijections", 12, diagrams, "delete_right_column", _collide_at_12,
      "frame 12: column deletion is not a bijection"),
+    ("deletion-bijections", 12, diagrams, "class_sets", _repeated_source_at_12,
+     "frame 12: row deletion is not a bijection onto frame 11"),
+    # each pair lies in the same two-step families, so only the weight rules see the trade
+    ("deletion-bijections", 7, diagrams, "delete_top_row",
+     _trade_images_at_7("VHVVVVV", "VHVVVVH"),
+     "VHVVVVV: weight does not drop by 7 under row deletion"),
+    ("deletion-bijections", 7, diagrams, "delete_right_column",
+     _trade_images_at_7("HVVVVVV", "HVVVVVH"),
+     "HVVVVVV: weight changes under column deletion"),
     ("marking-tuples", 8, marking, "lf_ktheory", _shift_distances_at_8,
      "HHHHHHHH: column deletion breaks distances"),
     ("descriptor-dimensions", 8, flags, "relative_dimension", _off_by_one_at_half_rank(8),
@@ -233,11 +281,12 @@ def test_recursions_count_enumerated_atoms_without_building_a_scheme(monkeypatch
 
 
 def test_dimension_e_independence_builds_each_compared_descriptor_once(monkeypatch):
-    # each e_0 = d_0 - 1 candidate and, when it is valid, its raise; the
-    # k = 0 and gap-0 candidates and a second build of the raise are gone
+    # each e_0 = d_0 - 1 candidate with d_0 >= 1 and, when it is valid, its
+    # raise; the k = 0, gap-0 and e_0 = -1 candidates and a second build of
+    # the raise are gone
     built = _counted_constructions(monkeypatch)
     assert SUITE["dimension-e-independence"](6) == (True, "")
-    assert len(built) == 2760
+    assert len(built) == 2042
     assert len(set(built)) == len(built)
 
 
