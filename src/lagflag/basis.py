@@ -270,19 +270,25 @@ def _case(label: str, description: str, lhs: Counter, rhs: Counter) -> CaseResul
     return CaseResult(label, description, mismatch is None, freeze(lhs), freeze(rhs), mismatch)
 
 
-def verify_recursions(n: int) -> RecursionReport:
+def _counted(n: int) -> dict[Twist, Counter]:
+    """The counted atoms of frame ``n`` under both twists: one `class_weights` run."""
+    return counting._atoms(n, Twist)
+
+
+def verify_recursions(n: int, counted=_counted) -> RecursionReport:
     """Check the decomposition recursions of frame ``n`` as multiset identities.
 
     Even frame, in terms of frame ``n-1``: the twisted decomposition equals
     the untwisted one shifted by ``n`` plus the twisted one, and vice versa.
     Odd frame, in terms of frame ``n-2``: each decomposition equals itself
     shifted by ``2n-1``, plus ``2**(n-2)`` K-atoms, plus itself.
+    ``counted(m)`` gives frame ``m``'s atoms by twist; a caller that checks
+    a run of frames passes one that keeps the frames it has counted.
     """
     _require_frame_size(n, 2, "the recursion identities need")
     back = n - 1 if n % 2 == 0 else n - 2
     notes = ["frame 1 decompositions are the definitional base"] if back == 1 else []
-    # one class_weights run per frame gives both twists
-    prev, now = counting._atoms(back, Twist), counting._atoms(n, Twist)
+    prev, now = counted(back), counted(n)
     cases: list[CaseResult] = []
     if n % 2 == 0:
         table = (("a", Twist.DELTA, Twist.TRIVIAL), ("b", Twist.TRIVIAL, Twist.DELTA))

@@ -11,12 +11,15 @@ the pipe ends the run at the next suite's line.  The other commands leave
 stdout block-buffered: a flush per summand or diagram would cost a system
 call each.  ``basis`` and ``enumerate`` write each JSON item and CSV row
 from a template, as ``json.dumps(..., indent=2)`` and ``csv.writer`` would
-(csv quotes only a ``basis`` scheme that holds a comma).  The environment
-variable ``LAGFLAG_MAX_N`` overrides the frame-size bounds (default 16 for
-``enumerate``, ``basis``, the diagram arguments of ``classify`` and
-``scheme``, and for ``recursion`` and ``witt``, which count without
-enumerating; 10 for ``verify``).  Each command checks its bound
-before any work; the library itself has no frame limit.
+(csv quotes only a ``basis`` scheme that holds a comma).  Every integer in
+those rows goes through the one memo `lagflag.text.text`: a few small
+integers recur hundreds of thousands of times, and a lookup costs less than
+half of ``str``.  The environment variable ``LAGFLAG_MAX_N`` overrides the
+frame-size bounds (default 16 for ``enumerate``, ``basis``, the diagram
+arguments of ``classify`` and ``scheme``, and for ``recursion`` and
+``witt``, which count without enumerating; 10 for ``verify``).  Each
+command checks its bound before any work; the library itself has no frame
+limit.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from . import flags as flags_mod
 from . import marking as marking_mod
 from . import picard as pic_mod
 from .errors import DescriptorError, DomainError, LagflagError
+from .text import text
 from .verify import SUITES
 
 ENUMERATE_BOUND = 16
@@ -59,7 +63,7 @@ def _json_list_at(indent: int):
     head, sep, tail = "[" + pad, "," + pad, "\n" + " " * indent + "]"
 
     def dump(values) -> str:
-        return head + sep.join(map(str, values)) + tail if values else "[]"
+        return head + sep.join(map(text, values)) + tail if values else "[]"
 
     return dump
 
@@ -118,10 +122,10 @@ def _diagram_json(d) -> str:
     parts = d.parts
     return (
         "  {\n"
-        f'    "n": {d.n},\n'
+        f'    "n": {text(d.n)},\n'
         f'    "steps": "{d.steps}",\n'
         f'    "parts": {_parts_list(parts)},\n'
-        f'    "weight": {sum(parts)}\n'
+        f'    "weight": {text(sum(parts))}\n'
         "  }"
     )
 
@@ -137,11 +141,14 @@ def _cmd_enumerate(args, out) -> int:
     elif args.format == "csv":
         out.write("n,steps,parts,weight\n")
         for d in diagrams:
-            out.write(f"{d.n},{d.steps},{' '.join(map(str, d.parts))},{d.weight}\n")
+            out.write(f"{text(d.n)},{d.steps},{' '.join(map(text, d.parts))},{text(d.weight)}\n")
     else:
         for d in diagrams:
-            parts = ",".join(map(str, d.parts))
-            print(f"{d.steps or '-':<{max(args.n, 1)}}  parts=[{parts}]  weight={d.weight}", file=out)
+            parts = ",".join(map(text, d.parts))
+            print(
+                f"{d.steps or '-':<{max(args.n, 1)}}  parts=[{parts}]  weight={text(d.weight)}",
+                file=out,
+            )
     return 0
 
 
@@ -291,16 +298,16 @@ def _summand_json(s) -> str:
     return (
         "    {\n"
         f'      "kind": "{s.kind.value}",\n'
-        f'      "shift": {"null" if s.shift is None else s.shift},\n'
+        f'      "shift": {"null" if s.shift is None else text(s.shift)},\n'
         f'      "diagram": "{s.source_diagram.steps}",\n'
         '      "scheme": {\n'
-        f'        "half_rank": {scheme.half_rank},\n'
+        f'        "half_rank": {text(scheme.half_rank)},\n'
         f'        "d": {_scheme_list(scheme.d)},\n'
         f'        "e": {_scheme_list(scheme.e)},\n'
         f'        "t": {_scheme_list(scheme.t)}\n'
         "      },\n"
         f'      "map": "{s.map_label.value}",\n'
-        f'      "base_twist": {"null" if s.base_twist is None else s.base_twist}\n'
+        f'      "base_twist": {"null" if s.base_twist is None else text(s.base_twist)}\n'
         "    }"
     )
 
@@ -318,7 +325,7 @@ def _cmd_basis(args, out) -> int:
         summands = basis_mod.gw_summands(args.n, twist)
     if args.format == "json":
         out.write(
-            f'{{\n  "n": {args.n},\n  "twist": "{twist.value}",\n'
+            f'{{\n  "n": {text(args.n)},\n  "twist": "{twist.value}",\n'
             f'  "theory": "{theory.value}",\n  "summands": ['
         )
         _write_json_items(map(_summand_json, summands), "  ", out)
@@ -332,8 +339,8 @@ def _cmd_basis(args, out) -> int:
                 scheme = f'"{scheme}"'
             out.write(
                 f"{s.source_diagram.steps},{s.kind.value},"
-                f"{'' if s.shift is None else s.shift},{s.map_label.value},"
-                f"{scheme},{dim},{components},{_parity_flag(s)}\n"
+                f"{'' if s.shift is None else text(s.shift)},{s.map_label.value},"
+                f"{scheme},{text(dim)},{text(components)},{_parity_flag(s)}\n"
             )
     else:
         if theory is basis_mod.Kind.K:
@@ -345,8 +352,8 @@ def _cmd_basis(args, out) -> int:
             file=out,
         )
         for s in summands:
-            shift = "" if s.shift is None else f" shift={s.shift}"
-            twist_note = "" if s.base_twist is None else f" base_twist=V{s.base_twist}"
+            shift = "" if s.shift is None else f" shift={text(s.shift)}"
+            twist_note = "" if s.base_twist is None else f" base_twist=V{text(s.base_twist)}"
             print(
                 f"  {s.source_diagram.steps or '-':<{max(args.n, 1)}} "
                 f"{s.kind.value:<2} {s.map_label.value:<4}{shift}{twist_note}  {s.scheme}",

@@ -20,6 +20,7 @@ from math import comb
 
 from .errors import DescriptorError, DomainError, UnsupportedError
 from .record import Record
+from .text import text
 
 
 class FlagDescriptor(Record):
@@ -51,8 +52,9 @@ class FlagDescriptor(Record):
         object.__setattr__(self, "t", t)
         for value in (half_rank, *d, *e, *t):
             if type(value) is not int:  # rejects bools too
+                # plain str: the memo must not see an unchecked value
                 raise DomainError(
-                    f"descriptor values must be integers, got {value!r} in {self}"
+                    f"descriptor values must be integers, got {value!r} in {self.__str__(str)}"
                 )
         if len(d) == 0:
             raise DomainError("d must have at least one entry")
@@ -78,11 +80,12 @@ class FlagDescriptor(Record):
             "t": list(self.t),
         }
 
-    def __str__(self) -> str:
-        d = ",".join(map(str, self.d))
-        e = ",".join(map(str, self.e))
-        t = ",".join(map(str, self.t))
-        return f"LF[{d}]({e})_[{t}]@{self.half_rank}"
+    def __str__(self, number=text) -> str:
+        """``LF[d](e)_[t]@half_rank``, each integer written by ``number``."""
+        d = ",".join(map(number, self.d))
+        e = ",".join(map(number, self.e))
+        t = ",".join(map(number, self.t))
+        return f"LF[{d}]({e})_[{t}]@{number(self.half_rank)}"
 
 
 class Violation(Record):

@@ -141,12 +141,16 @@ def csv_rows(rows):
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_enumerate_csv_matches_csv_writer(capsys, n):
+    # and the JSON matches json.dumps: enumerate writes both by hand
     code, out, _ = run(capsys, ["enumerate", "-n", str(n), "--format", "csv"])
     records = [
         [d.n, d.steps, " ".join(map(str, d.parts)), d.weight] for d in enumerate_diagrams(n)
     ]
     assert code == 0
     assert out == csv_rows([["n", "steps", "parts", "weight"], *records])
+    code, out, _ = run(capsys, ["enumerate", "-n", str(n), "--format", "json"])
+    assert code == 0
+    assert out == json.dumps([d.to_json() for d in enumerate_diagrams(n)], indent=2) + "\n"
 
 
 def test_classify_connecting(capsys):
@@ -608,15 +612,15 @@ def test_verify_names_counting_mismatch(capsys, monkeypatch):
 
     from lagflag import counting
 
-    real = counting.gw_atoms
+    real = counting._atoms  # the suite counts both twists of a frame in one call
 
-    def off_by_one(n, twist):
-        atoms = real(n, twist)
-        if n == 3 and twist.value == "Delta":
-            atoms = atoms + Counter({("GW", 7): 1})
-        return atoms
+    def off_by_one(n, twists):
+        by_twist = real(n, twists)
+        if n == 3:
+            by_twist[Twist.DELTA] += Counter({("GW", 7): 1})
+        return by_twist
 
-    monkeypatch.setattr(counting, "gw_atoms", off_by_one)
+    monkeypatch.setattr(counting, "_atoms", off_by_one)
     code, out, _ = run(capsys, ["verify", "--max-n", "4"])
     assert code == 1
     assert (

@@ -125,8 +125,13 @@ def _misaligned_at_8(real):
 
 
 def _extra_atom_at_10(real):
-    extra = Counter({("GW", 99): 1})
-    return lambda n, twist: real(n, twist) + extra if n == 10 else real(n, twist)
+    def atoms(n, twists):
+        by_twist = real(n, twists)
+        if n == 10:
+            by_twist[picard.Twist.TRIVIAL] += Counter({("GW", 99): 1})
+        return by_twist
+
+    return atoms
 
 
 def _wrong_case_at_10(real):
@@ -169,7 +174,7 @@ CASES = [
      "canonical sheaf of d=(0, 2), e=(0,), t=(2,) is "),
     ("twist-alignment", 8, picard, "scheme_alignment", _misaligned_at_8,
      "HHHHHHHH: parity Delta(0), required 0"),
-    ("recursions", 10, counting, "gw_atoms", _extra_atom_at_10,
+    ("recursions", 10, counting, "_atoms", _extra_atom_at_10,
      "frame 10 twist O: counted and enumerated atoms differ at ('GW', 99)"),
     # verify_geometry calls the binding in basis, which a patch on picard does not reach
     ("geometry", 8, basis, "scheme_alignment", _misaligned_at_8,
@@ -210,7 +215,7 @@ FRAME_ERRORS = [
     ("class-partitions", 11, diagrams, "class_sets", lambda n: n),
     ("deletion-bijections", 12, diagrams, "delete_top_row", lambda d: d.n),
     ("dimension-e-independence", 6, flags, "relative_dimension", lambda desc: desc.half_rank),
-    ("recursions", 10, counting, "gw_atoms", lambda n, twist: n),
+    ("recursions", 10, counting, "_atoms", lambda n, twists: n),
     ("geometry", 8, basis, "verify_geometry", lambda n: n),
     ("connecting-case-table", 10, picard, "classify_connecting", lambda n, c2, lam1, lam2: n),
 ]
@@ -274,6 +279,15 @@ def _counted_constructions(monkeypatch):
     return built
 
 
+def test_marking_tuples_builds_one_padded_scheme_where_the_cuts_coincide(monkeypatch):
+    # per walk: the K scheme, one per deletion check, and the padded scheme
+    # at each distinct cut; the two cuts coincide on the 90 almost even
+    # walks of frames 1..8
+    built = _counted_constructions(monkeypatch)
+    assert SUITE["marking-tuples"](8) == (True, "")
+    assert len(built) == 1948
+
+
 def test_recursions_count_enumerated_atoms_without_building_a_scheme(monkeypatch):
     built = _counted_constructions(monkeypatch)
     assert SUITE["recursions"](8) == (True, "")
@@ -296,3 +310,15 @@ def test_recursion_identities_run_one_counting_pass_per_frame(monkeypatch):
     monkeypatch.setattr(counting, "class_weights", lambda n: calls.append(n) or real(n))
     assert basis.verify_recursions(14).passed
     assert sorted(calls) == [13, 14]
+
+
+def test_recursions_suite_runs_one_counting_pass_per_frame(monkeypatch):
+    # frames 2..8 and frame 1, which frame 2 goes back to; both twists and
+    # both checks of a frame, and the later frames that go back to it, share it
+    calls = []
+    real = counting.class_weights
+    monkeypatch.setattr(counting, "class_weights", lambda n: calls.append(n) or real(n))
+    for _ in range(2):  # a second run counts its own, so no run reads another's
+        calls.clear()
+        assert SUITE["recursions"](8) == (True, "")
+        assert sorted(calls) == list(range(1, 9))
