@@ -8,6 +8,11 @@ the frame parity and the twist.  This module produces those decompositions
 at the level of ranks, shifts and twists, attaches the intermediate scheme
 descriptor to every summand, and verifies the degree-by-degree recursion
 identities the decompositions satisfy.
+
+`_summand_role` is the one rule for which summand a diagram's class yields.
+It gives the atoms two ways: `walk_atoms` reads them off the enumerated
+walks, and `gw_atoms` folds the per-class weight tables of
+`counting.class_weights` (`_counted`), which enumerates nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Iterator
 from . import counting
 # boundary is unused here; perfbench/test_harness.py asserts that this module binds it
 from .diagrams import (  # noqa: F401
+    DOWN,
     RowType,
     ShiftedDiagram,
     _require_frame_size,
@@ -78,6 +84,7 @@ class Decomposition(Record):
     __slots__ = _fields = ("n", "twist", "theory", "summands")
 
     def __init__(self, n: int, twist: Twist, theory: Kind, summands: tuple[Summand, ...]):
+        _require_frame_size(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "twist", _member(Twist, twist))
         object.__setattr__(self, "theory", _member(Kind, theory))
@@ -218,6 +225,36 @@ def walk_atoms(n: int, twist: Twist) -> Counter:
     return Counter((kind.value, shift) for _, _, kind, _, shift in _gw_walks(n, twist))
 
 
+def gw_atoms(n: int, twist: Twist) -> Counter:
+    """The atom multiset of ``gw_basis(n, twist)``, counted per class."""
+    _require_frame_size(n, 1, "the Hermitian decomposition needs")
+    twist = _member(Twist, twist)
+    return _counted(n)[twist]
+
+
+def _counted(n: int) -> dict[Twist, Counter]:
+    """The atom multiset of frame ``n`` under each twist, from one `class_weights` pass.
+
+    A class's role gives each of its diagrams a K atom, or a GW atom shifted
+    by the diagram's weight, or nothing.
+    """
+    tables = counting.class_weights(n)
+    by_twist: dict[Twist, Counter] = {}
+    for twist in Twist:
+        atoms = by_twist[twist] = Counter()
+        for (first, almost_even, k_even), coeffs in tables.items():
+            role = _summand_role(n % 2 == 0, twist, first == DOWN, almost_even, k_even)
+            if role is None:
+                continue
+            if role[0] is Kind.K:
+                atoms[("K", None)] += sum(coeffs)
+            else:
+                for shift, count in enumerate(coeffs):
+                    if count:
+                        atoms[("GW", shift)] += count
+    return by_twist
+
+
 def _shifted(atoms: Counter, by: int) -> Counter:
     """Raise every GW shift; K-atoms are shift-free."""
     out: Counter = Counter()
@@ -270,11 +307,6 @@ def _case(label: str, description: str, lhs: Counter, rhs: Counter) -> CaseResul
     return CaseResult(label, description, mismatch is None, freeze(lhs), freeze(rhs), mismatch)
 
 
-def _counted(n: int) -> dict[Twist, Counter]:
-    """The counted atoms of frame ``n`` under both twists: one `class_weights` run."""
-    return counting._atoms(n, Twist)
-
-
 def verify_recursions(n: int, counted=_counted) -> RecursionReport:
     """Check the decomposition recursions of frame ``n`` as multiset identities.
 
@@ -320,14 +352,6 @@ class GeometryReport(Record):
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
 
 
 def _tag(decomp: Decomposition, summand: Summand) -> str:
@@ -380,6 +404,7 @@ class WittTable(Record):
     __slots__ = _fields = ("n", "twist", "degrees", "k_count")
 
     def __init__(self, n: int, twist: Twist, degrees: tuple[tuple[int, int], ...], k_count: int):
+        _require_frame_size(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "twist", _member(Twist, twist))
         object.__setattr__(self, "degrees", degrees)
@@ -397,7 +422,7 @@ class WittTable(Record):
 def witt_table(n: int, twist: Twist) -> WittTable:
     counts: Counter = Counter()
     k_count = 0
-    for (kind, shift), count in counting.gw_atoms(n, twist).items():
+    for (kind, shift), count in gw_atoms(n, twist).items():
         if kind == Kind.GW.value:
             counts[shift % 4] += count
         else:

@@ -29,7 +29,6 @@ import os
 import sys
 
 from . import basis as basis_mod
-from . import counting
 from . import diagrams as diag_mod
 from . import flags as flags_mod
 from . import marking as marking_mod
@@ -346,7 +345,7 @@ def _cmd_basis(args, out) -> int:
         if theory is basis_mod.Kind.K:
             count = 2**args.n
         else:
-            count = sum(counting.gw_atoms(args.n, twist).values())
+            count = sum(basis_mod.gw_atoms(args.n, twist).values())
         print(
             f"{theory.value}-basis n={args.n} twist={twist.value} summands={count}",
             file=out,

@@ -1,4 +1,4 @@
-"""Atom multisets of the Hermitian decompositions, counted without enumeration.
+"""The weight distribution of each diagram class, counted without enumeration.
 
 Whether a diagram contributes a GW atom, a K atom or nothing depends only on
 its class: its first step, whether it is almost even and whether it is
@@ -17,15 +17,16 @@ after each step is therefore the first step, the current step, and whether
 the index has been found and, if so, whether it is even; each state carries
 the weights of its walks as an array of polynomial coefficients.  The pass
 costs O(n**3).
+
+The pass lives apart from `Frame.walks`, so that it stays an independent
+oracle for the enumerated bases.  `basis._counted` folds its tables into the
+atom multisets of both twists by `basis._summand_role`, the rule the
+enumerated summands follow too.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-from . import basis  # imports this module back, so its names are read at call time
 from .diagrams import DOWN, LEFT, _require_frame_size, is_index_end
-from .picard import Twist, _member
 
 # (first step, almost_even, k_even)
 ClassKey = tuple[str, bool, bool]
@@ -75,28 +76,3 @@ def class_weights(n: int) -> dict[ClassKey, list[int]]:
         _add_into(tables, key, coeffs)
     return tables
 
-
-def gw_atoms(n: int, twist: Twist) -> Counter:
-    """The atom multiset of ``gw_basis(n, twist)``, counted per class."""
-    _require_frame_size(n, 1, "the Hermitian decomposition needs")
-    twist = _member(Twist, twist)
-    return _atoms(n, (twist,))[twist]
-
-
-def _atoms(n: int, twists) -> dict[Twist, Counter]:
-    """The atom multiset of frame ``n`` under each of ``twists``, from one `class_weights` run."""
-    tables = class_weights(n)
-    by_twist: dict[Twist, Counter] = {}
-    for twist in twists:
-        atoms = by_twist[twist] = Counter()
-        for (first, almost_even, k_even), coeffs in tables.items():
-            role = basis._summand_role(n % 2 == 0, twist, first == DOWN, almost_even, k_even)
-            if role is None:
-                continue
-            if role[0] is basis.Kind.K:
-                atoms[("K", None)] += sum(coeffs)
-            else:
-                for shift, count in enumerate(coeffs):
-                    if count:
-                        atoms[("GW", shift)] += count
-    return by_twist

@@ -435,14 +435,6 @@ class TwistVariant(str, Enum):
 class AlignmentResult(Record):
     __slots__ = _fields = ("ok", "parity", "required", "scheme")
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "parity": self.parity.to_json(),
-            "required": self.required.to_json(),
-            "scheme": self.scheme.to_json(),
-        }
-
 
 def scheme_alignment(diagram: ShiftedDiagram, scheme: FlagDescriptor) -> AlignmentResult:
     """Check the mod-2 condition that makes a summand's pushforward well-defined.

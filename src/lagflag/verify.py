@@ -14,10 +14,10 @@ not a ``from`` import), so a wrapper or test double installed on a module is
 the one the suites call.
 
 A suite builds only what its checks read.  ``recursions`` compares the
-counted atoms, one counting pass per frame, with `basis.walk_atoms`, which
-reads each walk's role and shift and builds no scheme; the schemes
-themselves are checked by ``marking-tuples`` (frames 1..10) and
-``geometry`` (frames 1..8).
+atoms that `basis._counted` folds from one `counting.class_weights` pass per
+frame with `basis.walk_atoms`, which reads each walk's role and shift and
+builds no scheme; the schemes themselves are checked by ``marking-tuples``
+(frames 1..10) and ``geometry`` (frames 1..8).
 ``dimension-e-independence`` builds each descriptor it compares once.
 """
 
@@ -27,7 +27,7 @@ from collections import Counter
 from itertools import accumulate, combinations_with_replacement, groupby, product
 from math import comb
 
-from . import basis, counting, diagrams, flags, marking, picard
+from . import basis, diagrams, flags, marking, picard
 from .errors import DescriptorError, LagflagError
 
 
@@ -108,19 +108,31 @@ def _check_bijection(source, target, op):
     return len(set(image)) == len(image) and set(image) == set(target)
 
 
+def _last_three(build):
+    """``build``, keeping what it built for the last three frames it was asked for.
+
+    A per-frame check whose frame ``n`` reads frames ``n`` to ``n - 2`` then
+    builds each frame once per run.  It drops frame ``n - 3`` when it builds
+    frame ``n``, not the least recently read frame.
+    """
+    kept: dict = {}
+
+    def built(n: int):
+        if n not in kept:
+            kept.pop(n - 3, None)
+            kept[n] = build(n)
+        return kept[n]
+
+    return built
+
+
 def _bijections():
     """A new deletion-bijections check, for one suite run.
 
-    Frame ``n`` reads the ClassSets of frames ``n`` to ``n - 2``.  The check
-    keeps the last three it built, so the run builds each frame's once.
+    Frame ``n`` reads the ClassSets of frames ``n`` to ``n - 2``, and the
+    run builds each frame's once.
     """
-    built: dict[int, diagrams.ClassSets] = {}
-
-    def class_sets(n: int) -> diagrams.ClassSets:
-        if n not in built:
-            built.pop(n - 3, None)
-            built[n] = diagrams.class_sets(n)
-        return built[n]
+    class_sets = _last_three(diagrams.class_sets)
 
     def check(n: int) -> str:
         top = diagrams.delete_top_row
@@ -263,17 +275,10 @@ def _recursions():
     """A new recursions check, for one suite run.
 
     Frame ``n`` reads the counted atoms of frame ``n`` and of the frame its
-    recursion goes back to (``n - 1`` or ``n - 2``).  The check keeps the
-    last three frames it counted, so the run makes one counting pass per
-    frame, which serves both twists.
+    recursion goes back to (``n - 1`` or ``n - 2``), so the run makes one
+    counting pass per frame, which serves both twists.
     """
-    kept: dict[int, dict] = {}
-
-    def counted(n: int) -> dict:
-        if n not in kept:
-            kept.pop(n - 3, None)
-            kept[n] = counting._atoms(n, picard.Twist)
-        return kept[n]
+    counted = _last_three(basis._counted)
 
     def check(n: int) -> str:
         for twist, atoms in counted(n).items():

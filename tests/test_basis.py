@@ -15,9 +15,9 @@ from lagflag import (
     Twist,
     WittTable,
     atom_multiset,
+    basis,
     blowup_pullback,
     class_sets,
-    counting,
     diagrams,
     gw_basis,
     gw_summands,
@@ -149,11 +149,11 @@ def test_a_twist_given_by_its_value_is_that_twist(n):
         assert decomp.twist is twist
         assert decomp.to_json() == gw_basis(n, twist).to_json()
         assert list(gw_summands(n, value)) == list(decomp.summands)
-        assert counting.gw_atoms(n, value) == counting.gw_atoms(n, twist)
+        assert basis.gw_atoms(n, value) == basis.gw_atoms(n, twist)
         assert witt_table(n, value).to_json() == witt_table(n, twist).to_json()
         assert lambda_pair(value) == lambda_pair(twist)
         assert blowup_pullback(value) == blowup_pullback(twist)
-    entries = [gw_basis, gw_summands, counting.gw_atoms, witt_table]
+    entries = [gw_basis, gw_summands, basis.gw_atoms, witt_table]
     for entry in entries + [lambda n, twist: lambda_pair(twist)]:
         with pytest.raises(DomainError, match="^Twist must be 'O' or 'Delta', got 'x'$"):
             entry(n, "x")
@@ -324,7 +324,7 @@ def test_geometry_n2_details():
 
 
 def test_geometry_audits_the_scheme_a_summand_carries(monkeypatch):
-    from lagflag import Decomposition, ShiftedDiagram, Summand, basis, lf_a
+    from lagflag import Decomposition, ShiftedDiagram, Summand, lf_a
 
     real = basis.gw_basis
     hv = ShiftedDiagram(2, "HV")

@@ -610,17 +610,17 @@ def test_symbolic_canonical_rejects_what_every_half_rank_rejects(capsys, tuples,
 def test_verify_names_counting_mismatch(capsys, monkeypatch):
     from collections import Counter
 
-    from lagflag import counting
+    from lagflag import basis
 
-    real = counting._atoms  # the suite counts both twists of a frame in one call
+    real = basis._counted  # the suite counts both twists of a frame in one call
 
-    def off_by_one(n, twists):
-        by_twist = real(n, twists)
+    def off_by_one(n):
+        by_twist = real(n)
         if n == 3:
             by_twist[Twist.DELTA] += Counter({("GW", 7): 1})
         return by_twist
 
-    monkeypatch.setattr(counting, "_atoms", off_by_one)
+    monkeypatch.setattr(basis, "_counted", off_by_one)
     code, out, _ = run(capsys, ["verify", "--max-n", "4"])
     assert code == 1
     assert (

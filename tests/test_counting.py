@@ -15,8 +15,8 @@ from lagflag import (
     verify_recursions,
     witt_table,
 )
-from lagflag.basis import walk_atoms
-from lagflag.counting import class_weights, gw_atoms
+from lagflag.basis import gw_atoms, walk_atoms
+from lagflag.counting import class_weights
 from lagflag.verify import _genfunc_coefficients
 
 

@@ -14,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagflag import (
+    Decomposition,
     DomainError,
     RowType,
     ShiftedDiagram,
     Twist,
     TwistVariant,
+    WittTable,
+    basis,
     boundary,
     class_sets,
     classify,
@@ -164,8 +167,11 @@ FRAME_SIZE_ENTRIES = {
     "witt_table": (lambda n: witt_table(n, Twist.DELTA), 1, HERMITIAN),
     "verify_recursions": (verify_recursions, 2, "the recursion identities need"),
     "verify_geometry": (verify_geometry, 1, "the geometry audit needs"),
+    # the records check the size when built, as the functions that make them do
+    "Decomposition": (lambda n: Decomposition(n, "O", "GW", ()), 0, "expected"),
+    "WittTable": (lambda n: WittTable(n, "O", ((0, 1),), 0), 0, "expected"),
     "class_weights": (counting.class_weights, 1, "classification needs"),
-    "gw_atoms": (lambda n: counting.gw_atoms(n, Twist.TRIVIAL), 1, HERMITIAN),
+    "gw_atoms": (lambda n: basis.gw_atoms(n, Twist.TRIVIAL), 1, HERMITIAN),
     "lf_ktheory": (lambda n: lf_ktheory(ShiftedDiagram(n, "")), 1, "the K-theory descriptor needs"),
     "twist_alignment": (
         lambda n: twist_alignment(ShiftedDiagram(2, "HH"), TwistVariant.XI0, n), 0, "expected"

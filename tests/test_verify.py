@@ -125,8 +125,8 @@ def _misaligned_at_8(real):
 
 
 def _extra_atom_at_10(real):
-    def atoms(n, twists):
-        by_twist = real(n, twists)
+    def atoms(n):
+        by_twist = real(n)
         if n == 10:
             by_twist[picard.Twist.TRIVIAL] += Counter({("GW", 99): 1})
         return by_twist
@@ -174,7 +174,7 @@ CASES = [
      "canonical sheaf of d=(0, 2), e=(0,), t=(2,) is "),
     ("twist-alignment", 8, picard, "scheme_alignment", _misaligned_at_8,
      "HHHHHHHH: parity Delta(0), required 0"),
-    ("recursions", 10, counting, "_atoms", _extra_atom_at_10,
+    ("recursions", 10, basis, "_counted", _extra_atom_at_10,
      "frame 10 twist O: counted and enumerated atoms differ at ('GW', 99)"),
     # verify_geometry calls the binding in basis, which a patch on picard does not reach
     ("geometry", 8, basis, "scheme_alignment", _misaligned_at_8,
@@ -215,7 +215,7 @@ FRAME_ERRORS = [
     ("class-partitions", 11, diagrams, "class_sets", lambda n: n),
     ("deletion-bijections", 12, diagrams, "delete_top_row", lambda d: d.n),
     ("dimension-e-independence", 6, flags, "relative_dimension", lambda desc: desc.half_rank),
-    ("recursions", 10, counting, "_atoms", lambda n, twists: n),
+    ("recursions", 10, basis, "_counted", lambda n: n),
     ("geometry", 8, basis, "verify_geometry", lambda n: n),
     ("connecting-case-table", 10, picard, "classify_connecting", lambda n, c2, lam1, lam2: n),
 ]
