@@ -33,6 +33,7 @@ from .diagrams import (  # noqa: F401
     boundary,
     enumerate_diagrams,
 )
+from .errors import DomainError
 from .flags import FlagDescriptor, is_gorenstein, relative_dimension
 from .marking import lf_ktheory, padded_scheme, uses_type1
 from .picard import Twist, _member, scheme_alignment
@@ -59,13 +60,8 @@ class Summand(Record):
 
     def __init__(self, kind: Kind, source_diagram: ShiftedDiagram, scheme: FlagDescriptor,
                  map_label: MapLabel, shift: int | None = None, base_twist: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "source_diagram", source_diagram)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "map_label", map_label)
-        object.__setattr__(self, "shift", shift)
-        # the flag-step index of a residual det twist
-        object.__setattr__(self, "base_twist", base_twist)
+        # base_twist is the flag-step index of a residual det twist
+        self._store(kind, source_diagram, scheme, map_label, shift, base_twist)
 
     def to_json(self) -> dict:
         return {
@@ -85,10 +81,10 @@ class Decomposition(Record):
 
     def __init__(self, n: int, twist: Twist, theory: Kind, summands: tuple[Summand, ...]):
         _require_frame_size(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "twist", _member(Twist, twist))
-        object.__setattr__(self, "theory", _member(Kind, theory))
-        object.__setattr__(self, "summands", summands)
+        twist, theory = _member(Twist, twist), _member(Kind, theory)
+        if theory is Kind.GW:  # the bound `gw_basis` checks
+            _require_frame_size(n, 1, "the Hermitian decomposition needs")
+        self._store(n, twist, theory, summands)
 
     def to_json(self) -> dict:
         return {
@@ -115,8 +111,9 @@ def k_summands(n: int) -> Iterator[Summand]:
 
 def _k_stream(frame) -> Iterator[Summand]:
     """Every diagram of the frame needs its scheme, and no class, so it walks none."""
+    k, phi = Kind.K, MapLabel.PHI  # an enum member read costs a hook call: once per stream
     for diag in frame:
-        yield Summand(Kind.K, diag, lf_ktheory(diag), MapLabel.PHI)
+        yield Summand(k, diag, lf_ktheory(diag), phi)
 
 
 def k_basis(n: int) -> Decomposition:
@@ -175,22 +172,35 @@ def _gw_walks(n: int, twist: Twist) -> Iterator[tuple]:
 
 
 def _role_stream(frame, even_frame: bool, twist: Twist) -> Iterator[tuple]:
+    """Each class's role is decided once, on its first walk.
+
+    The walk shares one `DiagramClass` among the walks of a class and keeps
+    it while it runs, so a class's ``id`` names it for the whole stream.
+    """
     n = frame.n
+    full_top_row, gw = RowType.FULL_TOP_ROW, Kind.GW
+    roles: dict[int, tuple[Kind, MapLabel] | None] = {}
     for steps, ends, cls in frame.walks():
-        full_top = cls.row_type is RowType.FULL_TOP_ROW
-        role = _summand_role(even_frame, twist, full_top, cls.is_almost_even, cls.is_k_even)
+        try:
+            role = roles[id(cls)]
+        except KeyError:
+            full_top = cls.row_type is full_top_row
+            role = roles[id(cls)] = _summand_role(
+                even_frame, twist, full_top, cls.is_almost_even, cls.is_k_even
+            )
         if role is None:
             continue
         diag = _walked(n, steps, ends)
         kind, label = role
-        yield diag, cls, kind, label, (diag.weight if kind is Kind.GW else None)
+        yield diag, cls, kind, label, (diag.weight if kind is gw else None)
 
 
 def _gw_stream(walks) -> Iterator[Summand]:
     """Each walk's summand, with the padded scheme cut at its index."""
+    k = Kind.K
     for diag, cls, kind, label, shift in walks:
         scheme = padded_scheme(diag, cls.index_w)
-        if kind is Kind.K:
+        if kind is k:
             yield Summand(kind, diag, scheme, label)
             continue
         # the type-1 construction leaves a residual det twist
@@ -405,10 +415,15 @@ class WittTable(Record):
 
     def __init__(self, n: int, twist: Twist, degrees: tuple[tuple[int, int], ...], k_count: int):
         _require_frame_size(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "twist", _member(Twist, twist))
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "k_count", k_count)
+        twist = _member(Twist, twist)
+        if not _is_degree_table(degrees):
+            raise DomainError(
+                "degrees must be a tuple of (degree, count) integer pairs, degrees "
+                f"ascending in 0..3 and counts >= 1, got {degrees!r}"
+            )
+        if type(k_count) is not int or k_count < 0:  # rejects bools too
+            raise DomainError(f"k_count must be a non-negative integer, got {k_count!r}")
+        self._store(n, twist, degrees, k_count)
 
     def to_json(self) -> dict:
         return {
@@ -417,6 +432,27 @@ class WittTable(Record):
             "degrees": {str(deg): count for deg, count in self.degrees},
             "k_count": self.k_count,
         }
+
+
+def _is_degree_table(degrees) -> bool:
+    """Whether ``degrees`` is a table as `witt_table` builds it.
+
+    That is a tuple of ``(degree, count)`` pairs of plain ints, the degrees
+    ascending in 0..3 and every count at least 1.
+    """
+    if type(degrees) is not tuple:
+        return False
+    last = -1
+    for pair in degrees:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        degree, count = pair
+        if type(degree) is not int or type(count) is not int:  # rejects bools too
+            return False
+        if not last < degree <= 3 or count < 1:
+            return False
+        last = degree
+    return True
 
 
 def witt_table(n: int, twist: Twist) -> WittTable:

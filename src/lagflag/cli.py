@@ -282,8 +282,6 @@ def _cmd_canonical(args, out) -> int:
 
 def _parity_flag(summand) -> str:
     """Whether a GW summand's own scheme passes the twist-parity check."""
-    if summand.kind is not basis_mod.Kind.GW:
-        return ""
     result = pic_mod.scheme_alignment(summand.source_diagram, summand.scheme)
     return str(result.ok).lower()
 
@@ -292,11 +290,13 @@ def _summand_json(s) -> str:
     """A summand as ``json.dumps(s.to_json(), indent=2)`` prints it in a decomposition.
 
     Steps, kinds and map labels are plain ASCII words, so no string needs escaping.
+    A member's ``_value_`` is a plain attribute; its ``value`` is a property,
+    which costs several times as much on every row.
     """
     scheme = s.scheme
     return (
         "    {\n"
-        f'      "kind": "{s.kind.value}",\n'
+        f'      "kind": "{s.kind._value_}",\n'
         f'      "shift": {"null" if s.shift is None else text(s.shift)},\n'
         f'      "diagram": "{s.source_diagram.steps}",\n'
         '      "scheme": {\n'
@@ -305,7 +305,7 @@ def _summand_json(s) -> str:
         f'        "e": {_scheme_list(scheme.e)},\n'
         f'        "t": {_scheme_list(scheme.t)}\n'
         "      },\n"
-        f'      "map": "{s.map_label.value}",\n'
+        f'      "map": "{s.map_label._value_}",\n'
         f'      "base_twist": {"null" if s.base_twist is None else text(s.base_twist)}\n'
         "    }"
     )
@@ -331,15 +331,18 @@ def _cmd_basis(args, out) -> int:
         out.write("\n}\n")
     elif args.format == "csv":
         out.write("diagram,kind,shift,map,scheme,dim,components,parity_ok\n")
+        gw = basis_mod.Kind.GW  # read once: each enum member read is a hook call
         for s in summands:
+            kind = s.kind
             dim, components = flags_mod.dimension_and_components(s.scheme)
             scheme = str(s.scheme)
             if "," in scheme:  # the one field that needs csv's minimal quoting
                 scheme = f'"{scheme}"'
             out.write(
-                f"{s.source_diagram.steps},{s.kind.value},"
-                f"{'' if s.shift is None else text(s.shift)},{s.map_label.value},"
-                f"{scheme},{text(dim)},{text(components)},{_parity_flag(s)}\n"
+                f"{s.source_diagram.steps},{kind._value_},"
+                f"{'' if s.shift is None else text(s.shift)},{s.map_label._value_},"
+                f"{scheme},{text(dim)},{text(components)},"
+                f"{_parity_flag(s) if kind is gw else ''}\n"
             )
     else:
         if theory is basis_mod.Kind.K:
@@ -355,7 +358,7 @@ def _cmd_basis(args, out) -> int:
             twist_note = "" if s.base_twist is None else f" base_twist=V{text(s.base_twist)}"
             print(
                 f"  {s.source_diagram.steps or '-':<{max(args.n, 1)}} "
-                f"{s.kind.value:<2} {s.map_label.value:<4}{shift}{twist_note}  {s.scheme}",
+                f"{s.kind._value_:<2} {s.map_label._value_:<4}{shift}{twist_note}  {s.scheme}",
                 file=out,
             )
     return 0

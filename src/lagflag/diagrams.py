@@ -63,11 +63,10 @@ class ShiftedDiagram(Record):
             raise DomainError(f"steps must be a string, got {steps!r}")
         if len(steps) != n:
             raise DomainError(f"expected {n} boundary steps, got {len(steps)}")
-        bad = set(steps) - {DOWN, LEFT}
-        if bad:
+        if steps.strip(DOWN + LEFT):  # the set of bad steps is built only for the message
+            bad = set(steps) - {DOWN, LEFT}
             raise DomainError(f"boundary steps must be 'V' or 'H', got {sorted(bad)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "steps", steps)
+        self._store(n, steps)
 
     # not a field, so ==, hash, repr and to_json see only the walk; the cache
     # writes the __dict__ slot directly, past the __setattr__ that refuses assignment

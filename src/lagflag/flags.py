@@ -46,10 +46,7 @@ class FlagDescriptor(Record):
             raise DomainError(
                 f"d, e and t must be sequences of integers, got {d!r}, {e!r}, {t!r}"
             ) from None
-        object.__setattr__(self, "half_rank", half_rank)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "t", t)
+        self._store(half_rank, d, e, t)
         for value in (half_rank, *d, *e, *t):
             if type(value) is not int:  # rejects bools too
                 # plain str: the memo must not see an unchecked value
@@ -64,7 +61,7 @@ class FlagDescriptor(Record):
                 f"len(e)=len(t)={len(d) - 1}, got {len(e)}, {len(t)}"
             )
         violations = tuple(validate(self))  # the module global, which a tracer may wrap
-        object.__setattr__(self, "violations", violations)
+        _set_violations(self, violations)
         if violations and violations[0].severity == "error":  # errors come first
             raise _rejection(self)
 
@@ -88,15 +85,17 @@ class FlagDescriptor(Record):
         return f"LF[{d}]({e})_[{t}]@{number(self.half_rank)}"
 
 
+# the slot's own setter, which passes the __setattr__ that refuses assignment, as `_store` does
+_set_violations = FlagDescriptor.violations.__set__
+
+
 class Violation(Record):
     """One violated descriptor constraint; warnings do not make it invalid."""
 
     __slots__ = _fields = ("constraint", "message", "severity")
 
     def __init__(self, constraint: str, message: str, severity: str = "error"):
-        object.__setattr__(self, "constraint", constraint)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "severity", severity)
+        self._store(constraint, message, severity)
 
     def to_json(self) -> dict:
         return {

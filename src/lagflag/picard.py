@@ -49,8 +49,7 @@ class Affine(Record):
     def __init__(self, n_coeff: int, const: int):
         if type(n_coeff) is not int or type(const) is not int:  # rejects bools too
             raise DomainError(f"affine coefficients must be integers, got {n_coeff!r}, {const!r}")
-        object.__setattr__(self, "n_coeff", n_coeff)
-        object.__setattr__(self, "const", const)
+        self._store(n_coeff, const)
 
     def _coerce(self, other) -> "Affine":
         if isinstance(other, Affine):

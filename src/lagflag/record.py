@@ -2,19 +2,26 @@
 since importing `dataclasses` and generating methods took ~30 ms per CLI start-up.
 """
 
+from functools import cache
 from operator import attrgetter
+from types import CodeType, FunctionType, MemberDescriptorType
 
 
 class Record:
     """Equality, hash, the dataclass repr, immutability, copy and pickle.
 
     A subclass names in ``_fields`` the slots that equality, hash and repr
-    read.  One that only stores them writes no ``__init__``: it gets one
-    built from source, as `collections.namedtuple` builds its ``__new__``,
-    that takes the fields in order, by position or keyword, and sets each
-    with ``object.__setattr__``, so it costs what a hand-written one does.
-    One that checks, coerces or has defaults writes its own, which its
-    subclasses inherit.  Copy and pickle call ``__init__`` again.
+    read; naming anything but a slot fails when the class is made.  Each
+    record gets ``_store(self, <fields>)``, built from source as
+    `collections.namedtuple` builds its ``__new__``, which sets each field
+    through its slot's own ``__set__``.  That setter, like
+    ``object.__setattr__``, passes the ``__setattr__`` that refuses
+    assignment, and it is a plain C call where ``object.__setattr__`` looks
+    the name up again on every store.  A record that only stores its fields
+    writes no ``__init__``: ``_store`` is its ``__init__``, taking the fields
+    in order, by position or keyword.  One that checks, coerces or has
+    defaults writes its own, which ends in ``self._store(...)`` and which
+    its subclasses inherit.  Copy and pickle call ``__init__`` again.
     Assigning or deleting an attribute raises `AttributeError`.
     """
 
@@ -24,12 +31,19 @@ class Record:
         fields = cls._fields
         get = attrgetter(*fields)  # of a single name, the bare value
         cls._values = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+        setters = {"__name__": cls.__module__}
+        for i, name in enumerate(fields):
+            slot = getattr(cls, name, None)
+            if type(slot) is not MemberDescriptorType:
+                raise TypeError(f"{cls.__qualname__}._fields names {name!r}, which is no slot")
+            setters[f"_set{i}"] = slot.__set__
+        code = _store_template(len(fields)).replace(co_varnames=("self", *fields))
+        store = cls._store = FunctionType(code, setters)
         if cls.__init__ is object.__init__:
-            sets = "".join(f"\n _set(self, {name!r}, {name})" for name in fields)
-            scope = {"_set": object.__setattr__, "__name__": cls.__module__}
-            exec(f"def __init__(self, {', '.join(fields)}):{sets}", scope)
-            cls.__init__ = scope["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = store
+            store.__qualname__ = f"{cls.__qualname__}.__init__"
+        else:
+            store.__qualname__ = f"{cls.__qualname__}._store"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -52,3 +66,17 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self._values(self)
+
+
+@cache
+def _store_template(arity: int) -> CodeType:
+    """``_store(self, _0, ..., _<arity-1>)``, which passes each to the global ``_set<i>``.
+
+    It is compiled once per arity, and each record renames its parameters
+    to its fields, so the stores cost a compile per arity, not per record.
+    """
+    params = [f"_{i}" for i in range(arity)]
+    sets = "".join(f"\n _set{i}(self, {param})" for i, param in enumerate(params))
+    scope: dict = {}
+    exec(f"def _store(self, {', '.join(params)}):{sets}", scope)
+    return scope["_store"].__code__

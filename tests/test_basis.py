@@ -1,5 +1,6 @@
 """Basis decompositions, recursion identities and geometry aggregation."""
 
+import re
 from collections import Counter
 from types import ModuleType
 
@@ -173,6 +174,67 @@ def test_the_records_take_a_twist_and_theory_by_value():
         Decomposition(1, Twist.TRIVIAL, "k", ())
     with pytest.raises(DomainError, match="^Twist must be 'O' or 'Delta', got 1$"):
         WittTable(3, 1, (), 0)
+
+
+DEGREES = "^" + re.escape(
+    "degrees must be a tuple of (degree, count) integer pairs, degrees ascending in 0..3"
+)
+
+#: records built with values that the functions making them never produce
+INVALID_RECORDS = {
+    "negative k_count": (
+        lambda: WittTable(3, "O", ((0, 1),), -3),
+        "^k_count must be a non-negative integer, got -3$",
+    ),
+    "bool k_count": (
+        lambda: WittTable(3, "O", ((0, 1),), True),
+        "^k_count must be a non-negative integer, got True$",
+    ),
+    "junk degrees": (lambda: WittTable(3, "O", "junk", 2.5), DEGREES),
+    "degrees as a list": (lambda: WittTable(3, "O", [(0, 1)], 2), DEGREES),
+    "descending degrees": (lambda: WittTable(3, "O", ((1, 1), (0, 1)), 2), DEGREES),
+    "repeated degree": (lambda: WittTable(3, "O", ((0, 1), (0, 1)), 2), DEGREES),
+    "degree 4": (lambda: WittTable(3, "O", ((4, 1),), 2), DEGREES),
+    "count 0": (lambda: WittTable(3, "O", ((0, 0),), 2), DEGREES),
+    "bool count": (lambda: WittTable(3, "O", ((0, True),), 2), DEGREES),
+    "triple": (lambda: WittTable(3, "O", ((0, 1, 2),), 2), DEGREES),
+    "GW basis at frame 0": (
+        lambda: Decomposition(0, "O", "GW", ()),
+        "^the Hermitian decomposition needs frame size >= 1, got 0$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_RECORDS)
+def test_a_record_no_function_would_build_is_rejected(case):
+    build, message = INVALID_RECORDS[case]
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+def test_the_records_take_the_edge_values_the_functions_build():
+    assert Decomposition(0, "O", "K", ()).n == 0  # k_basis(0)
+    assert WittTable(3, "O", (), 0).degrees == ()
+    assert WittTable(3, "O", ((0, 2), (3, 1)), 5).k_count == 5
+
+
+@pytest.mark.parametrize("twist", list(Twist))
+def test_each_walk_class_decides_its_role_once(monkeypatch, twist):
+    calls = []
+    role = basis._summand_role
+
+    def counted(*args):
+        calls.append(args)
+        return role(*args)
+
+    monkeypatch.setattr(basis, "_summand_role", counted)
+    summands = list(gw_summands(10, twist))
+    # the walk shares one class among the walks of a (first step, index, segment count)
+    walks = diagrams.enumerate_diagrams(10).walks()
+    classes = {(steps[0], cls.index_w, len(ends)) for steps, ends, cls in walks}
+    assert len(calls) == len(classes) < 1024
+    monkeypatch.undo()
+    assert summands == list(gw_summands(10, twist))
 
 
 def test_summand_streams_check_the_frame_on_the_call():

@@ -1,6 +1,7 @@
 """CLI behavior: golden output, determinism, exit codes, JSON payloads against the records."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -86,6 +87,27 @@ def test_byte_identical_across_runs(capsys, argv):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1.encode() == out2.encode()
+
+
+#: the benchmark's SHA-256 and byte count of each basis-emit output, read only
+REFERENCES = json.loads((Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "basis -n 14 --twist O --format json",
+        "basis -n 14 --twist Delta --format csv",
+        "basis -n 14 --theory k --format csv",
+    ],
+)
+def test_frame_14_bases_match_the_benchmark_references(capsys, command):
+    code, out, err = run(capsys, command.split())
+    assert (code, err) == (0, "")
+    data = out.encode()
+    reference = REFERENCES[command]
+    assert hashlib.sha256(data).hexdigest() == reference["sha256"]
+    assert len(data) == reference["bytes"]
 
 
 def test_json_outputs_match_the_records(capsys):

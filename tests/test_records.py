@@ -59,6 +59,7 @@ from lagflag import (
 from lagflag.basis import CaseResult
 from lagflag.errors import DomainError
 from lagflag.marking import SegmentSelection
+from lagflag.record import Record
 
 HVVH = ShiftedDiagram(4, "HVVH")
 
@@ -157,7 +158,6 @@ IDS = [cls.__name__ for cls in CASES]
 
 def test_the_table_covers_every_record_type():
     import lagflag
-    from lagflag.record import Record
 
     modules = [m for m in vars(lagflag).values() if type(m) is type(lagflag)]
     records = {
@@ -218,6 +218,31 @@ def test_a_generated_init_takes_the_fields_by_position_or_keyword(cls):
         cls(*values, None)
     with pytest.raises(TypeError):
         cls(*values[:-1], not_a_field=values[-1])
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_the_store_rebuilds_the_record_from_its_fields(cls):
+    build, _, fields = CASES[cls]
+    record = build()
+    blank = cls.__new__(cls)
+    cls._store(blank, *_values(record, fields))
+    assert blank == record and _values(blank, fields) == _values(record, fields)
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(OWN_INIT, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__
+)
+def test_a_written_init_stores_through_the_slots(cls):
+    # object.__setattr__ reads the name __setattr__; the store reads _store
+    names = cls.__init__.__code__.co_names
+    assert "_store" in names and "__setattr__" not in names
+
+
+def test_a_field_that_is_no_slot_fails_when_the_class_is_made():
+    for extra in ({}, {"b": property(lambda self: 1)}, {"b": 1}):
+        namespace = {"__slots__": ("a",), "_fields": ("a", "b"), **extra}
+        with pytest.raises(TypeError, match="^Bad._fields names 'b', which is no slot$"):
+            type("Bad", (Record,), namespace)
 
 
 def test_a_subclass_of_a_checking_record_keeps_its_checks():
