@@ -176,11 +176,13 @@ def _role_stream(frame, even_frame: bool, twist: Twist) -> Iterator[tuple]:
 
     The walk shares one `DiagramClass` among the walks of a class and keeps
     it while it runs, so a class's ``id`` names it for the whole stream.
+    It leaves out the walks that fix an odd index at a turn, which have no
+    role under either twist.
     """
     n = frame.n
     full_top_row, gw = RowType.FULL_TOP_ROW, Kind.GW
     roles: dict[int, tuple[Kind, MapLabel] | None] = {}
-    for steps, ends, cls in frame.walks():
+    for steps, ends, cls in frame._walks(True):
         try:
             role = roles[id(cls)]
         except KeyError:

@@ -140,12 +140,18 @@ class Frame:
         index and segment count share one `DiagramClass`, kept only for this
         call.  Frame 0 has no index.
         """
-        n = self.n
-        _require_frame_size(n, 1, "classification needs")
-        return self._walks([is_index_end(i, n) for i in range(n)])
+        _require_frame_size(self.n, 1, "classification needs")
+        return self._walks(False)
 
-    def _walks(self, holds: list[bool]) -> Iterator[tuple[str, tuple[int, ...], DiagramClass]]:
+    def _walks(self, cut_odd: bool) -> Iterator[tuple[str, tuple[int, ...], DiagramClass]]:
+        """`walks`, or with ``cut_odd`` only those that fix no odd index at a turn.
+
+        A walk that does ends with more segments than its index, so it is
+        neither almost even nor K-even, and the basis gives it no summand
+        under either twist.  The cut drops its whole subtree unwalked.
+        """
         n = self.n
+        holds = [is_index_end(i, n) for i in range(n)]
         # (first step, index, segment count) -> the class those walks share
         classes: dict[tuple[str, int, int], DiagramClass] = {}
         # (steps, ends of the closed segments, current step, index or 0 while unfound)
@@ -168,6 +174,8 @@ class Frame:
                 else:
                     turned = closed + (i,)
                     found = index or (len(turned) if holds[i] else 0)
+                    if found % 2 and cut_odd:
+                        continue
                     stack.append((steps + step, turned, step, found))
 
 

@@ -229,12 +229,32 @@ def test_each_walk_class_decides_its_role_once(monkeypatch, twist):
 
     monkeypatch.setattr(basis, "_summand_role", counted)
     summands = list(gw_summands(10, twist))
-    # the walk shares one class among the walks of a (first step, index, segment count)
-    walks = diagrams.enumerate_diagrams(10).walks()
+    # the walk shares one class among the walks of a (first step, index, segment
+    # count); the stream reaches only the walks that fix no odd index at a turn
+    walks = diagrams.enumerate_diagrams(10)._walks(True)
     classes = {(steps[0], cls.index_w, len(ends)) for steps, ends, cls in walks}
-    assert len(calls) == len(classes) < 1024
+    assert len(calls) == len(classes) == 40
     monkeypatch.undo()
     assert summands == list(gw_summands(10, twist))
+
+
+@pytest.mark.parametrize("twist", list(Twist))
+def test_the_role_stream_cuts_only_walks_without_a_role(twist):
+    for n in range(1, 13):
+        even_frame = n % 2 == 0
+        expected = []
+        for steps, ends, cls in diagrams.enumerate_diagrams(n).walks():
+            full_top = cls.row_type is diagrams.RowType.FULL_TOP_ROW
+            role = basis._summand_role(
+                even_frame, twist, full_top, cls.is_almost_even, cls.is_k_even
+            )
+            if role is not None:
+                diag = ShiftedDiagram(n, steps)
+                kind, label = role
+                expected.append((diag, cls, kind, label, diag.weight if kind is Kind.GW else None))
+        assert list(basis._gw_walks(n, twist)) == expected, n
+    # at frame 14 the cut leaves 8,320 of the 16,384 walks
+    assert sum(1 for _ in diagrams.enumerate_diagrams(14)._walks(True)) == 8320
 
 
 def test_summand_streams_check_the_frame_on_the_call():

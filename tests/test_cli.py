@@ -1,6 +1,7 @@
 """CLI behavior: golden output, determinism, exit codes, JSON payloads against the records."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -29,6 +30,7 @@ from lagflag import (
     scheme_alignment,
     verify,
 )
+from lagflag import cli
 from lagflag.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -288,6 +290,61 @@ def test_a_closed_pipe_ends_quietly_with_141():
     child.stdout.close()  # the reader goes away, as `head -c 100` does
     _, err = child.communicate(timeout=60)
     assert (len(head), child.returncode, err) == (100, 141, b"")
+
+
+# one command per exit status, the last two usage errors from the library and argparse
+EXITS = [
+    pytest.param(["classify-connecting", "--c1", "3", "--c2", "2", "--lam", "0,0"], 0, id="ok"),
+    pytest.param(["scheme", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "1"], 1,
+                 id="invalid descriptor"),
+    pytest.param(["basis", "-n", "17"], 2, id="LagflagError"),
+    pytest.param(["basis", "-n", "2", "--format", "xml"], 2, id="argparse"),
+]
+
+
+def in_process(capsys, argv):
+    """``main``'s exit code, stdout and stderr; argparse exits by itself."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", EXITS)
+def test_run_exits_with_mains_code_and_freezes_once_the_output_is_written(
+    capsys, monkeypatch, argv, code
+):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr()))
+    expected = in_process(capsys, argv)
+    assert expected[0] == code
+    assert frozen == []  # main never freezes: the tests and traced runs call it in-process
+    with pytest.raises(SystemExit) as exited:
+        cli.run(argv)
+    assert exited.value.code == code
+    assert [(c.out, c.err) for c in frozen] == [expected[1:]]
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv, code", EXITS)
+def test_a_cli_process_writes_and_exits_as_main_does(capsys, argv, code):
+    env = {k: v for k, v in os.environ.items() if k != "LAGFLAG_MAX_N"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-m", "lagflag.cli", *argv], env=env, capture_output=True, timeout=60
+    )
+    got = (child.returncode, child.stdout.decode(), child.stderr.decode())
+    assert got == in_process(capsys, argv)
+    assert got[0] == code
+
+
+def test_the_installed_script_enters_through_run():
+    # a text check: tomllib is 3.11+
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split("\n") == ['lagflag = "lagflag.cli:run"', ""]
 
 
 # A child that runs ``verify`` with every suite after the first held until a
