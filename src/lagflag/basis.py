@@ -261,9 +261,7 @@ def _counted(n: int) -> dict[Twist, Counter]:
             if role[0] is Kind.K:
                 atoms[("K", None)] += sum(coeffs)
             else:
-                for shift, count in enumerate(coeffs):
-                    if count:
-                        atoms[("GW", shift)] += count
+                atoms.update({("GW", w): count for w, count in enumerate(coeffs) if count})
     return by_twist
 
 
@@ -458,13 +456,15 @@ def _is_degree_table(degrees) -> bool:
 
 
 def witt_table(n: int, twist: Twist) -> WittTable:
+    """The GW shifts of `gw_atoms(n, twist)` folded mod 4, and its K atoms tallied apart.
+
+    ``twist`` may be given by value.
+    """
+    atoms = gw_atoms(n, twist)
+    k_count = atoms.pop(("K", None), 0)
     counts: Counter = Counter()
-    k_count = 0
-    for (kind, shift), count in gw_atoms(n, twist).items():
-        if kind == Kind.GW.value:
-            counts[shift % 4] += count
-        else:
-            k_count += count
+    for (_, shift), count in atoms.items():
+        counts[shift % 4] += count
     return WittTable(
         n=n,
         twist=twist,

@@ -14,9 +14,15 @@ index's parity is the orientation of the run where it is found, and that
 run is the first one ending at a step position of the frame's parity.  The
 index is the last segment exactly when that run ends the walk.  The state
 after each step is therefore the first step, the current step, and whether
-the index has been found and, if so, whether it is even; each state carries
-the weights of its walks as an array of polynomial coefficients.  The pass
-costs O(n**3).
+the index has been found and, if so, whether it is even.
+
+Each state packs its walks' weight polynomial into one integer, its value at
+a power of two (Kronecker substitution), with one field per weight.  A V
+step at position ``i`` adds ``n + 1 - i`` to each weight, a left shift by
+that many fields, and a merge is one addition.  Fields are ``n // 8 + 1``
+whole bytes: they hold any count below ``2**n``, and ``int.to_bytes`` splits
+them.  The pass makes O(n) shifts and additions of O(n**3)-bit integers,
+then unpacks O(n**2) coefficients.
 
 The pass lives apart from `Frame.walks`, so that it stays an independent
 oracle for the enumerated bases.  `basis._counted` folds its tables into the
@@ -30,14 +36,7 @@ from .diagrams import DOWN, LEFT, _require_frame_size, is_index_end
 
 # (first step, almost_even, k_even)
 ClassKey = tuple[str, bool, bool]
-
-
-def _add_into(table: dict, key, coeffs: list[int]) -> None:
-    held = table.get(key)
-    if held is None:
-        table[key] = coeffs
-    else:
-        table[key] = [a + b for a, b in zip(held, coeffs)]
+State = tuple[str, str, bool | None]  # (first step, current step, k_even or None if unfound)
 
 
 def class_weights(n: int) -> dict[ClassKey, list[int]]:
@@ -48,31 +47,31 @@ def class_weights(n: int) -> dict[ClassKey, list[int]]:
     diagram are absent.
     """
     _require_frame_size(n, 1, "classification needs")
-    size = n * (n + 1) // 2 + 1
-    # (first step, current step, None while the index is unfound, else k_even)
-    states: dict[tuple[str, str, bool | None], list[int]] = {}
-    for step in (DOWN, LEFT):
-        coeffs = [0] * size
-        coeffs[n if step == DOWN else 0] = 1  # a V step at position 1 adds n
-        states[(step, step, None)] = coeffs
+    field = n // 8 + 1
+    # a V step at position 1 adds n
+    states: dict[State, int] = {(DOWN, DOWN, None): 1 << 8 * field * n, (LEFT, LEFT, None): 1}
     for i in range(2, n + 1):
         # A turn before position i ends a run at i - 1; the first such run
         # that passes is_index_end holds the index.
         index_here = is_index_end(i - 1, n)
-        gain = n + 1 - i
-        nxt: dict[tuple[str, str, bool | None], list[int]] = {}
-        for (first, current, k_even), coeffs in states.items():
+        gain = 8 * field * (n + 1 - i)
+        nxt: dict[State, int] = {}
+        for (first, current, k_even), packed in states.items():
             for step in (DOWN, LEFT):
-                found = k_even
-                if found is None and index_here and step != current:
-                    found = current == LEFT
-                moved = [0] * gain + coeffs[:-gain] if step == DOWN else coeffs
-                _add_into(nxt, (first, step, found), moved)
+                found_here = k_even is None and index_here and step != current
+                key = (first, step, current == LEFT if found_here else k_even)
+                nxt[key] = nxt.get(key, 0) + (packed << gain if step == DOWN else packed)
         states = nxt
-    tables: dict[ClassKey, list[int]] = {}
-    for (first, current, k_even), coeffs in states.items():
+    tables: dict[ClassKey, int] = {}
+    for (first, current, k_even), packed in states.items():
         # An index still unfound is the final run, which ends at position n.
         key = (first, k_even is None, current == LEFT if k_even is None else k_even)
-        _add_into(tables, key, coeffs)
-    return tables
-
+        tables[key] = tables.get(key, 0) + packed
+    states.clear()  # drop each packed int once read, so the lists never sit beside them all
+    size = (n * (n + 1) // 2 + 1) * field
+    cuts = range(0, size, field)
+    unpacked: dict[ClassKey, list[int]] = {}
+    for key in list(tables):
+        raw = tables.pop(key).to_bytes(size, "little")
+        unpacked[key] = [int.from_bytes(raw[at : at + field], "little") for at in cuts]
+    return unpacked
