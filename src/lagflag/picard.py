@@ -22,6 +22,12 @@ is kept symbolic.  The relative canonical sheaf of a Gorenstein descriptor
 
 with contributions to the same generator accumulating.
 
+The relative canonical sheaf and its parity are computed once per point
+query and once per GW summand of a basis, so `canonical_exponents` builds
+its item list in one pass, reading each generator from a per-kind table
+(``_DELTAS``, ``_NABLAS``, ``_DET_VS``) in place of calling a cached
+constructor; `mod2_reduce` reads the items in place.
+
 Parity computations quotient by squares and by the base-trivial generators:
 every ``DetV``, every ``Delta(j)`` whose Lagrangian is pinched to the fixed
 flag step (``d_j`` equal to the half rank), and every ``Nabla(i)`` whose
@@ -31,7 +37,6 @@ stratum is pinched likewise (``e_i`` equal to half rank minus ``t_i``).
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .diagrams import DOWN, ShiftedDiagram, _require_frame_size, boundary, classify
@@ -42,27 +47,37 @@ from .record import Record
 
 
 class Affine(Record):
-    """An exponent of the form ``n_coeff * n + const`` for symbolic half rank."""
+    """An exponent of the form ``n_coeff * n + const`` for symbolic half rank.
+
+    ``n_coeff`` is nonzero: a constant exponent is a plain ``int``, which
+    `affine` returns when the coefficient comes out 0.
+    """
 
     __slots__ = _fields = ("n_coeff", "const")
 
     def __init__(self, n_coeff: int, const: int):
         if type(n_coeff) is not int or type(const) is not int:  # rejects bools too
             raise DomainError(f"affine coefficients must be integers, got {n_coeff!r}, {const!r}")
+        if n_coeff == 0:
+            raise DomainError(f"an affine exponent needs a nonzero n coefficient, got 0, {const!r}")
         self._store(n_coeff, const)
 
-    def _coerce(self, other) -> "Affine":
+    @staticmethod
+    def _coerce(other) -> tuple[int, int]:
+        """``(n_coeff, const)`` of an operand; a plain ``int`` reads as ``(0, other)``."""
         if isinstance(other, Affine):
-            return other
+            return other.n_coeff, other.const
         if isinstance(other, int):
-            return Affine(0, other)
+            if type(other) is not int:  # a bool, refused as the constructor refuses it
+                raise DomainError(f"affine coefficients must be integers, got 0, {other!r}")
+            return 0, other
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return affine(self.n_coeff + o.n_coeff, self.const + o.const)
+        return affine(self.n_coeff + o[0], self.const + o[1])
 
     __radd__ = __add__
 
@@ -70,13 +85,13 @@ class Affine(Record):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return affine(self.n_coeff - o.n_coeff, self.const - o.const)
+        return affine(self.n_coeff - o[0], self.const - o[1])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return affine(o.n_coeff - self.n_coeff, o.const - self.const)
+        return affine(o[0] - self.n_coeff, o[1] - self.const)
 
     def to_json(self) -> list[int]:
         return [self.n_coeff, self.const]
@@ -112,21 +127,47 @@ class Generator(NamedTuple):
         return self.kind if self.index is None else f"{self.kind}({self.index})"
 
 
-# The generator constructors hand out one shared object per index; ``typed``
-# keeps ``delta(True)`` from standing in for ``delta(1)``.
-@lru_cache(maxsize=None, typed=True)
+class _Generators(dict):
+    """One kind's shared `Generator` per ``int`` index, made on first read.
+
+    Only a plain ``int`` index is stored.  A bool stored under ``True``
+    would be found for ``1`` too (``True == 1``), so any other index gets a
+    new `Generator` on each read and leaves the table as it was.
+    """
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def __missing__(self, index):
+        gen = Generator(self.kind, index)
+        if type(index) is int:
+            self[index] = gen
+        return gen
+
+
+# One table per indexed kind hands out one shared object per index.  They
+# replace `functools.lru_cache` on the constructors: `canonical_exponents`
+# reads a table straight from its loops, and a dict read costs less than a
+# cached call.  The constructors read a table for a plain ``int`` only, since
+# ``True`` would find the entry of ``1``: ``delta(True)`` is
+# ``Generator("Delta", True)``, which `PicElement` rejects.
+_DELTAS = _Generators("Delta")
+_NABLAS = _Generators("Nabla")
+_DET_VS = _Generators("DetV")
+
+
 def delta(j: int) -> Generator:
-    return Generator("Delta", j)
+    return _DELTAS[j] if type(j) is int else Generator("Delta", j)
 
 
-@lru_cache(maxsize=None, typed=True)
 def nabla(i: int) -> Generator:
-    return Generator("Nabla", i)
+    return _NABLAS[i] if type(i) is int else Generator("Nabla", i)
 
 
-@lru_cache(maxsize=None, typed=True)
 def det_v(m: int) -> Generator:
-    return Generator("DetV", m)
+    return _DET_VS[m] if type(m) is int else Generator("DetV", m)
 
 
 AMBIENT_DELTA = Generator("AmbientDelta")
@@ -265,24 +306,32 @@ def canonical_exponents(
     The unchecked formula of the module docstring: `canonical_sheaf` and
     `canonical_sheaf_in_n` call it on a built descriptor that is Gorenstein.
     ``half_rank`` may be `SYMBOLIC_N`, in which case exponents come out as
-    affine expressions in the half rank.  Each kind accumulates on its own
-    and the nonzero items are emitted already in generator order.
+    affine expressions in the half rank.  One list takes the nonzero items
+    in generator order: each ``Delta(i)`` once stratum ``i`` has added its
+    share, then the ``Nabla`` and ``DetV`` items.
     """
     k = len(e)
-    deltas: list[Exponent] = [0] * (k + 1)
-    nablas: list[Exponent] = [0] * k
-    dets: dict[int, Exponent] = {}
-    deltas[k] = half_rank - d[k] + 1
-    dets[d[k]] = d[k] - half_rank - 1
+    items: list[tuple[Generator, Exponent]] = []
+    dets: dict[int, Exponent] = {d[k]: d[k] - half_rank - 1}
+    carried: Exponent = 0  # what stratum i - 1 adds to Delta(i)
     for i in range(k):
-        di, ei, ti = d[i], e[i], t[i]
-        deltas[i] += ti + ei + 1 - di
-        deltas[i + 1] += ti + ei - half_rank
-        nablas[i] = half_rank + di - 2 * ei - ti - 1
-        dets[di] = dets.get(di, 0) - ti
-    items = [(delta(j), exp) for j, exp in enumerate(deltas) if exp != 0]
-    items += [(nabla(i), exp) for i, exp in enumerate(nablas) if exp != 0]
-    items += [(det_v(m), dets[m]) for m in sorted(dets) if dets[m] != 0]
+        di, ti_ei = d[i], t[i] + e[i]
+        exp = carried + ti_ei + 1 - di
+        if exp != 0:
+            items.append((_DELTAS[i], exp))
+        carried = ti_ei - half_rank
+        dets[di] = dets.get(di, 0) - t[i]
+    exp = carried + half_rank - d[k] + 1
+    if exp != 0:
+        items.append((_DELTAS[k], exp))
+    for i in range(k):
+        exp = half_rank + d[i] - 2 * e[i] - t[i] - 1
+        if exp != 0:
+            items.append((_NABLAS[i], exp))
+    for m in sorted(dets):
+        exp = dets[m]
+        if exp != 0:
+            items.append((_DET_VS[m], exp))
     return PicElement._from_sorted(tuple(items))
 
 
@@ -329,8 +378,8 @@ def mod2_reduce(elt: PicElement, desc: FlagDescriptor) -> ParityClass:
     half_rank, d, e, t = desc.half_rank, desc.d, desc.e, desc.t
     k = len(e)
     odd: set[Generator] = set()
-    for gen, exp in elt.items():
-        if isinstance(exp, Affine):
+    for gen, exp in elt._items:
+        if type(exp) is not int:  # an `Affine`, the one other kind of exponent
             raise DomainError("parity is undefined for symbolic exponents; fix a half rank")
         kind, index = gen
         if kind == "DetV":

@@ -31,6 +31,7 @@ from lagflag import (
     classify_connecting,
     delta,
     det_v,
+    enumerate_diagrams,
     lambda_pair,
     lf_a,
     lf_b,
@@ -40,6 +41,7 @@ from lagflag import (
     twist_alignment,
     verify,
 )
+from lagflag.picard import _Generators
 from gorenstein_descriptors import _gorenstein_descriptors
 
 n = SYMBOLIC_N
@@ -56,6 +58,7 @@ def test_affine_arithmetic():
     assert 1 - n == Affine(-1, 1)
     assert Affine(2, 0) - 3 == Affine(2, -3)
     assert (n - 1) - (n - 1) == 0
+    assert type(n - n) is int
     assert affine(0, 5) == 5
 
 
@@ -110,6 +113,9 @@ def test_pic_element_json():
         lambda: PicElement([(Generator("Delta", 2.0), 1), (Generator("Delta", 2.0), -1)]),
         lambda: Affine(1.5, 0),
         lambda: Affine(1, True),
+        lambda: Affine(0, 5),
+        lambda: Affine(0, 0),
+        lambda: n + True,
     ],
     ids=[
         "float-exponent",
@@ -123,6 +129,9 @@ def test_pic_element_json():
         "float-index-summing-to-zero",
         "float-affine-coefficient",
         "bool-affine-constant",
+        "constant-affine",
+        "zero-affine",
+        "bool-affine-operand",
     ],
 )
 def test_pic_element_rejects_malformed_input(build):
@@ -130,8 +139,45 @@ def test_pic_element_rejects_malformed_input(build):
         build()
 
 
+def test_generator_constructors_keep_bools_apart():
+    for make, kind in ((delta, "Delta"), (nabla, "Nabla"), (det_v, "DetV")):
+        assert make(1) is make(1) and type(make(1).index) is int
+        gen = make(True)
+        assert gen is not make(1) and type(gen.index) is bool
+        assert tuple(gen) == (kind, True)
+        with pytest.raises(DomainError):
+            PicElement({gen: 1})
+    assert str(delta(True)) == "Delta(True)"
+
+
+def test_generator_tables_store_only_int_indices():
+    table = _Generators("Delta")
+    assert table[True] == Generator("Delta", True) and not table
+    assert table[2] is table[2] and list(table) == [2]
+
+
 # --------------------------------------------------------------------------
 # canonical sheaves
+
+
+def _constructed_schemes(diagram):
+    """`lf_ktheory`, then `lf_a` and (first step ``H``) `lf_b` at each cutoff."""
+    yield lf_ktheory(diagram)
+    cutoffs = range(boundary(diagram).segment_count + 1)
+    for w in cutoffs:
+        yield lf_a(diagram, w)
+    if diagram.steps[0] == "H" and diagram.n > 1:  # lf_b of 'H' has k = 0
+        for w in cutoffs:
+            yield lf_b(diagram, w)
+
+
+@pytest.mark.parametrize("frame", range(1, 11))
+def test_canonical_sheaves_hold_the_constructors_generators(frame):
+    make = {"Delta": delta, "Nabla": nabla, "DetV": det_v}
+    for diagram in enumerate_diagrams(frame):
+        for desc in _constructed_schemes(diagram):
+            for gen, _ in canonical_sheaf(desc).items():
+                assert gen is make[gen.kind](gen.index)
 
 
 def test_canonical_sheaf_goldens():
@@ -247,12 +293,83 @@ def test_mod2_reduce_deletes_pinched_nabla():
     assert mod2_reduce(PicElement({nabla(0): 1}), desc).is_zero
 
 
+def _loop_mod2_reduce(elt: PicElement, desc: FlagDescriptor) -> ParityClass:
+    """`mod2_reduce` as a loop over `PicElement.items` that tests ``isinstance(exp, Affine)``.
+
+    `mod2_reduce` must return the same class, or raise the same `DomainError`
+    with the same message.
+    """
+    half_rank, d, e, t = desc.half_rank, desc.d, desc.e, desc.t
+    k = len(e)
+    odd: set[Generator] = set()
+    for gen, exp in elt.items():
+        if isinstance(exp, Affine):
+            raise DomainError("parity is undefined for symbolic exponents; fix a half rank")
+        kind, index = gen
+        if kind == "DetV":
+            continue
+        if kind == "Delta":
+            if index > k:  # indices are ints >= 0 (see `_gen_key`)
+                raise DomainError(f"generator {gen} is out of range for {desc}")
+            if d[index] == half_rank:
+                continue
+        elif kind == "Nabla":
+            if index >= k:
+                raise DomainError(f"generator {gen} is out of range for {desc}")
+            if e[index] == half_rank - t[index]:
+                continue
+        if exp % 2 == 1:
+            odd.add(gen)
+    return ParityClass(frozenset(odd))
+
+
+def _every_generator(desc: FlagDescriptor) -> PicElement:
+    """Each in-range generator of ``desc``, with exponents of both parities and signs."""
+    k = len(desc.e)
+    items = [(delta(j), (-1) ** j * (j + 1)) for j in range(k + 1)]
+    items += [(nabla(i), (-1) ** i * (i + 2)) for i in range(k)]
+    items += [(det_v(m), 1) for m in set(desc.d)]
+    return PicElement([*items, (AMBIENT_DELTA, 1), (E1, -1), (E2, 2)])
+
+
+def _assert_mod2_reduce_matches_the_loop(desc):
+    for elt in (canonical_sheaf(desc), _every_generator(desc)):
+        assert mod2_reduce(elt, desc) == _loop_mod2_reduce(elt, desc)
+
+
+@pytest.mark.parametrize("frame", range(1, 11))
+def test_mod2_reduce_matches_the_loop_on_constructed_schemes(frame):
+    for diagram in enumerate_diagrams(frame):
+        for desc in _constructed_schemes(diagram):
+            _assert_mod2_reduce_matches_the_loop(desc)
+
+
+@given(st.integers(9, 40).flatmap(lambda size: st.text("VH", min_size=size, max_size=size)))
+def test_mod2_reduce_matches_the_loop_beyond_the_enumeration_bound(steps):
+    for desc in _constructed_schemes(ShiftedDiagram(len(steps), steps)):
+        _assert_mod2_reduce_matches_the_loop(desc)
+
+
 def test_mod2_reduce_rejects_bad_input():
-    desc = FlagDescriptor(3, (1, 2), (0,), (1,))
-    with pytest.raises(DomainError):
-        mod2_reduce(PicElement({delta(5): 1}), desc)
-    with pytest.raises(DomainError):
-        mod2_reduce(PicElement({delta(0): n}), desc)
+    desc = FlagDescriptor(3, (1, 2), (0,), (1,))  # k = 1
+    bad = [
+        {delta(5): 1},
+        {delta(0): n},
+        # an out-of-range index raises whatever the exponent's parity
+        {delta(3): 2},
+        {delta(2): -4},
+        {delta(0): 1, delta(3): 2},
+        {nabla(1): 1},
+        {nabla(1): 2},
+        {nabla(4): -2},
+        {nabla(0): n - 1},
+    ]
+    for exponents in bad:
+        elt = PicElement(exponents)
+        with pytest.raises(DomainError) as expected:
+            _loop_mod2_reduce(elt, desc)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(expected.value))}$"):
+            mod2_reduce(elt, desc)
 
 
 # --------------------------------------------------------------------------
