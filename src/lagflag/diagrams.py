@@ -107,21 +107,14 @@ class ShiftedDiagram(Record):
         return self.steps
 
 
-class Frame:
+class Frame(Record):
     """The ``2**n`` diagrams of frame ``n``, lexicographic with ``V`` before ``H``.
 
     A diagram is built only when iteration reaches it, so iterating holds
-    one at a time; a frame has a length but no indexing.  Its ``n`` is set
-    once: assigning or deleting it raises `AttributeError`, as on a record.
+    one at a time; a frame has a length but no indexing.
     """
 
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        object.__setattr__(self, "n", n)
-
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
+    __slots__ = _fields = ("n",)
 
     def __len__(self) -> int:
         return 1 << self.n

@@ -26,7 +26,9 @@ The relative canonical sheaf and its parity are computed once per point
 query and once per GW summand of a basis, so `canonical_exponents` builds
 its item list in one pass, reading each generator from a per-kind table
 (``_DELTAS``, ``_NABLAS``, ``_DET_VS``) in place of calling a cached
-constructor; `mod2_reduce` reads the items in place.
+constructor; `mod2_reduce` reads the items in place.  A `Generator`
+checks its kind and index when it is built, and a `PicElement` takes only
+generators, so neither path checks them again.
 
 Parity computations quotient by squares and by the base-trivial generators:
 every ``DetV``, every ``Delta(j)`` whose Lagrangian is pinched to the fixed
@@ -118,22 +120,45 @@ SYMBOLIC_N = Affine(1, 0)
 
 Exponent = Union[int, Affine]
 
+_KIND_ORDER = {"Delta": 0, "Nabla": 1, "DetV": 2, "AmbientDelta": 3, "E1": 4, "E2": 5}
 
-class Generator(NamedTuple):
+
+class _GeneratorFields(NamedTuple):
     kind: str
     index: int | None = None
+
+
+class Generator(_GeneratorFields):
+    """A generator symbol; a malformed one raises `DomainError` when built.
+
+    ``Delta``, ``Nabla`` and ``DetV`` need a plain ``int`` index at least 0;
+    the other kinds take no index.  It stays a tuple, so sets of generators
+    hash and compare them in C.  ``_make``, and so ``_replace`` and a
+    pickle, builds through the same check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int | None = None):
+        if kind not in _KIND_ORDER:
+            raise DomainError(f"unknown generator kind {kind!r}")
+        if kind in ("Delta", "Nabla", "DetV"):
+            if type(index) is not int or index < 0:  # rejects bools too
+                raise DomainError(f"{kind} needs an integer index at least 0, got {index!r}")
+        elif index is not None:
+            raise DomainError(f"{kind} takes no index, got {index!r}")
+        return super().__new__(cls, kind, index)
+
+    @classmethod
+    def _make(cls, iterable) -> "Generator":
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return self.kind if self.index is None else f"{self.kind}({self.index})"
 
 
 class _Generators(dict):
-    """One kind's shared `Generator` per ``int`` index, made on first read.
-
-    Only a plain ``int`` index is stored.  A bool stored under ``True``
-    would be found for ``1`` too (``True == 1``), so any other index gets a
-    new `Generator` on each read and leaves the table as it was.
-    """
+    """One kind's shared `Generator` per index, made on first read."""
 
     __slots__ = ("kind",)
 
@@ -141,9 +166,7 @@ class _Generators(dict):
         self.kind = kind
 
     def __missing__(self, index):
-        gen = Generator(self.kind, index)
-        if type(index) is int:
-            self[index] = gen
+        gen = self[index] = Generator(self.kind, index)
         return gen
 
 
@@ -151,8 +174,7 @@ class _Generators(dict):
 # replace `functools.lru_cache` on the constructors: `canonical_exponents`
 # reads a table straight from its loops, and a dict read costs less than a
 # cached call.  The constructors read a table for a plain ``int`` only, since
-# ``True`` would find the entry of ``1``: ``delta(True)`` is
-# ``Generator("Delta", True)``, which `PicElement` rejects.
+# ``True`` would find the entry of ``1``; any other index is built, and fails.
 _DELTAS = _Generators("Delta")
 _NABLAS = _Generators("Nabla")
 _DET_VS = _Generators("DetV")
@@ -174,63 +196,46 @@ AMBIENT_DELTA = Generator("AmbientDelta")
 E1 = Generator("E1")
 E2 = Generator("E2")
 
-_KIND_ORDER = {"Delta": 0, "Nabla": 1, "DetV": 2, "AmbientDelta": 3, "E1": 4, "E2": 5}
-
 
 def _gen_key(gen: Generator) -> tuple[int, int]:
-    """Sort key of a generator; raises `DomainError` for a malformed one.
-
-    ``Delta``, ``Nabla`` and ``DetV`` need a plain ``int`` index at least 0;
-    the other kinds take no index.
-    """
-    kind, index = gen.kind, gen.index
-    if kind not in _KIND_ORDER:
-        raise DomainError(f"unknown generator kind {kind!r}")
-    order = _KIND_ORDER[kind]
-    if kind in ("Delta", "Nabla", "DetV"):
-        if type(index) is not int or index < 0:  # rejects bools too
-            raise DomainError(f"{kind} needs an integer index at least 0, got {index!r}")
-        return (order, index)
-    if index is not None:
-        raise DomainError(f"{kind} takes no index, got {index!r}")
-    return (order, 0)
+    """Sort key of a generator: its kind's place, then its index (0 for none)."""
+    return (_KIND_ORDER[gen.kind], gen.index or 0)
 
 
-class PicElement:
+class PicElement(Record):
     """A formal line bundle as a finitely supported exponent vector.
 
-    Immutable.  Construction adds up the exponents given for one generator
-    and drops the zero ones; it raises `DomainError` for a malformed
-    generator (see `_gen_key`) or an exponent that is neither a plain
-    ``int`` nor `Affine`.
+    Construction adds up the exponents given for one generator and drops
+    the zero ones; it raises `DomainError` for a key that is not a
+    `Generator` or an exponent that is neither a plain ``int`` nor `Affine`.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = _fields = ("_items",)
 
     def __init__(self, exponents: Mapping[Generator, Exponent] | Iterable = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        gens: dict[tuple[int, int], Generator] = {}
-        acc: dict[tuple[int, int], Exponent] = {}
+        acc: dict[Generator, Exponent] = {}
         for gen, exp in items:
-            key = _gen_key(gen)
+            if not isinstance(gen, Generator):
+                raise DomainError(f"line bundle keys must be generators, got {gen!r}")
             if type(exp) is not int and not isinstance(exp, Affine):  # rejects bools too
                 raise DomainError(
                     f"exponent of {gen} must be an integer or affine, got {exp!r}"
                 )
-            gens[key] = gen
-            acc[key] = acc.get(key, 0) + exp
-        self._items = tuple((gens[key], exp) for key, exp in sorted(acc.items()) if exp != 0)
+            acc[gen] = acc.get(gen, 0) + exp
+        nonzero = [(gen, exp) for gen, exp in acc.items() if exp != 0]
+        self._store(tuple(sorted(nonzero, key=lambda item: _gen_key(item[0]))))
 
     @classmethod
     def _from_sorted(cls, items: tuple[tuple[Generator, Exponent], ...]) -> "PicElement":
         """Wrap ``items`` unchecked, for `canonical_exponents` alone.
 
-        Precondition: every generator is well formed and occurs once, every
-        exponent is a nonzero ``int`` or `Affine`, and the items are in
-        `_gen_key` order, exactly as the constructor would store them.
+        Precondition: every generator occurs once, every exponent is a
+        nonzero ``int`` or `Affine`, and the items are in `_gen_key` order,
+        exactly as the constructor would store them.
         """
         elt = cls.__new__(cls)
-        elt._items = items
+        elt._store(items)
         return elt
 
     @classmethod
@@ -241,6 +246,8 @@ class PicElement:
         return self._items
 
     def exponent(self, gen: Generator) -> Exponent:
+        if not isinstance(gen, Generator):
+            raise DomainError(f"line bundle keys must be generators, got {gen!r}")
         for g, exp in self._items:
             if g == gen:
                 return exp
@@ -249,12 +256,6 @@ class PicElement:
     @property
     def is_zero(self) -> bool:
         return not self._items
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PicElement) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
 
     def to_json(self) -> dict:
         out: dict = {"Delta": {}, "Nabla": {}, "DetV": {}, "AmbientDelta": 0, "E1": 0, "E2": 0}
@@ -385,7 +386,7 @@ def mod2_reduce(elt: PicElement, desc: FlagDescriptor) -> ParityClass:
         if kind == "DetV":
             continue
         if kind == "Delta":
-            if index > k:  # indices are ints >= 0 (see `_gen_key`)
+            if index > k:  # indices are ints >= 0 (see `Generator`)
                 raise DomainError(f"generator {gen} is out of range for {desc}")
             if d[index] == half_rank:
                 continue

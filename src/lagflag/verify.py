@@ -36,10 +36,13 @@ def _frames(first: int, last: int, check, step: int = 1):
 
     ``check`` returns ``""`` for a frame that passes, else the suite's
     detail; a library error it raises at frame ``n`` becomes the detail
-    ``frame <n>: <message>``.
+    ``frame <n>: <message>``.  A ``max_n`` below ``first`` leaves no frame
+    to check, and fails rather than pass vacuously.
     """
 
     def suite(max_n: int) -> tuple[bool, str]:
+        if max_n < first:
+            return False, f"no frame to check: the suite starts at frame {first}, max_n is {max_n}"
         for n in range(first, min(max_n, last) + 1, step):
             try:
                 detail = check(n)

@@ -1,5 +1,7 @@
 """Exponent-vector arithmetic, canonical sheaves, parity and the case tables."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -139,20 +141,71 @@ def test_pic_element_rejects_malformed_input(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Generator("Delta", True), "Delta needs an integer index at least 0, got True"),
+        (lambda: delta(True), "Delta needs an integer index at least 0, got True"),
+        (lambda: nabla(-1), "Nabla needs an integer index at least 0, got -1"),
+        (lambda: det_v(2.0), "DetV needs an integer index at least 0, got 2.0"),
+        (lambda: Generator("E1", 3), "E1 takes no index, got 3"),
+        (lambda: Generator("X"), "unknown generator kind 'X'"),
+        (
+            lambda: delta(1)._replace(index=True),
+            "Delta needs an integer index at least 0, got True",
+        ),
+        (
+            lambda: Generator._make(("Delta", True)),
+            "Delta needs an integer index at least 0, got True",
+        ),
+        (
+            lambda: PicElement({("Delta", 0): 1}),
+            "line bundle keys must be generators, got ('Delta', 0)",
+        ),
+        (
+            lambda: PicElement({delta(1): 3}).exponent("junk"),
+            "line bundle keys must be generators, got 'junk'",
+        ),
+    ],
+    ids=[
+        "bool-index",
+        "bool-constructor",
+        "negative-constructor",
+        "float-constructor",
+        "indexed-E1",
+        "unknown-kind",
+        "replace",
+        "make",
+        "tuple-key",
+        "exponent-of-a-non-generator",
+    ],
+)
+def test_generators_are_checked_when_built(build, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_generator_constructors_keep_bools_apart():
     for make, kind in ((delta, "Delta"), (nabla, "Nabla"), (det_v, "DetV")):
-        assert make(1) is make(1) and type(make(1).index) is int
-        gen = make(True)
-        assert gen is not make(1) and type(gen.index) is bool
-        assert tuple(gen) == (kind, True)
+        assert make(1) is make(1) and tuple(make(1)) == (kind, 1)
         with pytest.raises(DomainError):
-            PicElement({gen: 1})
-    assert str(delta(True)) == "Delta(True)"
+            make(True)
+    assert delta(1)._replace(index=2) == delta(2)
+
+
+def test_generators_survive_copy_and_pickle():
+    # both rebuild through the checked constructor
+    for gen in (delta(3), nabla(0), det_v(2), E1):
+        for twin in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
+            assert type(twin) is Generator and twin == gen
 
 
 def test_generator_tables_store_only_int_indices():
     table = _Generators("Delta")
-    assert table[True] == Generator("Delta", True) and not table
+    for index in (True, -1, 2.0, "2"):
+        with pytest.raises(DomainError):
+            table[index]
+    assert not table
     assert table[2] is table[2] and list(table) == [2]
 
 

@@ -322,3 +322,33 @@ def test_recursions_suite_runs_one_counting_pass_per_frame(monkeypatch):
         calls.clear()
         assert SUITE["recursions"](8) == (True, "")
         assert sorted(calls) == list(range(1, 9))
+
+
+# each framed suite's first frame; `canonical-goldens` has no frames
+FIRST_FRAME = {
+    "counting": 0,
+    "boundary-structure": 0,
+    "class-partitions": 3,
+    "deletion-bijections": 1,
+    "marking-tuples": 1,
+    "descriptor-dimensions": 1,
+    "dimension-e-independence": 1,
+    "twist-alignment": 1,
+    "recursions": 2,
+    "geometry": 1,
+    "connecting-case-table": 2,
+}
+
+
+def test_every_suite_but_the_goldens_is_framed():
+    assert set(SUITE) - set(FIRST_FRAME) == {"canonical-goldens"}
+
+
+@pytest.mark.parametrize("suite,first", FIRST_FRAME.items(), ids=list(FIRST_FRAME))
+def test_a_suite_fails_when_no_frame_is_in_range(suite, first):
+    for max_n in {-1, first - 1}:
+        assert SUITE[suite](max_n) == (
+            False,
+            f"no frame to check: the suite starts at frame {first}, max_n is {max_n}",
+        )
+    assert SUITE[suite](first) == (True, "")
