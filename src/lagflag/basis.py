@@ -54,14 +54,13 @@ class MapLabel(str, Enum):
 
 
 class Summand(Record):
-    """One basis summand: a K-atom or a shifted (possibly twisted) GW-atom."""
+    """One basis summand: a K-atom or a shifted (possibly twisted) GW-atom.
+
+    A K-atom has no ``shift``; ``base_twist`` is the flag-step index of a
+    residual det twist, or None.
+    """
 
     __slots__ = _fields = ("kind", "source_diagram", "scheme", "map_label", "shift", "base_twist")
-
-    def __init__(self, kind: Kind, source_diagram: ShiftedDiagram, scheme: FlagDescriptor,
-                 map_label: MapLabel, shift: int | None = None, base_twist: int | None = None):
-        # base_twist is the flag-step index of a residual det twist
-        self._store(kind, source_diagram, scheme, map_label, shift, base_twist)
 
     def to_json(self) -> dict:
         return {
@@ -86,14 +85,6 @@ class Decomposition(Record):
             _require_frame_size(n, 1, "the Hermitian decomposition needs")
         self._store(n, twist, theory, summands)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "twist": self.twist.value,
-            "theory": self.theory.value,
-            "summands": [s.to_json() for s in self.summands],
-        }
-
 
 def k_summands(n: int) -> Iterator[Summand]:
     """The summands of `k_basis`, in order, built one at a time.
@@ -105,7 +96,7 @@ def k_summands(n: int) -> Iterator[Summand]:
         # Base of the recursion: the Grassmannian of the empty frame is the
         # base itself, carried by the k = 0 descriptor at half rank 0.
         scheme = FlagDescriptor(0, (0,), (), ())
-        return iter((Summand(Kind.K, ShiftedDiagram(0, ""), scheme, MapLabel.PHI),))
+        return iter((Summand(Kind.K, ShiftedDiagram(0, ""), scheme, MapLabel.PHI, None, None),))
     return _k_stream(enumerate_diagrams(n))
 
 
@@ -113,7 +104,7 @@ def _k_stream(frame) -> Iterator[Summand]:
     """Every diagram of the frame needs its scheme, and no class, so it walks none."""
     k, phi = Kind.K, MapLabel.PHI  # an enum member read costs a hook call: once per stream
     for diag in frame:
-        yield Summand(k, diag, lf_ktheory(diag), phi)
+        yield Summand(k, diag, lf_ktheory(diag), phi, None, None)
 
 
 def k_basis(n: int) -> Decomposition:
@@ -130,25 +121,13 @@ def _summand_role(
     matches the twist (full top row for Delta, empty right column for O);
     odd frames take them from every almost even diagram under O and from
     none under Delta.  A K-even diagram that yields no GW atom yields a K
-    atom.
+    atom.  The label's 0 or 1 is the twist: 1 under Delta, 0 under O.
     """
-    if even_frame and twist is Twist.DELTA:
-        if almost_even and full_top:
-            return Kind.GW, MapLabel.XI1
-        if k_even:
-            return Kind.K, MapLabel.MU1
-    elif even_frame:
-        if almost_even and not full_top:
-            return Kind.GW, MapLabel.XI0
-        if k_even:
-            return Kind.K, MapLabel.MU0
-    elif twist is Twist.TRIVIAL:
-        if almost_even:
-            return Kind.GW, MapLabel.XI0
-        if k_even:
-            return Kind.K, MapLabel.MU0
-    elif k_even:
-        return Kind.K, MapLabel.MU1
+    twisted = twist is Twist.DELTA
+    if almost_even and (full_top == twisted if even_frame else not twisted):
+        return Kind.GW, MapLabel.XI1 if twisted else MapLabel.XI0
+    if k_even:
+        return Kind.K, MapLabel.MU1 if twisted else MapLabel.MU0
     return None
 
 
@@ -203,11 +182,11 @@ def _gw_stream(walks) -> Iterator[Summand]:
     for diag, cls, kind, label, shift in walks:
         scheme = padded_scheme(diag, cls.index_w)
         if kind is k:
-            yield Summand(kind, diag, scheme, label)
+            yield Summand(kind, diag, scheme, label, None, None)
             continue
         # the type-1 construction leaves a residual det twist
         base_twist = 1 if uses_type1(diag) else None
-        yield Summand(kind, diag, scheme, label, shift=shift, base_twist=base_twist)
+        yield Summand(kind, diag, scheme, label, shift, base_twist)
 
 
 def gw_basis(n: int, twist: Twist) -> Decomposition:
@@ -300,15 +279,7 @@ class CaseResult(Record):
 
 
 class RecursionReport(Record):
-    __slots__ = _fields = ("n", "cases", "passed", "notes")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "passed": self.passed,
-            "cases": [c.to_json() for c in self.cases],
-            "notes": list(self.notes),
-        }
+    __slots__ = _fields = ("n", "passed", "cases", "notes")
 
 
 def _case(label: str, description: str, lhs: Counter, rhs: Counter) -> CaseResult:
@@ -350,8 +321,8 @@ def verify_recursions(n: int, counted=_counted) -> RecursionReport:
             cases.append(_case(label, description, now[twist], rhs))
     return RecursionReport(
         n=n,
-        cases=tuple(cases),
         passed=all(c.passed for c in cases),
+        cases=tuple(cases),
         notes=tuple(notes),
     )
 

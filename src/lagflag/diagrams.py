@@ -111,10 +111,15 @@ class Frame(Record):
     """The ``2**n`` diagrams of frame ``n``, lexicographic with ``V`` before ``H``.
 
     A diagram is built only when iteration reaches it, so iterating holds
-    one at a time; a frame has a length but no indexing.
+    one at a time; a frame has a length but no indexing.  Its size is
+    checked when it is built.
     """
 
     __slots__ = _fields = ("n",)
+
+    def __init__(self, n: int):
+        _require_frame_size(n)
+        self._store(n)
 
     def __len__(self) -> int:
         return 1 << self.n
@@ -181,7 +186,6 @@ def _walked(n: int, steps: str, ends: tuple[int, ...]) -> ShiftedDiagram:
 
 def enumerate_diagrams(n: int) -> Frame:
     """All ``2**n`` diagrams in frame ``n``, lexicographic with ``V`` before ``H``."""
-    _require_frame_size(n)
     return Frame(n)
 
 

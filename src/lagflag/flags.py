@@ -69,14 +69,6 @@ class FlagDescriptor(Record):
     def k(self) -> int:
         return len(self.e)
 
-    def to_json(self) -> dict:
-        return {
-            "half_rank": self.half_rank,
-            "d": list(self.d),
-            "e": list(self.e),
-            "t": list(self.t),
-        }
-
     def __str__(self, number=text) -> str:
         """``LF[d](e)_[t]@half_rank``, each integer written by ``number``."""
         d = ",".join(map(number, self.d))
@@ -92,17 +84,7 @@ _set_violations = FlagDescriptor.violations.__set__
 class Violation(Record):
     """One violated descriptor constraint; warnings do not make it invalid."""
 
-    __slots__ = _fields = ("constraint", "message", "severity")
-
-    def __init__(self, constraint: str, message: str, severity: str = "error"):
-        self._store(constraint, message, severity)
-
-    def to_json(self) -> dict:
-        return {
-            "constraint": self.constraint,
-            "message": self.message,
-            "severity": self.severity,
-        }
+    __slots__ = _fields = ("constraint", "message", "severity")  # "error" or "warning"
 
 
 def validate(desc: FlagDescriptor) -> list[Violation]:
@@ -133,7 +115,7 @@ def validate(desc: FlagDescriptor) -> list[Violation]:
         return out
 
     def err(constraint: str, message: str) -> None:
-        out.append(Violation(constraint, message))
+        out.append(Violation(constraint, message, "error"))
 
     if not sound:
         if n < 0:
@@ -258,15 +240,6 @@ class SchemeReport(Record):
     __slots__ = _fields = ("regular", "gorenstein", "relative_dimension", "component_count",
                            "reduced_with_trivial_pushforward")
 
-    def to_json(self) -> dict:
-        return {
-            "regular": self.regular,
-            "gorenstein": self.gorenstein,
-            "relative_dimension": self.relative_dimension,
-            "component_count": self.component_count,
-            "reduced_with_trivial_pushforward": self.reduced_with_trivial_pushforward,
-        }
-
 
 def scheme_report(desc: FlagDescriptor) -> SchemeReport:
     """Every predicate and closed form of the descriptor, in one pass over it."""
@@ -290,6 +263,7 @@ def named_scheme(name: str, n: int) -> FlagDescriptor:
     ``B2``, ``E2`` and ``F2`` are the two-step blow-up companions of the
     Lagrangian Grassmannian; ``LF_i`` is the sub-Grassmannian of Lagrangians
     containing the flag step ``V_i`` (``LF_0`` is the full Grassmannian).
+    Any other name, a non-string included, raises one `DomainError`.
     """
     if name == "B2":
         return FlagDescriptor(n, (0, 1), (0,), (1,))
@@ -297,9 +271,8 @@ def named_scheme(name: str, n: int) -> FlagDescriptor:
         return FlagDescriptor(n, (1, 1), (1,), (1,))
     if name == "F2":
         return FlagDescriptor(n, (1, 1), (0,), (1,))
-    if name.startswith("LF_"):
+    if isinstance(name, str) and name.startswith("LF_"):
         index = name[3:]
-        if not (index.isascii() and index.isdigit()):
-            raise DomainError(f"unknown scheme name {name!r}")
-        return FlagDescriptor(n, (int(index),), (), ())
+        if index.isascii() and index.isdigit():
+            return FlagDescriptor(n, (int(index),), (), ())
     raise DomainError(f"unknown scheme name {name!r}; expected B2, E2, F2 or LF_<i>")

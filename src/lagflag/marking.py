@@ -200,14 +200,6 @@ class TupleData(Record):
     def k(self) -> int:
         return len(self.e)
 
-    def to_json(self) -> dict:
-        return {
-            "d": list(self.d),
-            "e": list(self.e),
-            "t": list(self.t),
-            "appended_n": self.appended_n,
-        }
-
 
 def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
     """Distance and horizontal-gap tuples of a selection (see `_entries`)."""

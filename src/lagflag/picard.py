@@ -280,9 +280,20 @@ class PicElement(Record):
 
 
 class ParityClass(Record):
-    """An exponent vector mod 2 after deleting base-trivial generators."""
+    """An exponent vector mod 2 after deleting base-trivial generators.
+
+    Anything but a frozenset of `Generator`s raises `DomainError`.
+    """
 
     __slots__ = _fields = ("generators",)
+
+    def __init__(self, generators: frozenset[Generator]):
+        if not isinstance(generators, frozenset):
+            raise DomainError(f"a parity class is a frozenset of generators, got {generators!r}")
+        for gen in generators:
+            if not isinstance(gen, Generator):
+                raise DomainError(f"parity class members must be generators, got {gen!r}")
+        self._store(generators)
 
     @classmethod
     def zero(cls) -> "ParityClass":

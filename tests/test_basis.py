@@ -2,6 +2,7 @@
 
 import re
 from collections import Counter
+from itertools import product
 from types import ModuleType
 
 import pytest
@@ -216,6 +217,35 @@ def test_the_records_take_the_edge_values_the_functions_build():
     assert Decomposition(0, "O", "K", ()).n == 0  # k_basis(0)
     assert WittTable(3, "O", (), 0).degrees == ()
     assert WittTable(3, "O", ((0, 2), (3, 1)), 5).k_count == 5
+
+
+def ladder_role(even_frame, twist, full_top, almost_even, k_even):
+    """The oracle of `basis._summand_role`: one branch per frame parity and twist."""
+    if even_frame and twist is Twist.DELTA:
+        if almost_even and full_top:
+            return Kind.GW, MapLabel.XI1
+        if k_even:
+            return Kind.K, MapLabel.MU1
+    elif even_frame:
+        if almost_even and not full_top:
+            return Kind.GW, MapLabel.XI0
+        if k_even:
+            return Kind.K, MapLabel.MU0
+    elif twist is Twist.TRIVIAL:
+        if almost_even:
+            return Kind.GW, MapLabel.XI0
+        if k_even:
+            return Kind.K, MapLabel.MU0
+    elif k_even:
+        return Kind.K, MapLabel.MU1
+    return None
+
+
+def test_the_summand_role_matches_the_ladder():
+    inputs = list(product((False, True), Twist, (False, True), (False, True), (False, True)))
+    assert len(inputs) == 32
+    for args in inputs:
+        assert basis._summand_role(*args) == ladder_role(*args), args
 
 
 @pytest.mark.parametrize("twist", list(Twist))

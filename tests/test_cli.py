@@ -199,6 +199,37 @@ def test_scheme_from_diagram(capsys):
     assert payload["report"]["component_count"] == 2
 
 
+# golden file -> (argv, exit status); a byte comparison pins the key order, json.loads does not
+JSON_GOLDENS = {
+    "scheme_rejected.json": (
+        ["scheme", "--d", "1,2,4", "--e", "1,0", "--t", "2,1", "--half-rank", "3",
+         "--format", "json"],
+        1,
+    ),
+    "scheme_warning.json": (
+        ["scheme", "--d", "1,2,3", "--e", "1,1", "--t", "2,1", "--half-rank", "3",
+         "--format", "json"],
+        0,
+    ),
+    "recursion_n5.json": (["recursion", "-n", "5", "--format", "json"], 0),
+    "witt_n6_Delta.json": (["witt", "-n", "6", "--twist", "Delta", "--format", "json"], 0),
+}
+
+
+@pytest.mark.parametrize("name", JSON_GOLDENS)
+def test_json_golden(capsys, name):
+    argv, status = JSON_GOLDENS[name]
+    assert run(capsys, argv) == (status, (GOLDEN / name).read_text(), "")
+
+
+@pytest.mark.parametrize("name", ["LF_x", "LF_", "Q"])
+def test_an_unknown_scheme_name_is_a_usage_error(capsys, name):
+    message = f"unknown scheme name {name!r}; expected B2, E2, F2 or LF_<i>"
+    assert run(capsys, ["scheme", "--name", name, "-n", "3"]) == (
+        2, "", f"lagflag: error: {message}\n"
+    )
+
+
 def test_verify_exit_zero(capsys):
     code, out, _ = run(capsys, ["verify", "--max-n", "3"])
     assert code == 0

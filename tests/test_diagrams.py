@@ -40,6 +40,7 @@ from lagflag import (
     verify_recursions,
     witt_table,
 )
+from lagflag.diagrams import Frame
 
 SUITE = dict(verify.SUITES)
 
@@ -154,6 +155,8 @@ HERMITIAN = "the Hermitian decomposition needs"
 FRAME_SIZE_ENTRIES = {
     "ShiftedDiagram": (lambda n: ShiftedDiagram(n, ""), 0, "expected"),
     "enumerate_diagrams": (enumerate_diagrams, 0, "expected"),
+    # unchecked, Frame(-1) failed in len(), Frame("0") when iterated, and len(Frame(True)) was 2
+    "Frame": (Frame, 0, "expected"),
     "Frame.walks": (lambda n: enumerate_diagrams(n).walks(), 1, "classification needs"),
     "classify": (lambda n: classify(ShiftedDiagram(n, "")), 1, "classification needs"),
     "class_sets": (class_sets, 0, "expected"),

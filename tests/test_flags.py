@@ -55,7 +55,7 @@ def test_validate_examples():
 
 def test_an_invalid_descriptor_is_rejected_when_built():
     valid = FlagDescriptor(2, (0, 1), (0,), (1,))
-    error = Violation("d_leq_half_rank", "d_1 = 3 exceeds half_rank 2")
+    error = Violation("d_leq_half_rank", "d_1 = 3 exceeds half_rank 2", "error")
     # a built descriptor cannot be changed into an invalid one
     with pytest.raises(AttributeError):
         valid.d = (0, 3)
@@ -110,7 +110,7 @@ def validate_by_items(desc):
     out = []
 
     def err(constraint, message):
-        out.append(Violation(constraint, message))
+        out.append(Violation(constraint, message, "error"))
 
     n = desc.half_rank
     if n < 0:
@@ -454,6 +454,13 @@ def test_named_schemes():
             named_scheme(name, 12)
     with pytest.raises(DescriptorError):
         named_scheme("LF_7", 3)
+
+
+@pytest.mark.parametrize("name", ["Z9", "LF_x", "LF_", "b2", 5, None, ("B2",)], ids=repr)
+def test_every_unknown_scheme_name_gets_one_message(name):
+    message = f"unknown scheme name {name!r}; expected B2, E2, F2 or LF_<i>"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        named_scheme(name, 3)
 
 
 def test_descriptor_json():

@@ -185,6 +185,25 @@ def test_generators_are_checked_when_built(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        (frozenset({"junk"}), "parity class members must be generators, got 'junk'"),
+        (frozenset({("Delta", 0)}), "parity class members must be generators, got ('Delta', 0)"),
+        (["x"], "a parity class is a frozenset of generators, got ['x']"),
+        (
+            {E1},
+            "a parity class is a frozenset of generators, got {Generator(kind='E1', index=None)}",
+        ),
+    ],
+    ids=["str-member", "tuple-member", "list", "set"],
+)
+def test_a_parity_class_is_checked_when_built(generators, message):
+    # built unchecked, the first two failed in str() and to_json(), and a list was unhashable
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        ParityClass(generators)
+
+
 def test_generator_constructors_keep_bools_apart():
     for make, kind in ((delta, "Delta"), (nabla, "Nabla"), (det_v, "DetV")):
         assert make(1) is make(1) and tuple(make(1)) == (kind, 1)

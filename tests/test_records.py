@@ -9,6 +9,7 @@ whose text the records keep.
 
 import copy
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -89,7 +90,7 @@ CASES = {
     ),
     Violation: (
         lambda: Violation("c", "m", "warning"),
-        lambda: Violation("c", "m"),
+        lambda: Violation("c", "m", "error"),
         ("constraint", "message", "severity"),
     ),
     SchemeReport: (
@@ -150,7 +151,7 @@ CASES = {
     RecursionReport: (
         lambda: verify_recursions(4),
         lambda: verify_recursions(5),
-        ("n", "cases", "passed", "notes"),
+        ("n", "passed", "cases", "notes"),
     ),
     GeometryReport: (
         lambda: verify_geometry(2), lambda: verify_geometry(3), ("n", "checked", "failures")
@@ -197,9 +198,9 @@ def test_equality_and_hash_read_the_fields(cls):
     assert a != subclass(*_values(a, fields))
 
 
-# the records whose __init__ checks, coerces or has defaults; the rest get one generated
+# the records whose __init__ checks or coerces its input; the rest get one generated
 OWN_INIT = {
-    ShiftedDiagram, FlagDescriptor, Affine, PicElement, Decomposition, WittTable, Summand, Violation
+    ShiftedDiagram, Frame, FlagDescriptor, Affine, PicElement, ParityClass, Decomposition, WittTable
 }
 GENERATED = [cls for cls in CASES if cls not in OWN_INIT]
 
@@ -342,6 +343,38 @@ def test_copy_and_pickle_round_trip(cls):
         assert twin == record and _values(twin, fields) == _values(record, fields)
     if cls is FlagDescriptor:
         assert pickle.loads(pickle.dumps(record)).violations == record.violations
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_to_json_is_json(cls):
+    build, build_other, _ = CASES[cls]
+    for record in (build(), build_other()):
+        json.dumps(record.to_json())
+
+
+# the records that write their own to_json, since their JSON is not their fields
+OWN_JSON = [cls for cls in CASES if cls.to_json is not Record.to_json]
+
+
+@pytest.mark.parametrize("cls", OWN_JSON, ids=[cls.__name__ for cls in OWN_JSON])
+def test_a_written_to_json_differs_from_the_fields(cls):
+    build, build_other, _ = CASES[cls]
+    for record in (build(), build_other()):
+        assert record.to_json() != Record.to_json(record)
+
+
+def test_the_default_json_writes_the_fields_in_order():
+    assert list(Violation("c", "m", "warning").to_json().items()) == [
+        ("constraint", "c"), ("message", "m"), ("severity", "warning")
+    ]
+    report = verify_recursions(4)
+    assert list(report.to_json()) == ["n", "passed", "cases", "notes"]
+    assert report.to_json()["cases"] == [case.to_json() for case in report.cases]
+    decomp = k_basis(1)
+    assert decomp.to_json() == {
+        "n": 1, "twist": "O", "theory": "K", "summands": [s.to_json() for s in decomp.summands]
+    }
+    assert enumerate_diagrams(3).to_json() == {"n": 3}
 
 
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
