@@ -83,6 +83,8 @@ class Decomposition(Record):
         twist, theory = _member(Twist, twist), _member(Kind, theory)
         if theory is Kind.GW:  # the bound `gw_basis` checks
             _require_frame_size(n, 1, "the Hermitian decomposition needs")
+        if not isinstance(summands, tuple) or not all(isinstance(s, Summand) for s in summands):
+            raise DomainError(f"summands must be a tuple of Summands, got {summands!r:.60}")
         self._store(n, twist, theory, summands)
 
 

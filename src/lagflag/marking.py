@@ -17,9 +17,10 @@ the additive-basis maps.  They (`_padded`) read the segment ``ends``,
 which a diagram computes at most once, and append ``d``, ``e`` and ``t`` as
 each horizontal segment's marks are visited; `lf_ktheory` selects every
 point and reads ``d`` off the steps.  `selection_S`, `selection_S_tilde`
-and `tuples` take the documented steps one at a time, a rule per segment
-(`_cutoff_rules`), its offsets (`_offsets`) and the tuples (`_entries`);
-they are kept for inspection, and nothing else in the package calls them.
+and `tuples` take the documented steps one at a time off the same ends: a
+rule per segment (`_cutoff_rules`), each segment's offsets (`marked_points`)
+and the tuples (`_entries`); they are kept for inspection, and nothing else
+in the package calls them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .diagrams import DOWN, LEFT, Boundary, ShiftedDiagram, _require_frame_size, boundary
+# boundary is unused here; perfbench/test_harness.py asserts that this module binds it
+from .diagrams import DOWN, LEFT, ShiftedDiagram, _require_frame_size, boundary  # noqa: F401
 from .errors import DomainError
 from .flags import FlagDescriptor
 from .record import Record
@@ -67,12 +69,9 @@ class SegmentSelection(Record):
 
 
 class MarkedSelection(Record):
-    """Selected points of one diagram, grouped per horizontal segment.
+    """Selected points of one diagram, grouped per horizontal segment."""
 
-    ``boundary`` is the diagram's boundary the selection was read from.
-    """
-
-    __slots__ = _fields = ("diagram", "per_segment", "boundary")
+    __slots__ = _fields = ("diagram", "per_segment")
 
     @property
     def points(self) -> tuple[tuple[int, int], ...]:
@@ -91,9 +90,19 @@ def _require_cutoff(w) -> None:
         raise DomainError(f"selection cutoff must be non-negative, got {w}")
 
 
-def _cutoff_rules(
-    diagram: ShiftedDiagram, ends: tuple[int, ...], w: int, tilde: bool = False
-) -> dict[int, SelectionRule]:
+def _no_s2(diagram: ShiftedDiagram) -> DomainError:
+    """The error for rule 3 on a diagram without the horizontal segment ``s_2``."""
+    return DomainError(
+        f"{diagram.steps!r} has no horizontal segment s_2; rule 3 has nowhere to apply"
+    )
+
+
+def _no_entries(diagram: ShiftedDiagram) -> DomainError:
+    """The error for a selection that yields no tuple entry."""
+    return DomainError(f"selection on {diagram.steps!r} yields no tuple entries (empty frame)")
+
+
+def _cutoff_rules(diagram: ShiftedDiagram, w: int, tilde: bool = False) -> dict[int, SelectionRule]:
     """Rule 2 on the horizontal segments up to ``w``, rule 1 beyond.
 
     With ``tilde`` the first horizontal segment takes rule 3; it must exist.
@@ -101,25 +110,16 @@ def _cutoff_rules(
     _require_cutoff(w)
     rules = {
         s: SelectionRule.EVEN_POINTS if s <= w else SelectionRule.ALL_POINTS
-        for s in range(2, len(ends) + 1, 2)
+        for s in range(2, len(diagram.ends) + 1, 2)
     }
-    if tilde and 2 not in rules:
-        raise DomainError(
-            f"{diagram.steps!r} has no horizontal segment s_2; rule 3 has nowhere to apply"
-        )
     if tilde:
+        if 2 not in rules:
+            raise _no_s2(diagram)
         rules[2] = SelectionRule.ODD_PLUS_FIRST
     return rules
 
 
-def _offsets(ends: tuple[int, ...], rules: Mapping[int, SelectionRule]) -> list:
-    """``(segment, offsets)`` pairs of the ruled segments, in order."""
-    return [(s, rules[s].offsets(ends[s - 1] - ends[s - 2])) for s in sorted(rules)]
-
-
-def _entries(
-    diagram: ShiftedDiagram, ends: tuple[int, ...], segment_offsets: Iterable
-) -> tuple:
+def _entries(diagram: ShiftedDiagram, segment_offsets: Iterable) -> tuple:
     """``d`` and ``t`` of the marks at the given ``(segment, offsets)`` pairs.
 
     The pairs cover every horizontal segment in order.  A mark at offset
@@ -128,6 +128,7 @@ def _entries(
     ``o``).  An odd segment count appends the frame size to ``d`` and the
     run to the last ``H`` to ``t``.
     """
+    ends = diagram.ends
     d, positions, h_steps = [], [], 0
     for s, offsets in segment_offsets:
         start = ends[s - 2]  # a horizontal segment s >= 2 starts where s - 1 ends
@@ -139,28 +140,19 @@ def _entries(
         d.append(diagram.n)
         positions.append(h_steps)
     if not d:
-        raise DomainError(
-            f"selection on {diagram.steps!r} yields no tuple entries (empty frame)"
-        )
+        raise _no_entries(diagram)
     return d, [cur - prev for prev, cur in zip(positions, positions[1:])]
 
 
-def marked_points(
-    diagram: ShiftedDiagram, rules: Mapping[int, SelectionRule]
-) -> MarkedSelection:
+def marked_points(diagram: ShiftedDiagram, rules: Mapping[int, SelectionRule]) -> MarkedSelection:
     """Apply one selection rule per horizontal segment.
 
-    ``rules`` must have exactly the horizontal segment indices as keys; a
-    rule for a vertical or out-of-range segment is a domain error, as is a
-    missing one.
+    ``rules`` must have exactly the horizontal segment indices as keys, each
+    with a `SelectionRule`; a rule for a vertical or out-of-range segment is
+    a domain error, as is a missing one or a value that is no rule.
     """
-    return _select(diagram, boundary(diagram), rules)
-
-
-def _select(
-    diagram: ShiftedDiagram, b: Boundary, rules: Mapping[int, SelectionRule]
-) -> MarkedSelection:
-    horizontal = range(2, b.segment_count + 1, 2)
+    ends = diagram.ends
+    horizontal = range(2, len(ends) + 1, 2)
     extra = set(rules) - set(horizontal)
     if extra:
         raise DomainError(
@@ -170,10 +162,13 @@ def _select(
     missing = set(horizontal) - set(rules)
     if missing:
         raise DomainError(f"missing selection rules for segments {sorted(missing)}")
-    per_segment = tuple(
-        SegmentSelection(s, rules[s], offsets) for s, offsets in _offsets(b.ends, rules)
-    )
-    return MarkedSelection(diagram, per_segment, b)
+    per_segment = []
+    for s in horizontal:
+        rule = rules[s]
+        if not isinstance(rule, SelectionRule):
+            raise DomainError(f"the rule for segment {s} must be a SelectionRule, got {rule!r}")
+        per_segment.append(SegmentSelection(s, rule, rule.offsets(ends[s - 1] - ends[s - 2])))
+    return MarkedSelection(diagram, tuple(per_segment))
 
 
 def selection_S(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
@@ -181,14 +176,12 @@ def selection_S(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
 
     With ``w = 0`` every special marked point is selected.
     """
-    b = boundary(diagram)
-    return _select(diagram, b, _cutoff_rules(diagram, b.ends, w))
+    return marked_points(diagram, _cutoff_rules(diagram, w))
 
 
 def selection_S_tilde(diagram: ShiftedDiagram, w: int) -> MarkedSelection:
     """Like `selection_S` but the first horizontal segment uses rule 3."""
-    b = boundary(diagram)
-    return _select(diagram, b, _cutoff_rules(diagram, b.ends, w, tilde=True))
+    return marked_points(diagram, _cutoff_rules(diagram, w, tilde=True))
 
 
 class TupleData(Record):
@@ -205,9 +198,8 @@ def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
     """Distance and horizontal-gap tuples of a selection (see `_entries`)."""
     if sel.diagram != diagram:
         raise DomainError("selection was built for a different diagram")
-    b = sel.boundary
-    d, t = _entries(diagram, b.ends, ((s.segment, s.offsets) for s in sel.per_segment))
-    return TupleData(tuple(d), tuple(d[:-1]), tuple(t), b.segment_count % 2 == 1)
+    d, t = _entries(diagram, ((s.segment, s.offsets) for s in sel.per_segment))
+    return TupleData(tuple(d), tuple(d[:-1]), tuple(t), len(diagram.ends) % 2 == 1)
 
 
 def _padded(diagram: ShiftedDiagram, w: int, type1: bool) -> FlagDescriptor:
@@ -226,9 +218,7 @@ def _padded(diagram: ShiftedDiagram, w: int, type1: bool) -> FlagDescriptor:
     _require_cutoff(w)
     count = len(ends)
     if type1 and count < 2:
-        raise DomainError(
-            f"{diagram.steps!r} has no horizontal segment s_2; rule 3 has nowhere to apply"
-        )
+        raise _no_s2(diagram)
     d, e, t = [], [], []  # d is padded, so a previous mark's e is d[-1] + 1 - gap
     h = 0  # horizontal steps before the current segment
     last = 0  # horizontal position of the previous mark
@@ -256,9 +246,7 @@ def _padded(diagram: ShiftedDiagram, w: int, type1: bool) -> FlagDescriptor:
             e.append(d[-1] + 1 - gap)
         d.append(diagram.n + 1)
     if not d:
-        raise DomainError(
-            f"selection on {diagram.steps!r} yields no tuple entries (empty frame)"
-        )
+        raise _no_entries(diagram)
     if type1:
         if not t:
             raise DomainError(

@@ -48,6 +48,12 @@ from .marking import padded_scheme, uses_type1
 from .record import Record
 
 
+def _require_coefficients(n_coeff, const) -> None:
+    """Reject affine coefficients that are not plain ``int``s; bools too."""
+    if type(n_coeff) is not int or type(const) is not int:
+        raise DomainError(f"affine coefficients must be integers, got {n_coeff!r}, {const!r}")
+
+
 class Affine(Record):
     """An exponent of the form ``n_coeff * n + const`` for symbolic half rank.
 
@@ -58,8 +64,7 @@ class Affine(Record):
     __slots__ = _fields = ("n_coeff", "const")
 
     def __init__(self, n_coeff: int, const: int):
-        if type(n_coeff) is not int or type(const) is not int:  # rejects bools too
-            raise DomainError(f"affine coefficients must be integers, got {n_coeff!r}, {const!r}")
+        _require_coefficients(n_coeff, const)
         if n_coeff == 0:
             raise DomainError(f"an affine exponent needs a nonzero n coefficient, got 0, {const!r}")
         self._store(n_coeff, const)
@@ -70,8 +75,7 @@ class Affine(Record):
         if isinstance(other, Affine):
             return other.n_coeff, other.const
         if isinstance(other, int):
-            if type(other) is not int:  # a bool, refused as the constructor refuses it
-                raise DomainError(f"affine coefficients must be integers, got 0, {other!r}")
+            _require_coefficients(0, other)  # a bool, refused as the constructor refuses it
             return 0, other
         return NotImplemented
 
@@ -112,7 +116,10 @@ class Affine(Record):
 
 def affine(n_coeff: int, const: int) -> Union[int, Affine]:
     """Normalized affine exponent: collapses to a plain int when constant."""
-    return const if n_coeff == 0 else Affine(n_coeff, const)
+    if n_coeff != 0:
+        return Affine(n_coeff, const)
+    _require_coefficients(n_coeff, const)
+    return const
 
 
 #: The symbolic half rank itself, for canonical sheaves as functions of n.

@@ -203,6 +203,14 @@ INVALID_RECORDS = {
         lambda: Decomposition(0, "O", "GW", ()),
         "^the Hermitian decomposition needs frame size >= 1, got 0$",
     ),
+    "summands as a list": (
+        lambda: Decomposition(2, "O", "GW", ["x"]),
+        "^" + re.escape("summands must be a tuple of Summands, got ['x']") + "$",
+    ),
+    "a summand that is no Summand": (
+        lambda: Decomposition(2, "O", "GW", ("x",)),
+        "^" + re.escape("summands must be a tuple of Summands, got ('x',)") + "$",
+    ),
 }
 
 

@@ -187,6 +187,9 @@ def test_marked_points_rejects_bad_rule_maps():
         marked_points(ShiftedDiagram(2, "VH"), {4: SelectionRule.ALL_POINTS})
     with pytest.raises(DomainError):
         marked_points(ShiftedDiagram(2, "VH"), {})  # missing rule for s_2
+    message = "^the rule for segment 2 must be a SelectionRule, got 1$"
+    with pytest.raises(DomainError, match=message):
+        marked_points(ShiftedDiagram(4, "HVHV"), {2: 1, 4: 1})
 
 
 def test_selection_S_examples():
@@ -290,8 +293,8 @@ def count_walk_reads(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_each_construction_reads_the_walk_once(monkeypatch, n):
-    # the constructions read the diagram's ends, the selection views and
-    # classify go through boundary, and the walk is read once for them all
+    # the constructions and the selection views read the diagram's ends,
+    # classify goes through boundary, and the walk is read once for them all
     walk_reads = count_walk_reads(monkeypatch)
     marking_calls = count_boundary_calls(monkeypatch, marking)
     diagram_calls = count_boundary_calls(monkeypatch, diagrams)
@@ -315,7 +318,7 @@ def test_each_construction_reads_the_walk_once(monkeypatch, n):
         for view in views:
             marking_calls.clear()
             view()
-            assert marking_calls == [diagram]
+            assert marking_calls == []
         sel = selection_S(diagram, 0)
         marking_calls.clear()
         tuples(diagram, sel)

@@ -118,6 +118,9 @@ def test_pic_element_json():
         lambda: Affine(0, 5),
         lambda: Affine(0, 0),
         lambda: n + True,
+        lambda: affine(0, True),
+        lambda: affine(0, 1.5),
+        lambda: affine(0, "3"),
     ],
     ids=[
         "float-exponent",
@@ -134,6 +137,9 @@ def test_pic_element_json():
         "constant-affine",
         "zero-affine",
         "bool-affine-operand",
+        "bool-affine-collapsed",
+        "float-affine-collapsed",
+        "str-affine-collapsed",
     ],
 )
 def test_pic_element_rejects_malformed_input(build):

@@ -112,7 +112,7 @@ CASES = {
     MarkedSelection: (
         lambda: selection_S(HVVH, 2),
         lambda: selection_S_tilde(HVVH, 0),
-        ("diagram", "per_segment", "boundary"),
+        ("diagram", "per_segment"),
     ),
     TupleData: (
         lambda: tuples(HVVH, selection_S(HVVH, 2)),
