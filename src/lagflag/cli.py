@@ -21,6 +21,13 @@ arguments of ``classify`` and ``scheme``, and for ``recursion`` and
 command checks its bound before any work; the library itself has no frame
 limit.
 
+Each command has one entry in `COMMANDS`: its help line, the function
+that adds its arguments and its handler.  A process builds the top-level
+parser and only the subparser of the command its arguments start with,
+since argparse reads no other; with no command first (no arguments,
+``-h``, an unknown command) it builds them all, so that argparse can list
+them.  Either way argparse writes the same text.
+
 A process enters through `run`, which exits with the code `main` returns
 and freezes the collector (``gc.freeze()``) on the way out, also when
 argparse or an uncaught exception ends `main`.  The interpreter's last
@@ -151,12 +158,14 @@ def _cmd_enumerate(args, out) -> int:
     elif args.format == "csv":
         out.write("n,steps,parts,weight\n")
         for d in diagrams:
-            out.write(f"{text(d.n)},{d.steps},{' '.join(map(text, d.parts))},{text(d.weight)}\n")
+            parts = d.parts  # once: the weight is their sum
+            out.write(f"{text(d.n)},{d.steps},{' '.join(map(text, parts))},{text(sum(parts))}\n")
     else:
         for d in diagrams:
-            parts = ",".join(map(text, d.parts))
+            parts = d.parts
             print(
-                f"{d.steps or '-':<{max(args.n, 1)}}  parts=[{parts}]  weight={text(d.weight)}",
+                f"{d.steps or '-':<{max(args.n, 1)}}  parts=[{','.join(map(text, parts))}]"
+                f"  weight={text(sum(parts))}",
                 file=out,
             )
     return 0
@@ -448,28 +457,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"lagflag: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lagflag",
-        description="Shifted-diagram and flag-scheme calculator for Lagrangian "
-        "Grassmannian K-theory bases.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p, choices=("text", "json")) -> None:
+    p.add_argument("--format", choices=choices, default="text")
 
-    def add_format(p, choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default="text")
 
-    p = sub.add_parser("enumerate", help="list all diagrams of a frame")
+def _enumerate_arguments(p) -> None:
     p.add_argument("-n", type=int, required=True)
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=_cmd_enumerate)
+    _add_format(p, ("text", "json", "csv"))
 
-    p = sub.add_parser("classify", help="boundary and class data of one diagram")
+
+def _classify_arguments(p) -> None:
     p.add_argument("diagram", help="step string over V/H, e.g. VVH")
-    add_format(p)
-    p.set_defaults(func=_cmd_classify)
+    _add_format(p)
 
-    p = sub.add_parser("scheme", help="validate and report on a flag-scheme descriptor")
+
+def _scheme_arguments(p) -> None:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--name", help="named scheme: B2, E2, F2 or LF_<i>")
     p.add_argument("-n", type=int, help="half rank for --name")
@@ -484,55 +486,104 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", help="comma-separated e tuple, for --d")
     p.add_argument("--t", help="comma-separated t tuple, for --d")
     p.add_argument("--half-rank", help="half rank of the ambient bundle, for --d")
-    add_format(p)
-    p.set_defaults(func=_cmd_scheme)
+    _add_format(p)
 
-    p = sub.add_parser("canonical", help="canonical-sheaf exponent table")
+
+def _canonical_arguments(p) -> None:
     p.add_argument("--d", required=True)
     p.add_argument("--e", default="")
     p.add_argument("--t", default="")
     p.add_argument("--half-rank", required=True, help="an integer, or N for symbolic")
-    add_format(p)
-    p.set_defaults(func=_cmd_canonical)
+    _add_format(p)
 
-    p = sub.add_parser("basis", help="additive basis decomposition of a frame")
+
+def _basis_arguments(p) -> None:
     p.add_argument("-n", type=int, required=True)
     p.add_argument(
         "--twist", choices=("O", "Delta"), help="twist of the Hermitian basis (default O)"
     )
     p.add_argument("--theory", choices=("k", "gw"), default="gw")
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=_cmd_basis)
+    _add_format(p, ("text", "json", "csv"))
 
-    p = sub.add_parser("recursion", help="check the decomposition recursions of a frame")
+
+def _recursion_arguments(p) -> None:
     p.add_argument("-n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_recursion)
+    _add_format(p)
 
-    p = sub.add_parser("verify", help="run every verification suite")
+
+def _verify_arguments(p) -> None:
     p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("witt", help="GW-atom counts folded mod 4")
+
+def _witt_arguments(p) -> None:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--twist", choices=("O", "Delta"), default="O")
-    add_format(p)
-    p.set_defaults(func=_cmd_witt)
+    _add_format(p)
 
-    p = sub.add_parser(
-        "classify-connecting", help="two-step blow-up connecting-homomorphism case"
-    )
+
+def _classify_connecting_arguments(p) -> None:
     p.add_argument("--c1", type=int, required=True)
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--lam", required=True, help="two parities, e.g. 0,0")
-    p.set_defaults(func=_cmd_classify_connecting)
 
+
+#: Each command's help line, the function that adds its arguments to its
+#: parser, and its handler, in the order ``lagflag -h`` lists them.
+COMMANDS = {
+    "enumerate": ("list all diagrams of a frame", _enumerate_arguments, _cmd_enumerate),
+    "classify": ("boundary and class data of one diagram", _classify_arguments, _cmd_classify),
+    "scheme": (
+        "validate and report on a flag-scheme descriptor",
+        _scheme_arguments,
+        _cmd_scheme,
+    ),
+    "canonical": ("canonical-sheaf exponent table", _canonical_arguments, _cmd_canonical),
+    "basis": ("additive basis decomposition of a frame", _basis_arguments, _cmd_basis),
+    "recursion": (
+        "check the decomposition recursions of a frame",
+        _recursion_arguments,
+        _cmd_recursion,
+    ),
+    "verify": ("run every verification suite", _verify_arguments, _cmd_verify),
+    "witt": ("GW-atom counts folded mod 4", _witt_arguments, _cmd_witt),
+    "classify-connecting": (
+        "two-step blow-up connecting-homomorphism case",
+        _classify_connecting_arguments,
+        _cmd_classify_connecting,
+    ),
+}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The top-level parser, with the subparser of the command ``argv`` starts with.
+
+    When ``argv`` starts with no command, every command's subparser.  A
+    parser of one command gets as ``metavar`` the brace list argparse writes
+    from the full choices, so the usage line it prints for an unrecognized
+    argument still names every command.
+    """
+    parser = _Parser(
+        prog="lagflag",
+        description="Shifted-diagram and flag-scheme calculator for Lagrangian "
+        "Grassmannian K-theory bases.",
+    )
+    if argv and argv[0] in COMMANDS:
+        names, metavar = argv[:1], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush

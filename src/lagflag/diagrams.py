@@ -96,12 +96,8 @@ class ShiftedDiagram(Record):
         return sum(self.parts)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "steps": self.steps,
-            "parts": list(self.parts),
-            "weight": self.weight,
-        }
+        parts = self.parts
+        return {"n": self.n, "steps": self.steps, "parts": list(parts), "weight": sum(parts)}
 
     def __str__(self) -> str:
         return self.steps

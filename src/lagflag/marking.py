@@ -25,8 +25,8 @@ in the package calls them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import Enum
-from typing import Iterable, Mapping
 
 # boundary is unused here; perfbench/test_harness.py asserts that this module binds it
 from .diagrams import DOWN, LEFT, ShiftedDiagram, _require_frame_size, boundary  # noqa: F401
@@ -147,16 +147,22 @@ def _entries(diagram: ShiftedDiagram, segment_offsets: Iterable) -> tuple:
 def marked_points(diagram: ShiftedDiagram, rules: Mapping[int, SelectionRule]) -> MarkedSelection:
     """Apply one selection rule per horizontal segment.
 
-    ``rules`` must have exactly the horizontal segment indices as keys, each
-    with a `SelectionRule`; a rule for a vertical or out-of-range segment is
-    a domain error, as is a missing one or a value that is no rule.
+    ``rules`` must be a mapping with exactly the horizontal segment indices
+    as keys, each with a `SelectionRule`; a rule for a vertical or
+    out-of-range segment is a domain error, as is a missing one, a value
+    that is no rule or a ``rules`` that is no mapping.
     """
+    if not isinstance(rules, Mapping):
+        raise DomainError(f"rules must map segment indices to rules, got {rules!r}")
     ends = diagram.ends
     horizontal = range(2, len(ends) + 1, 2)
     extra = set(rules) - set(horizontal)
     if extra:
+        # integers in order, then any other keys by repr, which always compare
+        ints = sorted(key for key in extra if type(key) is int)
+        listed = ints + sorted((key for key in extra if type(key) is not int), key=repr)
         raise DomainError(
-            f"rules given for non-horizontal or out-of-range segments {sorted(extra)}; "
+            f"rules given for non-horizontal or out-of-range segments {listed}; "
             f"horizontal segments of {diagram.steps!r} are {list(horizontal)}"
         )
     missing = set(horizontal) - set(rules)

@@ -23,7 +23,7 @@ is kept symbolic.  The relative canonical sheaf of a Gorenstein descriptor
 with contributions to the same generator accumulating.
 
 The relative canonical sheaf and its parity are computed once per point
-query and once per GW summand of a basis, so `canonical_exponents` builds
+query and once per GW summand of a basis, so `_canonical_exponents` builds
 its item list in one pass, reading each generator from a per-kind table
 (``_DELTAS``, ``_NABLAS``, ``_DET_VS``) in place of calling a cached
 constructor; `mod2_reduce` reads the items in place.  A `Generator`
@@ -147,7 +147,7 @@ class Generator(_GeneratorFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, index: int | None = None):
-        if kind not in _KIND_ORDER:
+        if type(kind) is not str or kind not in _KIND_ORDER:  # a list is not even hashable
             raise DomainError(f"unknown generator kind {kind!r}")
         if kind in ("Delta", "Nabla", "DetV"):
             if type(index) is not int or index < 0:  # rejects bools too
@@ -178,7 +178,7 @@ class _Generators(dict):
 
 
 # One table per indexed kind hands out one shared object per index.  They
-# replace `functools.lru_cache` on the constructors: `canonical_exponents`
+# replace `functools.lru_cache` on the constructors: `_canonical_exponents`
 # reads a table straight from its loops, and a dict read costs less than a
 # cached call.  The constructors read a table for a plain ``int`` only, since
 # ``True`` would find the entry of ``1``; any other index is built, and fails.
@@ -235,7 +235,7 @@ class PicElement(Record):
 
     @classmethod
     def _from_sorted(cls, items: tuple[tuple[Generator, Exponent], ...]) -> "PicElement":
-        """Wrap ``items`` unchecked, for `canonical_exponents` alone.
+        """Wrap ``items`` unchecked, for `_canonical_exponents` alone.
 
         Precondition: every generator occurs once, every exponent is a
         nonzero ``int`` or `Affine`, and the items are in `_gen_key` order,
@@ -317,7 +317,7 @@ class ParityClass(Record):
         return "0" if self.is_zero else " + ".join(self.to_json())
 
 
-def canonical_exponents(
+def _canonical_exponents(
     d: tuple[int, ...], e: tuple[int, ...], t: tuple[int, ...], half_rank: Exponent
 ) -> PicElement:
     """Canonical-sheaf exponent vector of ``(half_rank, d, e, t)``.
@@ -360,7 +360,7 @@ def canonical_sheaf(desc: FlagDescriptor) -> PicElement:
         raise UnsupportedError(
             f"the canonical-sheaf formula needs a Gorenstein descriptor, got {desc}"
         )
-    return canonical_exponents(desc.d, desc.e, desc.t, desc.half_rank)
+    return _canonical_exponents(desc.d, desc.e, desc.t, desc.half_rank)
 
 
 def canonical_sheaf_in_n(
@@ -384,7 +384,7 @@ def canonical_sheaf_in_n(
         raise _rejection(exc.descriptor, shown) from None
     if not is_gorenstein(probe):
         raise UnsupportedError("the canonical-sheaf formula needs d_i - e_i in {0, 1}")
-    return canonical_exponents(d, e, t, SYMBOLIC_N)
+    return _canonical_exponents(d, e, t, SYMBOLIC_N)
 
 
 def mod2_reduce(elt: PicElement, desc: FlagDescriptor) -> ParityClass:

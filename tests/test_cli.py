@@ -378,6 +378,99 @@ def test_the_installed_script_enters_through_run():
     assert scripts.split("\n") == ['lagflag = "lagflag.cli:run"', ""]
 
 
+# --------------------------------------------------------------------------
+# a process builds the parser of its own command only
+
+#: argv that argparse accepts, answers with help or rejects, each starting
+#: with a command or not; argparse's messages differ between Python versions,
+#: so each row compares two parsers on the running interpreter
+PARSER_ARGVS = [
+    pytest.param([], id="no command"),
+    pytest.param(["-h"], id="help"),
+    pytest.param(["--help", "basis"], id="help before a command"),
+    pytest.param(["nope", "-n", "2"], id="unknown command"),
+    pytest.param(["basi", "-n", "2"], id="command prefix"),
+    pytest.param(["-x", "basis"], id="unknown option first"),
+    pytest.param(["basis", "-h"], id="command help"),
+    pytest.param(["recursion", "-n", "3", "--help"], id="command help last"),
+    pytest.param(["basis", "-n", "2", "--format", "xml"], id="bad choice"),
+    pytest.param(["witt", "-n", "3", "--twist", "X"], id="bad twist"),
+    pytest.param(["basis", "-n", "2", "junk"], id="trailing junk"),
+    pytest.param(["basis", "-n", "2", "enumerate"], id="another command as junk"),
+    pytest.param(["basis", "-n", "2", "--form", "csv"], id="abbreviated option"),
+    pytest.param(["basis", "-n3"], id="attached value"),
+    pytest.param(["basis", "-n", "2", "--twist"], id="option without value"),
+    pytest.param(["enumerate"], id="missing option"),
+    pytest.param(["enumerate", "-n", "x"], id="not an integer"),
+    pytest.param(["classify"], id="missing positional"),
+    pytest.param(["classify", "VH", "VV"], id="extra positional"),
+    pytest.param(["canonical", "--d", "1,2"], id="missing half rank"),
+    pytest.param(["scheme", "--name", "B2", "--d", "1"], id="exclusive sources"),
+    pytest.param(["basis", "-n", "17"], id="frame above the bound"),
+    pytest.param(["verify", "--max-n", "11"], id="verify above the bound"),
+    pytest.param(["verify", "--max-n", "2"], id="verify below 3"),
+    pytest.param(["verify", "--max-n=3", "--max-n", "4"], id="repeated option"),
+    pytest.param(["enumerate", "-n", "3", "--format", "csv"], id="enumerate"),
+    pytest.param(["classify", "HHV", "--format", "json"], id="classify"),
+    pytest.param(["scheme", "--name", "B2", "-n", "2"], id="scheme"),
+    pytest.param(
+        ["canonical", "--d", "1,2", "--e", "0", "--t", "1", "--half-rank", "N"], id="canonical"
+    ),
+    pytest.param(["basis", "-n", "2", "--twist", "Delta", "--format", "csv"], id="basis"),
+    pytest.param(["recursion", "-n", "5"], id="recursion"),
+    pytest.param(["verify", "--max-n", "3"], id="verify"),
+    pytest.param(["witt", "-n", "4", "--twist", "Delta"], id="witt"),
+    pytest.param(
+        ["classify-connecting", "--c1", "3", "--c2", "2", "--lam", "0,0"],
+        id="classify-connecting",
+    ),
+]
+
+
+def parse(capsys, parser, argv):
+    """The namespace ``parser`` makes of ``argv``, or its exit code, stdout and stderr."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
+def test_the_parser_built_for_an_argv_reads_it_as_the_full_parser_does(capsys, argv):
+    assert parse(capsys, cli._build_parser(argv), argv) == parse(capsys, cli._build_parser(), argv)
+
+
+def test_no_command_is_a_usage_error_that_names_the_command_argument(capsys):
+    code, out, err = in_process(capsys, [])
+    assert (code, out) == (2, "")
+    assert err.endswith("\nlagflag: error: the following arguments are required: command\n")
+
+
+@pytest.mark.parametrize(
+    "argv, commands",
+    [
+        (["witt", "-n", "3"], ["witt"]),
+        (["classify-connecting", "--c1", "3", "--c2", "2", "--lam", "0,0"],
+         ["classify-connecting"]),
+        ([], list(cli.COMMANDS)),
+        (["-h"], list(cli.COMMANDS)),
+        (["nope"], list(cli.COMMANDS)),
+    ],
+)
+def test_main_builds_the_subparser_of_its_command_only(capsys, monkeypatch, argv, commands):
+    progs = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    in_process(capsys, argv)
+    assert progs == ["lagflag"] + [f"lagflag {name}" for name in commands]
+
+
 # A child that runs ``verify`` with every suite after the first held until a
 # line arrives on its stdin, and that logs each suite it starts to argv[1].
 HELD_VERIFY = """

@@ -192,6 +192,28 @@ def test_marked_points_rejects_bad_rule_maps():
         marked_points(ShiftedDiagram(4, "HVHV"), {2: 1, 4: 1})
 
 
+ALL = SelectionRule.ALL_POINTS
+NOT_HORIZONTAL = "rules given for non-horizontal or out-of-range segments {}; " \
+    "horizontal segments of 'HVHV' are [2, 4]"
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ({2: ALL, 4: ALL, 11: ALL, 3: ALL}, NOT_HORIZONTAL.format("[3, 11]")),
+        # keys that do not compare with each other are still named, integers first
+        ({2: ALL, 4: ALL, "x": ALL, 3: ALL, (1,): ALL}, NOT_HORIZONTAL.format("[3, 'x', (1,)]")),
+        (None, "rules must map segment indices to rules, got None"),
+        ([(2, ALL)], f"rules must map segment indices to rules, got [(2, {ALL!r})]"),
+        ("24", "rules must map segment indices to rules, got '24'"),
+    ],
+    ids=["integer-keys", "mixed-keys", "none", "pairs", "string"],
+)
+def test_marked_points_names_bad_rule_maps(rules, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        marked_points(ShiftedDiagram(4, "HVHV"), rules)
+
+
 def test_selection_S_examples():
     sel = selection_S_tilde(ShiftedDiagram(2, "HH"), 2)
     assert [seg.to_json() for seg in sel.per_segment] == [

@@ -27,7 +27,6 @@ from lagflag import (
     affine,
     blowup_pullback,
     boundary,
-    canonical_exponents,
     canonical_sheaf,
     canonical_sheaf_in_n,
     classify_connecting,
@@ -43,7 +42,7 @@ from lagflag import (
     twist_alignment,
     verify,
 )
-from lagflag.picard import _Generators
+from lagflag.picard import _canonical_exponents, _Generators
 from gorenstein_descriptors import _gorenstein_descriptors
 
 n = SYMBOLIC_N
@@ -156,6 +155,8 @@ def test_pic_element_rejects_malformed_input(build):
         (lambda: det_v(2.0), "DetV needs an integer index at least 0, got 2.0"),
         (lambda: Generator("E1", 3), "E1 takes no index, got 3"),
         (lambda: Generator("X"), "unknown generator kind 'X'"),
+        (lambda: Generator(["Delta"], 1), "unknown generator kind ['Delta']"),
+        (lambda: Generator({}, None), "unknown generator kind {}"),
         (
             lambda: delta(1)._replace(index=True),
             "Delta needs an integer index at least 0, got True",
@@ -180,6 +181,8 @@ def test_pic_element_rejects_malformed_input(build):
         "float-constructor",
         "indexed-E1",
         "unknown-kind",
+        "list-kind",
+        "dict-kind",
         "replace",
         "make",
         "tuple-key",
@@ -298,7 +301,7 @@ def _docstring_formula(d, e, t, half_rank) -> PicElement:
 
 def _assert_matches_docstring_formula(desc):
     for half_rank in (desc.half_rank, n):
-        items = canonical_exponents(desc.d, desc.e, desc.t, half_rank).items()
+        items = _canonical_exponents(desc.d, desc.e, desc.t, half_rank).items()
         assert items == _docstring_formula(desc.d, desc.e, desc.t, half_rank).items()
         assert PicElement._from_sorted(items) == PicElement(items)
 
