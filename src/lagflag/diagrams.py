@@ -29,6 +29,7 @@ from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
 from itertools import product, repeat
+from operator import sub
 
 from .errors import DomainError
 from .record import Record
@@ -203,7 +204,8 @@ class Boundary(Record):
 
     @property
     def lengths(self) -> tuple[int, ...]:
-        return tuple(end - start for start, end in zip((0,) + self.ends, self.ends))
+        ends = self.ends
+        return tuple(map(sub, ends, (0,) + ends))
 
     @property
     def segments(self) -> tuple[tuple[str, int], ...]:

@@ -8,7 +8,9 @@ containing ``V_{e_i}``.  None of that geometry is materialized here: this
 module evaluates the descriptor-level criteria (regularity, the Gorenstein
 bound, relative dimension, component count).  Construction is the one
 validity gate: `validate` runs there once, an invalid descriptor is
-rejected and a built one cannot be changed, so readers need no check;
+rejected and a built one cannot be changed, so readers need no check.
+`validate` decides validity alone; the monotonicity warnings of ``e`` and
+``t`` are built only when a descriptor's ``violations`` are read.
 `_closed_forms`, the one home of the Gorenstein rule and of the last two
 criteria, is one loop per reading.
 """
@@ -28,14 +30,13 @@ class FlagDescriptor(Record):
 
     ``d`` has ``k+1`` entries and ``e``, ``t`` have ``k`` each.  Construction
     checks that every value is a plain ``int`` (not a bool) and checks shapes,
-    then runs `validate` once and keeps its result as ``violations``.  A
-    broken defining inequality raises `DescriptorError`, which carries the
-    rejected instance as ``descriptor``.  Fields cannot be assigned, so a
-    built descriptor stays valid and its ``violations`` are warnings only.
+    then runs `validate` once.  A broken defining inequality raises
+    `DescriptorError`, which carries the errors and the rejected instance as
+    ``descriptor``.  Fields cannot be assigned, so a built descriptor stays
+    valid.  ``violations`` is no field: it is built when read.
     """
 
-    _fields = ("half_rank", "d", "e", "t")
-    __slots__ = (*_fields, "violations")  # not a field: ==, hash and repr skip it
+    __slots__ = _fields = ("half_rank", "d", "e", "t")
 
     def __init__(self, half_rank: int, d: Sequence[int], e: Sequence[int], t: Sequence[int]):
         try:
@@ -60,10 +61,20 @@ class FlagDescriptor(Record):
                 f"shape mismatch: len(d)={len(d)} needs "
                 f"len(e)=len(t)={len(d) - 1}, got {len(e)}, {len(t)}"
             )
-        violations = tuple(validate(self))  # the module global, which a tracer may wrap
-        _set_violations(self, violations)
-        if violations and violations[0].severity == "error":  # errors come first
-            raise _rejection(self)
+        errors = validate(self)  # the module global, which a tracer may wrap
+        if errors:
+            raise _rejection(self, errors)
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        """Every violated constraint: the errors, then the ``e``/``t`` monotonicity warnings.
+
+        Built when read, from the itemised loops that `validate` runs on
+        failure, so reading them is no second validation.  A built
+        descriptor is valid and its violations are warnings only; the
+        rejected one that a `DescriptorError` carries has its errors too.
+        """
+        return (*_itemised_errors(self), *_monotonicity_warnings(self))
 
     @property
     def k(self) -> int:
@@ -77,10 +88,6 @@ class FlagDescriptor(Record):
         return f"LF[{d}]({e})_[{t}]@{number(self.half_rank)}"
 
 
-# the slot's own setter, which passes the __setattr__ that refuses assignment, as `_store` does
-_set_violations = FlagDescriptor.violations.__set__
-
-
 class Violation(Record):
     """One violated descriptor constraint; warnings do not make it invalid."""
 
@@ -88,88 +95,84 @@ class Violation(Record):
 
 
 def validate(desc: FlagDescriptor) -> list[Violation]:
-    """Check every defining constraint; empty list means valid.
+    """The broken defining inequalities of ``desc``; empty list means valid.
 
-    Monotonicity of ``e`` and ``t`` is reported as a warning only: the
-    constructed descriptors of the marking module do not always satisfy it
-    and nothing downstream relies on it.
-
-    One loop decides whether anything fails: per index, one chained
-    comparison covers every error bound, and one flag covers monotonicity.
-    Only a group that fails runs its itemised loops, the one source of the
-    messages.
+    One loop decides validity: per index, one chained comparison covers
+    every bound, and the loop stops at the first failure.  Only then do the
+    itemised loops of `_itemised_errors`, the one source of the error
+    messages, run.  Monotonicity of ``e`` and ``t`` is no defining
+    inequality: the constructed descriptors of the marking module do not
+    always satisfy it and nothing downstream relies on it, so it is only a
+    warning among a descriptor's ``violations``.
     """
     n, d, e, t = desc.half_rank, desc.d, desc.e, desc.t
     sound = bool(e) or 0 <= d[0] <= n  # the chain below bounds d when k >= 1
-    ordered = True
-    last_e = last_t = 0
     for i, ei in enumerate(e):
-        ti = t[i]
-        if not (0 <= ei <= d[i] <= d[i + 1] <= n and 0 < ti <= n - ei):
+        if not (0 <= ei <= d[i] <= d[i + 1] <= n and 0 < t[i] <= n - ei):
             sound = False
-        if ei < last_e or ti < last_t:
-            ordered = False
-        last_e, last_t = ei, ti
+            break
+    return [] if sound else _itemised_errors(desc)
+
+
+def _itemised_errors(desc: FlagDescriptor) -> list[Violation]:
+    """Each broken defining inequality on its own, in a fixed order."""
+    n, d, e, t = desc.half_rank, desc.d, desc.e, desc.t
     out: list[Violation] = []
-    if sound and ordered:
-        return out
 
     def err(constraint: str, message: str) -> None:
         out.append(Violation(constraint, message, "error"))
 
-    if not sound:
-        if n < 0:
-            err("half_rank_nonnegative", f"half_rank must be non-negative, got {n}")
-        for j, dj in enumerate(d):
-            if dj < 0:
-                err("d_nonnegative", f"d_{j} = {dj} is negative")
-            if dj > n:
-                err("d_leq_half_rank", f"d_{j} = {dj} exceeds half_rank {n}")
-        for j in range(len(d) - 1):
-            if d[j] > d[j + 1]:
-                err("d_nondecreasing", f"d_{j} = {d[j]} > d_{j+1} = {d[j+1]}")
-        for i, ti in enumerate(t):
-            if ti <= 0:
-                err("t_positive", f"t_{i} = {ti} is not positive")
-        for i, ei in enumerate(e):
-            if ei < 0:
-                err("e_nonnegative", f"e_{i} = {ei} is negative")
-            if ei > d[i]:
-                err("e_leq_d_i", f"e_{i} = {ei} exceeds d_{i} = {d[i]}")
-            if ei > d[i + 1]:
-                err("e_leq_d_next", f"e_{i} = {ei} exceeds d_{i+1} = {d[i + 1]}")
-            if ei > n - t[i]:
-                err(
-                    "e_leq_half_rank_minus_t",
-                    f"e_{i} = {ei} exceeds half_rank - t_{i} = {n - t[i]}",
-                )
-    if not ordered:
-        for i in range(len(e) - 1):
-            if e[i] > e[i + 1]:
-                out.append(
-                    Violation(
-                        "e_nondecreasing",
-                        f"e_{i} = {e[i]} > e_{i+1} = {e[i + 1]}",
-                        severity="warning",
-                    )
-                )
-            if t[i] > t[i + 1]:
-                out.append(
-                    Violation(
-                        "t_nondecreasing",
-                        f"t_{i} = {t[i]} > t_{i+1} = {t[i + 1]}",
-                        severity="warning",
-                    )
-                )
+    if n < 0:
+        err("half_rank_nonnegative", f"half_rank must be non-negative, got {n}")
+    for j, dj in enumerate(d):
+        if dj < 0:
+            err("d_nonnegative", f"d_{j} = {dj} is negative")
+        if dj > n:
+            err("d_leq_half_rank", f"d_{j} = {dj} exceeds half_rank {n}")
+    for j in range(len(d) - 1):
+        if d[j] > d[j + 1]:
+            err("d_nondecreasing", f"d_{j} = {d[j]} > d_{j+1} = {d[j+1]}")
+    for i, ti in enumerate(t):
+        if ti <= 0:
+            err("t_positive", f"t_{i} = {ti} is not positive")
+    for i, ei in enumerate(e):
+        if ei < 0:
+            err("e_nonnegative", f"e_{i} = {ei} is negative")
+        if ei > d[i]:
+            err("e_leq_d_i", f"e_{i} = {ei} exceeds d_{i} = {d[i]}")
+        if ei > d[i + 1]:
+            err("e_leq_d_next", f"e_{i} = {ei} exceeds d_{i+1} = {d[i + 1]}")
+        if ei > n - t[i]:
+            err(
+                "e_leq_half_rank_minus_t",
+                f"e_{i} = {ei} exceeds half_rank - t_{i} = {n - t[i]}",
+            )
     return out
 
 
-def _rejection(desc: FlagDescriptor, shown: str | None = None) -> DescriptorError:
-    """The `DescriptorError` that rejects ``desc``, naming it as ``shown`` if given."""
-    bad = [v for v in desc.violations if v.severity == "error"]
+def _monotonicity_warnings(desc: FlagDescriptor) -> list[Violation]:
+    """A warning per decrease of ``e`` or ``t``, the one home of their messages."""
+    e, t = desc.e, desc.t
+    out: list[Violation] = []
+    for i in range(len(e) - 1):
+        if e[i] > e[i + 1]:
+            out.append(
+                Violation("e_nondecreasing", f"e_{i} = {e[i]} > e_{i+1} = {e[i + 1]}", "warning")
+            )
+        if t[i] > t[i + 1]:
+            out.append(
+                Violation("t_nondecreasing", f"t_{i} = {t[i]} > t_{i+1} = {t[i + 1]}", "warning")
+            )
+    return out
+
+
+def _rejection(
+    desc: FlagDescriptor, errors: Sequence[Violation], shown: str | None = None
+) -> DescriptorError:
+    """The `DescriptorError` rejecting ``desc`` for ``errors``, naming it as ``shown`` if given."""
     return DescriptorError(
-        f"invalid descriptor {shown or desc}: " + "; ".join(v.message for v in bad),
-        violations=bad,
+        f"invalid descriptor {shown or desc}: " + "; ".join(v.message for v in errors),
+        violations=errors,
         descriptor=desc,
     )
 
@@ -253,7 +256,7 @@ def scheme_report(desc: FlagDescriptor) -> SchemeReport:
         component_count=components,
         # The structure-map pushforward of the structure sheaf is the base's
         # structure sheaf in the Gorenstein regime with every t_i equal to 1.
-        reduced_with_trivial_pushforward=gor and all(ti == 1 for ti in desc.t),
+        reduced_with_trivial_pushforward=gor and desc.t.count(1) == len(desc.t),
     )
 
 

@@ -381,7 +381,7 @@ def canonical_sheaf_in_n(
         probe = FlagDescriptor(least, d, e, t)
     except DescriptorError as exc:
         shown = str(exc.descriptor).rpartition("@")[0] + "@N"
-        raise _rejection(exc.descriptor, shown) from None
+        raise _rejection(exc.descriptor, exc.violations, shown) from None
     if not is_gorenstein(probe):
         raise UnsupportedError("the canonical-sheaf formula needs d_i - e_i in {0, 1}")
     return _canonical_exponents(d, e, t, SYMBOLIC_N)

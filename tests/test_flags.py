@@ -81,7 +81,7 @@ def test_an_invalid_descriptor_is_rejected_when_built():
         ("e_nondecreasing", "warning"),
         ("t_nondecreasing", "warning"),
     ]
-    assert list(exc.descriptor.violations) == validate(exc.descriptor)
+    assert validate(exc.descriptor) == list(exc.violations) == list(exc.descriptor.violations[:1])
 
 
 # each breaks the named constraint of the valid LF[1,3](1)_[1]@5
@@ -158,15 +158,19 @@ def validate_by_items(desc):
     return out
 
 
+def items(violations):
+    return [(v.constraint, v.message, v.severity) for v in violations]
+
+
 def assert_validate_matches_the_oracle(fields):
     desc, rejection = build(fields)
-    expected = [(v.constraint, v.message, v.severity) for v in validate_by_items(desc)]
-    for got in (validate(desc), desc.violations):
-        assert [(v.constraint, v.message, v.severity) for v in got] == expected, desc
-    # rejected exactly when an error is found, carrying the errors
+    expected = items(validate_by_items(desc))
     errors = [item for item in expected if item[2] == "error"]
-    got = [(v.constraint, v.message, v.severity) for v in rejection.violations] if rejection else []
-    assert got == errors, desc
+    # validate returns the errors; violations add the warnings after them
+    assert items(validate(desc)) == errors, desc
+    assert items(desc.violations) == expected, desc
+    # rejected exactly when an error is found, carrying the errors
+    assert (items(rejection.violations) if rejection else []) == errors, desc
 
 
 def entries(size):
@@ -211,6 +215,30 @@ def test_monotonicity_is_warning_only():
     fields = (6, (2, 3, 5), (2, 1), (1, 1))
     assert errors_of(*fields) == set()
     assert "e_nondecreasing" in warnings_of(*fields)
+
+
+def test_warnings_are_built_only_when_read(monkeypatch):
+    from lagflag import flags
+
+    checked, built = [], []
+    real_validate, real_violation = flags.validate, flags.Violation
+
+    def counted_validate(desc):
+        checked.append(desc)
+        return real_validate(desc)
+
+    def counted_violation(*args, **kwargs):
+        built.append(args)
+        return real_violation(*args, **kwargs)
+
+    monkeypatch.setattr(flags, "validate", counted_validate)
+    monkeypatch.setattr(flags, "Violation", counted_violation)
+    desc = FlagDescriptor(6, (1, 3, 5), (1, 2), (2, 1))  # t decreases
+    assert checked == [desc] and built == []
+    warning = ("t_nondecreasing", "t_0 = 2 > t_1 = 1", "warning")
+    assert desc.violations == (Violation(*warning),)
+    # reading the warnings builds them and is no second validation
+    assert checked == [desc] and built == [warning]
 
 
 def test_shape_mismatch_is_construction_error():
@@ -332,7 +360,9 @@ def test_scheme_report_agrees_with_the_checked_forms():
     rejected = [desc for desc, rejection in lowered if rejection]
     rejected += [build(fields)[0] for fields in SINGLE_VIOLATIONS.values()]
     for desc in [*descs, *rejected]:
-        assert list(desc.violations) == validate(desc)
+        expected = validate_by_items(desc)
+        assert validate(desc) == [v for v in expected if v.severity == "error"]
+        assert list(desc.violations) == expected
     for desc in descs:
         report = scheme_report(desc)
         assert report.regular == is_regular(desc)
