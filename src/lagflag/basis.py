@@ -9,10 +9,12 @@ at the level of ranks, shifts and twists, attaches the intermediate scheme
 descriptor to every summand, and verifies the degree-by-degree recursion
 identities the decompositions satisfy.
 
-`_summand_role` is the one rule for which summand a diagram's class yields.
-It gives the atoms two ways: `walk_atoms` reads them off the enumerated
-walks, and `gw_atoms` folds the per-class weight tables of
-`counting.class_weights` (`_counted`), which enumerates nothing.
+A summand's diagram is built from its walk's steps and its scheme read off
+them, so no summand's diagram computes its segment ends.  `_summand_role`
+is the one rule for which summand a diagram's class yields.  It gives the
+atoms two ways: `walk_atoms` reads them off the enumerated walks, and
+`gw_atoms` folds the per-class weight tables of `counting.class_weights`
+(`_counted`), which enumerates nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .diagrams import (  # noqa: F401
     RowType,
     ShiftedDiagram,
     _require_frame_size,
-    _walked,
     boundary,
     enumerate_diagrams,
 )
@@ -163,7 +164,7 @@ def _role_stream(frame, even_frame: bool, twist: Twist) -> Iterator[tuple]:
     n = frame.n
     full_top_row, gw = RowType.FULL_TOP_ROW, Kind.GW
     roles: dict[int, tuple[Kind, MapLabel] | None] = {}
-    for steps, ends, cls in frame._walks(True):
+    for steps, cls in frame._walks(True):
         try:
             role = roles[id(cls)]
         except KeyError:
@@ -173,7 +174,7 @@ def _role_stream(frame, even_frame: bool, twist: Twist) -> Iterator[tuple]:
             )
         if role is None:
             continue
-        diag = _walked(n, steps, ends)
+        diag = ShiftedDiagram(n, steps)
         kind, label = role
         yield diag, cls, kind, label, (diag.weight if kind is gw else None)
 

@@ -426,7 +426,8 @@ def _cmd_verify(args, out) -> int:
     if max_n > bound:
         raise DomainError(f"--max-n {max_n} is above the configured bound {bound}")
     if max_n < 3:
-        # below 3 the odd-frame suites would loop over empty ranges
+        # class-partitions starts at frame 3, so a smaller bound would fail it
+        # with a FAIL line (exit 1); this makes the bound a usage error (exit 2)
         if args.max_n is None:
             raise DomainError(f"LAGFLAG_MAX_N must be at least 3 for verify, got {max_n}")
         raise DomainError(f"--max-n must be at least 3, got {max_n}")

@@ -17,10 +17,12 @@ leading vertical segment of length zero is inserted when the walk starts
 with a horizontal step, so that the alternation always starts vertically.
 
 A `Frame` holds no diagram: it builds each one as iteration reaches it, and
-`Frame.walks` yields each walk's steps, segment ends and class
-``(steps, ends, cls)`` without one.  `_walk_class` is the one home of the
-class rule, which `classify` and the walk share, and `_require_frame_size`
-the package's one check of a frame size.
+`Frame.walks` yields each walk's steps and class ``(steps, cls)`` without
+one.  The scheme constructions read a diagram's steps; `boundary`,
+`classify` and the selection views read its segment ends, which it
+computes at most once.  `_walk_class` is the one home of the class rule,
+which `classify` and the walk share, and `_require_frame_size` the
+package's one check of a frame size.
 """
 
 from __future__ import annotations
@@ -125,20 +127,20 @@ class Frame(Record):
         walks = map("".join, product((DOWN, LEFT), repeat=self.n))
         return map(ShiftedDiagram, repeat(self.n), walks)
 
-    def walks(self) -> Iterator[tuple[str, tuple[int, ...], DiagramClass]]:
-        """``(steps, ends, cls)`` of every walk, in frame order, building no diagram.
+    def walks(self) -> Iterator[tuple[str, DiagramClass]]:
+        """``(steps, cls)`` of every walk, in frame order, building no diagram.
 
-        ``ends`` is what a diagram's `ends` holds and ``cls`` what `classify`
-        returns.  The walk goes depth first and carries the ends and the index
-        down each step prefix, so siblings share their prefix's work and the
-        stack holds one path from the root.  Walks with the same first step,
-        index and segment count share one `DiagramClass`, kept only for this
-        call.  Frame 0 has no index.
+        ``cls`` is what `classify` returns.  The walk goes depth first and
+        carries the segment count and the index down each step prefix, so
+        siblings share their prefix's work and the stack holds one path from
+        the root.  Walks with the same first step, index and segment count
+        share one `DiagramClass`, kept only for this call.  Frame 0 has no
+        index.
         """
         _require_frame_size(self.n, 1, "classification needs")
         return self._walks(False)
 
-    def _walks(self, cut_odd: bool) -> Iterator[tuple[str, tuple[int, ...], DiagramClass]]:
+    def _walks(self, cut_odd: bool) -> Iterator[tuple[str, DiagramClass]]:
         """`walks`, or with ``cut_odd`` only those that fix no odd index at a turn.
 
         A walk that does ends with more segments than its index, so it is
@@ -149,36 +151,29 @@ class Frame(Record):
         holds = [is_index_end(i, n) for i in range(n)]
         # (first step, index, segment count) -> the class those walks share
         classes: dict[tuple[str, int, int], DiagramClass] = {}
-        # (steps, ends of the closed segments, current step, index or 0 while unfound)
-        stack = [("", (), DOWN, 0)]
+        # (steps, closed segments, current step, index or 0 while unfound)
+        stack = [("", 0, DOWN, 0)]
         while stack:
             steps, closed, run, index = stack.pop()
             i = len(steps)
             if i == n:
-                ends = closed + (n,)
-                index = index or len(ends)
-                key = (steps[0], index, len(ends))
+                count = closed + 1
+                index = index or count
+                key = (steps[0], index, count)
                 cls = classes.get(key)
                 if cls is None:
-                    cls = classes[key] = _walk_class(steps, ends, index)
-                yield steps, ends, cls
+                    cls = classes[key] = _walk_class(steps, count, index)
+                yield steps, cls
                 continue
             for step in (LEFT, DOWN):  # pushed last, V is read first
                 if step == run:
                     stack.append((steps + step, closed, run, index))
                 else:
-                    turned = closed + (i,)
-                    found = index or (len(turned) if holds[i] else 0)
+                    turned = closed + 1
+                    found = index or (turned if holds[i] else 0)
                     if found % 2 and cut_odd:
                         continue
                     stack.append((steps + step, turned, step, found))
-
-
-def _walked(n: int, steps: str, ends: tuple[int, ...]) -> ShiftedDiagram:
-    """The diagram of a walk from `Frame.walks`, its `ends` cached as read there."""
-    diagram = ShiftedDiagram(n, steps)
-    diagram.__dict__["ends"] = ends
-    return diagram
 
 
 def enumerate_diagrams(n: int) -> Frame:
@@ -255,10 +250,10 @@ def is_index_end(end: int, n: int) -> bool:
     return end > 0 and end % 2 == n % 2
 
 
-def _walk_class(steps: str, ends: tuple[int, ...], index: int) -> DiagramClass:
-    """The class of a walk with these steps, segment ends and index."""
+def _walk_class(steps: str, count: int, index: int) -> DiagramClass:
+    """The class of a walk with these steps, segment count and index."""
     row = RowType.FULL_TOP_ROW if steps[0] == DOWN else RowType.EMPTY_RIGHT_COLUMN
-    return DiagramClass(index, index == len(ends), index % 2 == 0, row)
+    return DiagramClass(index, index == count, index % 2 == 0, row)
 
 
 def classify(diagram: ShiftedDiagram) -> DiagramClass:
@@ -267,7 +262,7 @@ def classify(diagram: ShiftedDiagram) -> DiagramClass:
     _require_frame_size(n, 1, "classification needs")
     ends = boundary(diagram).ends
     index = next(t for t, end in enumerate(ends, 1) if is_index_end(end, n))
-    return _walk_class(diagram.steps, ends, index)
+    return _walk_class(diagram.steps, len(ends), index)
 
 
 def delete_top_row(diagram: ShiftedDiagram) -> ShiftedDiagram:
@@ -336,8 +331,8 @@ def class_sets(n: int) -> ClassSets:
         diagrams = tuple(frame)
         return ClassSets(0, diagrams, diagrams, diagrams)
     all_diagrams, almost_even, k_even = [], [], []
-    for steps, ends, cls in frame.walks():
-        diagram = _walked(n, steps, ends)
+    for steps, cls in frame.walks():
+        diagram = ShiftedDiagram(n, steps)
         all_diagrams.append(diagram)
         if cls.is_almost_even:
             almost_even.append(diagram)

@@ -13,14 +13,13 @@ rules, and the chosen points turn into descriptor tuples:
 
 The padded constructions shift the frame up by one (``half_rank = n + 1``)
 and adjust the tuples entrywise; they are the intermediate schemes used by
-the additive-basis maps.  They (`_padded`) read the segment ``ends``,
-which a diagram computes at most once, and append ``d``, ``e`` and ``t`` as
-each horizontal segment's marks are visited; `lf_ktheory` selects every
-point and reads ``d`` off the steps.  `selection_S`, `selection_S_tilde`
-and `tuples` take the documented steps one at a time off the same ends: a
-rule per segment (`_cutoff_rules`), each segment's offsets (`marked_points`)
-and the tuples (`_entries`); they are kept for inspection, and nothing else
-in the package calls them.
+the additive-basis maps.  Every construction reads the walk's steps in
+one pass: `_padded` appends ``d``, ``e`` and ``t`` as it meets each mark,
+and `lf_ktheory` selects every point.  `selection_S`, `selection_S_tilde`
+and `tuples` take the documented steps one at a time off the diagram's
+segment ``ends``: a rule per segment (`_cutoff_rules`), each segment's
+offsets (`marked_points`) and the tuples (`_entries`); they are kept for
+inspection, and nothing else in the package calls them.
 """
 
 from __future__ import annotations
@@ -209,48 +208,42 @@ def tuples(diagram: ShiftedDiagram, sel: MarkedSelection) -> TupleData:
 
 
 def _padded(diagram: ShiftedDiagram, w: int, type1: bool) -> FlagDescriptor:
-    """The padded descriptor of `lf_a` (or of `lf_b` with ``type1``), in one loop.
+    """The padded descriptor of `lf_a` (or of `lf_b` with ``type1``), in one pass.
 
     Horizontal segment ``s`` takes rule 2 when ``s <= w`` and rule 1
     beyond; with ``type1`` the first one, ``s_2``, takes rule 3.  The marks
-    are read straight off the segment ends: a mark at distance ``x`` on a
-    segment that starts after ``lift`` vertical steps sits at horizontal
-    position ``x - lift``, and each mark after the first appends its gap
-    ``t`` back to the previous one and that one's ``e = d + 2 - t``.  A
-    bad cutoff, a missing ``s_2``, no marks and ``k = 0`` are rejected in
-    that order.
+    are read off the steps left to right: an ``H`` step's offset is its
+    place in its run, the ``k``-th run of ``H`` steps is segment ``2k``,
+    and a mark's horizontal position is the number of ``H`` steps before
+    it.  Each mark after the first appends its gap ``t`` back to the
+    previous one and that one's ``e = d + 2 - t``.  A bad cutoff, a
+    missing ``s_2``, no marks and ``k = 0`` are rejected in that order.
     """
-    ends = diagram.ends
     _require_cutoff(w)
-    count = len(ends)
-    if type1 and count < 2:
+    steps = diagram.steps
+    if type1 and LEFT not in steps:
         raise _no_s2(diagram)
     d, e, t = [], [], []  # d is padded, so a previous mark's e is d[-1] + 1 - gap
-    h = 0  # horizontal steps before the current segment
-    last = 0  # horizontal position of the previous mark
-    even_through = w - 1  # s = j + 1 takes rule 2 when s <= w, so when j <= w - 1
-    # segment s = j + 1 is horizontal for odd j and starts at ends[j - 1]
-    for j in range(1, count, 2):
-        start, end = ends[j - 1], ends[j]
-        if type1 and j == 1:
-            marks = (start, *range(start + 1, end, 2))
-        else:
-            marks = range(start, end, 2 if j <= even_through else 1)
-        lift = start - h
-        for x in marks:
+    s = o = h = last = 0  # segment, offset in it, H steps so far, position of the last mark
+    # an odd walk (last step V) closes with the frame size after its vertical tail:
+    # a mark one H step past the end, at offset 0, which every rule selects
+    for x, step in enumerate(steps + LEFT if steps.endswith(DOWN) else steps):
+        if step == DOWN:
+            o = 0
+            continue
+        if not o:  # the H run of segment s + 2 opens
+            s += 2
+            # the parity of the offsets past 0 that the rule leaves out, -1 for none
+            skip = 0 if type1 and s == 2 else 1 if s <= w else -1
+        if not o or o % 2 != skip:  # every rule selects offset 0
             if d:
-                gap = x - lift - last
+                gap = h - last
                 t.append(gap)
                 e.append(d[-1] + 1 - gap)
             d.append(x + 1)
-            last = x - lift
-        h = end - lift
-    if count % 2:  # the frame size closes an odd walk, after a vertical tail
-        if d:
-            gap = h - last
-            t.append(gap)
-            e.append(d[-1] + 1 - gap)
-        d.append(diagram.n + 1)
+            last = h
+        o += 1
+        h += 1
     if not d:
         raise _no_entries(diagram)
     if type1:

@@ -213,16 +213,24 @@ class PicElement(Record):
     """A formal line bundle as a finitely supported exponent vector.
 
     Construction adds up the exponents given for one generator and drops
-    the zero ones; it raises `DomainError` for a key that is not a
-    `Generator` or an exponent that is neither a plain ``int`` nor `Affine`.
+    the zero ones; it raises `DomainError` for ``exponents`` that is no
+    mapping or iterable of ``(generator, exponent)`` pairs, a key that is
+    not a `Generator` or an exponent that is neither a plain ``int`` nor `Affine`.
     """
 
     __slots__ = _fields = ("_items",)
 
     def __init__(self, exponents: Mapping[Generator, Exponent] | Iterable = ()):
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
+        try:
+            items = iter(exponents.items() if isinstance(exponents, Mapping) else exponents)
+        except TypeError:
+            raise DomainError(f"line bundle exponents must be pairs, got {exponents!r}") from None
         acc: dict[Generator, Exponent] = {}
-        for gen, exp in items:
+        for item in items:
+            try:
+                gen, exp = item
+            except (TypeError, ValueError):
+                raise DomainError(f"line bundle items must be pairs, got {item!r}") from None
             if not isinstance(gen, Generator):
                 raise DomainError(f"line bundle keys must be generators, got {gen!r}")
             if type(exp) is not int and not isinstance(exp, Affine):  # rejects bools too

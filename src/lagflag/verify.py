@@ -178,9 +178,9 @@ def _each_walk(problem):
     """
 
     def check(n: int) -> str:
-        for steps, ends, cls in diagrams.enumerate_diagrams(n).walks():
+        for steps, cls in diagrams.enumerate_diagrams(n).walks():
             try:
-                found = problem(diagrams._walked(n, steps, ends), cls)
+                found = problem(diagrams.ShiftedDiagram(n, steps), cls)
             except LagflagError as exc:
                 found = str(exc)
             if found:

@@ -317,9 +317,9 @@ def test_walks_match_boundary_and_classify(n):
     # classify shares the walk's class rule, so the scan oracle checks the class
     frame = enumerate_diagrams(n)
     walks = list(frame.walks())
-    assert [steps for steps, _, _ in walks] == [d.steps for d in frame]
-    for steps, ends, cls in walks:
-        assert ends == ShiftedDiagram(n, steps).ends
+    assert [steps for steps, _ in walks] == [d.steps for d in frame]
+    for steps, cls in walks:
+        assert cls == classify(ShiftedDiagram(n, steps))
         read = (cls.index_w, cls.is_almost_even, cls.is_k_even, cls.row_type)
         assert read == oracle_class(n, steps)
 

@@ -23,6 +23,7 @@ from lagflag import (
     ShiftedDiagram,
     Twist,
     boundary,
+    class_sets,
     classify,
     enumerate_diagrams,
     gw_summands,
@@ -315,8 +316,8 @@ def count_walk_reads(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_each_construction_reads_the_walk_once(monkeypatch, n):
-    # the constructions and the selection views read the diagram's ends,
-    # classify goes through boundary, and the walk is read once for them all
+    # the selection views read the diagram's ends and classify goes through
+    # boundary; the walk is read once for them all
     walk_reads = count_walk_reads(monkeypatch)
     marking_calls = count_boundary_calls(monkeypatch, marking)
     diagram_calls = count_boundary_calls(monkeypatch, diagrams)
@@ -351,14 +352,36 @@ def test_each_construction_reads_the_walk_once(monkeypatch, n):
         assert len(walk_reads) == 1 and walk_reads[0] is diagram
 
 
+CONSTRUCTIONS = {
+    "lf_a": lambda diagram: lf_a(diagram, diagram.n),
+    "lf_b": lambda diagram: lf_b(diagram, diagram.n),
+    "padded_scheme": lambda diagram: padded_scheme(diagram, diagram.n),
+    "lf_ktheory": lf_ktheory,
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_a_construction_leaves_the_diagram_without_ends(name):
+    # every construction reads the steps, so a fresh diagram never computes its ends
+    build = CONSTRUCTIONS[name]
+    for n in range(1, 7):
+        for diagram in enumerate_diagrams(n):
+            outcome(lambda: build(diagram))
+            assert "ends" not in vars(diagram), diagram.steps
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_the_basis_reads_no_walk_again(monkeypatch, n):
-    # the basis builds each diagram with the ends its frame walk read
+    # the bases and the families build each diagram from its walk's steps,
+    # and no summand's construction reads its ends
     walk_reads = count_walk_reads(monkeypatch)
-    list(k_summands(n))
+    summands = list(k_summands(n))
     for twist in Twist:
-        list(gw_summands(n, twist))
+        summands.extend(gw_summands(n, twist))
+    sets = class_sets(n)
     assert walk_reads == []
+    assert [s for s in summands if "ends" in vars(s.source_diagram)] == []
+    assert [d for d in sets.all_diagrams if "ends" in vars(d)] == []
 
 
 # --------------------------------------------------------------------------
@@ -418,18 +441,21 @@ def test_constructions_match_the_selection_views(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_constructions_given_the_ends_match_those_that_read_them(n):
-    # a diagram built from a walk keeps the ends the walk read; it must be the
-    # diagram that reads its own, in value and in every construction
-    for steps, ends, cls in enumerate_diagrams(n).walks():
-        walked, read = diagrams._walked(n, steps, ends), ShiftedDiagram(n, steps)
-        assert walked == read and hash(walked) == hash(read)
-        assert walked.ends == read.ends
+    # a construction gives the same descriptor or error on a diagram that holds
+    # its ends as on one that never computes them, and the oracle's, at the
+    # cuts the walk's class and the segment count give
+    for steps, cls in enumerate_diagrams(n).walks():
+        fresh, read = ShiftedDiagram(n, steps), ShiftedDiagram(n, steps)
+        assert cls == classify(read)
         assert cls.index_w == oracle_index(steps)
-        assert lf_ktheory(walked) == lf_ktheory(read)
-        for w in (0, cls.index_w, len(ends)):
-            assert padded_scheme(walked, w) == padded_scheme(read, w)
-            for build in (lf_a, lf_b):
-                assert outcome(lambda: build(walked, w)) == outcome(lambda: build(read, w))
+        assert lf_ktheory(fresh) == lf_ktheory(read)
+        for w in (0, cls.index_w, len(read.ends)):
+            assert padded_scheme(fresh, w) == padded_scheme(read, w)
+            for type1, build in ((False, lf_a), (True, lf_b)):
+                built = outcome(lambda: build(fresh, w))
+                assert built == outcome(lambda: build(read, w))
+                assert built == outcome(lambda: oracle_padded(read, w, type1))
+        assert "ends" not in vars(fresh)
 
 
 @settings(max_examples=300, deadline=None)

@@ -173,6 +173,26 @@ def test_pic_element_rejects_malformed_input(build):
             lambda: PicElement({delta(1): 3}).exponent("junk"),
             "line bundle keys must be generators, got 'junk'",
         ),
+        (
+            lambda: PicElement(None),
+            "line bundle exponents must be pairs, got None",
+        ),
+        (
+            lambda: PicElement(5),
+            "line bundle exponents must be pairs, got 5",
+        ),
+        (
+            lambda: PicElement("x"),
+            "line bundle items must be pairs, got 'x'",
+        ),
+        (
+            lambda: PicElement([1, "a"]),
+            "line bundle items must be pairs, got 1",
+        ),
+        (
+            lambda: PicElement([(1, 2, 3)]),
+            "line bundle items must be pairs, got (1, 2, 3)",
+        ),
     ],
     ids=[
         "bool-index",
@@ -187,6 +207,11 @@ def test_pic_element_rejects_malformed_input(build):
         "make",
         "tuple-key",
         "exponent-of-a-non-generator",
+        "none-exponents",
+        "int-exponents",
+        "str-exponents",
+        "int-item",
+        "triple-item",
     ],
 )
 def test_generators_are_checked_when_built(build, message):

@@ -9,6 +9,7 @@ cannot stop checking unseen.
 """
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -19,7 +20,7 @@ SUITE = dict(verify.SUITES)
 
 
 def _drop_last_at_16(real):
-    return lambda n: list(real(n))[:-1] if n == 16 else real(n)
+    return lambda n: islice(real(n), 2**16 - 1) if n == 16 else real(n)
 
 
 def _empty_segments_at_12(real):
@@ -31,7 +32,7 @@ def _empty_segments_at_12(real):
 def _repeat_a_walk_at_16(real):
     # parts 16 + 13 and 15 + 14 weigh the same, so the count and weights stay right
     walk, twin = (diagrams.ShiftedDiagram(16, s + "V" * 12) for s in ("VHHV", "HVVH"))
-    return lambda n: [walk if d == twin else d for d in real(n)] if n == 16 else real(n)
+    return lambda n: (walk if d == twin else d for d in real(n)) if n == 16 else real(n)
 
 
 def _flipped_segments_at_12(real):
