@@ -14,19 +14,21 @@ from a template, as ``json.dumps(..., indent=2)`` and ``csv.writer`` would
 (csv quotes only a ``basis`` scheme that holds a comma).  Every integer in
 those rows goes through the one memo `lagflag.text.text`: a few small
 integers recur hundreds of thousands of times, and a lookup costs less than
-half of ``str``.  The environment variable ``LAGFLAG_MAX_N`` overrides the
-frame-size bounds (default 16 for ``enumerate``, ``basis``, the diagram
-arguments of ``classify`` and ``scheme``, and for ``recursion`` and
-``witt``, which count without enumerating; 10 for ``verify``).  Each
-command checks its bound before any work; the library itself has no frame
-limit.
+half of ``str``.
 
 Each command has one entry in `COMMANDS`: its help line, the function
-that adds its arguments and its handler.  A process builds the top-level
-parser and only the subparser of the command its arguments start with,
-since argparse reads no other; with no command first (no arguments,
-``-h``, an unknown command) it builds them all, so that argparse can list
-them.  Either way argparse writes the same text.
+that adds its arguments, its handler and its frame-size bound.  The bound
+is 16 for ``enumerate``, ``basis`` and the diagram arguments of
+``classify`` and ``scheme``, 10 for ``verify``'s ``--max-n``, and 200 for
+``recursion`` and 225 for ``witt``, which count without enumerating;
+``canonical`` and ``classify-connecting`` take no frame.  The environment
+variable ``LAGFLAG_MAX_N``, a non-negative integer, overrides every bound.
+Each command checks its bound before any work; the library itself has no
+frame limit.  A process builds the top-level parser and only the subparser
+of the command its arguments start with, since argparse reads no other;
+with no command first (no arguments, ``-h``, an unknown command) it builds
+them all, so that argparse can list them.  Either way argparse writes the
+same text.
 
 A process enters through `run`, which exits with the code `main` returns
 and freezes the collector (``gc.freeze()``) on the way out, also when
@@ -55,18 +57,20 @@ from .errors import DescriptorError, DomainError, LagflagError
 from .text import text
 from .verify import SUITES
 
-ENUMERATE_BOUND = 16
-VERIFY_BOUND = 10
 
-
-def _bound(default: int) -> int:
+def _bound(command: str) -> int:
+    """The largest frame ``command`` takes: ``LAGFLAG_MAX_N``, else its `COMMANDS` entry."""
     raw = os.environ.get("LAGFLAG_MAX_N")
     if raw is None:
+        *_, default = COMMANDS[command]
         return default
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
         raise DomainError(f"LAGFLAG_MAX_N must be an integer, got {raw!r}") from None
+    if bound < 0:
+        raise DomainError(f"LAGFLAG_MAX_N must be at least 0, got {bound}")
+    return bound
 
 
 def _emit_json(payload, out) -> None:
@@ -117,16 +121,16 @@ def _parse_half_rank(raw: str) -> int:
         raise DomainError(f"--half-rank must be an integer, got {raw!r}") from None
 
 
-def _check_frame(n: int) -> None:
-    bound = _bound(ENUMERATE_BOUND)
+def _check_frame(n: int, command: str) -> None:
+    bound = _bound(command)
     if n > bound:
         raise DomainError(
             f"frame size {n} is above the bound {bound} (LAGFLAG_MAX_N raises it)"
         )
 
 
-def _parse_diagram(steps: str) -> diag_mod.ShiftedDiagram:
-    _check_frame(len(steps))
+def _parse_diagram(steps: str, command: str) -> diag_mod.ShiftedDiagram:
+    _check_frame(len(steps), command)
     return diag_mod.ShiftedDiagram(len(steps), steps.upper())
 
 
@@ -149,7 +153,7 @@ def _diagram_json(d) -> str:
 
 def _cmd_enumerate(args, out) -> int:
     """Write each diagram as soon as it is built."""
-    _check_frame(args.n)
+    _check_frame(args.n, args.command)
     diagrams = diag_mod.enumerate_diagrams(args.n)
     if args.format == "json":
         out.write("[")
@@ -172,7 +176,7 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    diagram = _parse_diagram(args.diagram)
+    diagram = _parse_diagram(args.diagram, args.command)
     b = diag_mod.boundary(diagram)
     cls = diag_mod.classify(diagram)
     if args.format == "json":
@@ -220,7 +224,7 @@ def _scheme_from_args(args) -> flags_mod.FlagDescriptor:
         construction = args.construction or "ktheory"
         if args.w is not None and construction == "ktheory":
             raise DomainError("--w applies only to --construction a or b")
-        diagram = _parse_diagram(args.diagram)
+        diagram = _parse_diagram(args.diagram, args.command)
         if construction == "ktheory":
             return marking_mod.lf_ktheory(diagram)
         build = marking_mod.lf_a if construction == "a" else marking_mod.lf_b
@@ -333,7 +337,7 @@ def _summand_json(s) -> str:
 
 def _cmd_basis(args, out) -> int:
     """Write each summand as soon as it is built; errors come before any output."""
-    _check_frame(args.n)
+    _check_frame(args.n, args.command)
     if args.theory == "k":
         if args.twist is not None:
             raise DomainError("--twist applies to the Hermitian basis only, not to --theory k")
@@ -385,7 +389,7 @@ def _cmd_basis(args, out) -> int:
 
 
 def _cmd_recursion(args, out) -> int:
-    _check_frame(args.n)
+    _check_frame(args.n, args.command)
     report = basis_mod.verify_recursions(args.n)
     if args.format == "json":
         _emit_json(report.to_json(), out)
@@ -399,7 +403,7 @@ def _cmd_recursion(args, out) -> int:
 
 
 def _cmd_witt(args, out) -> int:
-    _check_frame(args.n)
+    _check_frame(args.n, args.command)
     table = basis_mod.witt_table(args.n, pic_mod.Twist(args.twist))
     if args.format == "json":
         _emit_json(table.to_json(), out)
@@ -421,7 +425,7 @@ def _cmd_classify_connecting(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    bound = _bound(VERIFY_BOUND)
+    bound = _bound(args.command)
     max_n = args.max_n if args.max_n is not None else bound
     if max_n > bound:
         raise DomainError(f"--max-n {max_n} is above the configured bound {bound}")
@@ -529,28 +533,39 @@ def _classify_connecting_arguments(p) -> None:
 
 
 #: Each command's help line, the function that adds its arguments to its
-#: parser, and its handler, in the order ``lagflag -h`` lists them.
+#: parser, its handler and the largest frame it takes by default (``None``
+#: for a command that takes no frame), in the order ``lagflag -h`` lists
+#: them.  ``recursion`` and ``witt`` count without enumerating, so they
+#: reach far larger frames than the commands that build each diagram.
 COMMANDS = {
-    "enumerate": ("list all diagrams of a frame", _enumerate_arguments, _cmd_enumerate),
-    "classify": ("boundary and class data of one diagram", _classify_arguments, _cmd_classify),
+    "enumerate": ("list all diagrams of a frame", _enumerate_arguments, _cmd_enumerate, 16),
+    "classify": (
+        "boundary and class data of one diagram",
+        _classify_arguments,
+        _cmd_classify,
+        16,
+    ),
     "scheme": (
         "validate and report on a flag-scheme descriptor",
         _scheme_arguments,
         _cmd_scheme,
+        16,
     ),
-    "canonical": ("canonical-sheaf exponent table", _canonical_arguments, _cmd_canonical),
-    "basis": ("additive basis decomposition of a frame", _basis_arguments, _cmd_basis),
+    "canonical": ("canonical-sheaf exponent table", _canonical_arguments, _cmd_canonical, None),
+    "basis": ("additive basis decomposition of a frame", _basis_arguments, _cmd_basis, 16),
     "recursion": (
         "check the decomposition recursions of a frame",
         _recursion_arguments,
         _cmd_recursion,
+        200,
     ),
-    "verify": ("run every verification suite", _verify_arguments, _cmd_verify),
-    "witt": ("GW-atom counts folded mod 4", _witt_arguments, _cmd_witt),
+    "verify": ("run every verification suite", _verify_arguments, _cmd_verify, 10),
+    "witt": ("GW-atom counts folded mod 4", _witt_arguments, _cmd_witt, 225),
     "classify-connecting": (
         "two-step blow-up connecting-homomorphism case",
         _classify_connecting_arguments,
         _cmd_classify_connecting,
+        None,
     ),
 }
 
@@ -574,7 +589,7 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
         names, metavar = COMMANDS, None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_line, add_arguments, handler = COMMANDS[name]
+        help_line, add_arguments, handler, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
         add_arguments(p)
         p.set_defaults(func=handler)

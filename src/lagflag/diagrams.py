@@ -193,6 +193,13 @@ class Boundary(Record):
 
     __slots__ = _fields = ("ends",)
 
+    def __init__(self, ends: tuple[int, ...]):
+        # the container only: `boundary` builds one per call, and a check of
+        # each end would cost several times the construction
+        if type(ends) is not tuple:
+            raise DomainError(f"segment ends must be a tuple, got {ends!r:.60}")
+        self._store(ends)
+
     @property
     def segment_count(self) -> int:
         return len(self.ends)
@@ -230,6 +237,18 @@ class DiagramClass(Record):
     """
 
     __slots__ = _fields = ("index_w", "is_almost_even", "is_k_even", "row_type")
+
+    def __init__(self, index_w: int, is_almost_even: bool, is_k_even: bool, row_type: RowType):
+        if type(index_w) is not int or index_w < 1:
+            raise DomainError(f"index_w must be an integer at least 1, got {index_w!r}")
+        if type(is_almost_even) is not bool or type(is_k_even) is not bool:
+            raise DomainError(
+                f"is_almost_even and is_k_even must be bools, got {is_almost_even!r}"
+                f" and {is_k_even!r}"
+            )
+        if type(row_type) is not RowType:
+            raise DomainError(f"row_type must be a RowType, got {row_type!r}")
+        self._store(index_w, is_almost_even, is_k_even, row_type)
 
     def to_json(self) -> dict:
         return {

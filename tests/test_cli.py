@@ -639,15 +639,41 @@ def test_verify_max_n_above_its_bound_is_a_usage_error(capsys, monkeypatch):
     )
 
 
-@pytest.mark.parametrize(
-    "argv", [["recursion", "-n", "17"], ["witt", "-n", "17"], ["basis", "-n", "17"]]
-)
+@pytest.mark.parametrize("argv", [["recursion"], ["witt"], ["basis"]])
 def test_counting_commands_check_the_bound_first(capsys, monkeypatch, argv):
     monkeypatch.delenv("LAGFLAG_MAX_N", raising=False)
-    code, out, err = run(capsys, argv)
+    *_, bound = cli.COMMANDS[argv[0]]
+    code, out, err = run(capsys, [*argv, "-n", str(bound + 1)])
     assert code == 2
     assert out == ""
-    assert err.startswith("lagflag: error: frame size 17 is above the bound 16")
+    assert err.startswith(f"lagflag: error: frame size {bound + 1} is above the bound {bound}")
+
+
+#: The argument that takes a frame, for each command that takes one.
+FRAME_ARGUMENTS = {
+    "enumerate": "-n",
+    "classify": "diagram",
+    "scheme": "--diagram",
+    "basis": "-n",
+    "recursion": "-n",
+    "verify": "--max-n",
+    "witt": "-n",
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_exactly_the_commands_that_take_a_frame_have_a_bound(command):
+    _, add_arguments, _, bound = cli.COMMANDS[command]
+    parser = cli._Parser()
+    add_arguments(parser)
+    names = {name for action in parser._actions for name in action.option_strings or [action.dest]}
+    assert (bound is not None) == (command in FRAME_ARGUMENTS)
+    if bound is None:
+        # scheme's -n is the half rank of --name, so it is no frame argument there
+        assert not names & {"-n", "--max-n", "diagram", "--diagram"}
+    else:
+        assert type(bound) is int
+        assert FRAME_ARGUMENTS[command] in names
 
 
 HERMITIAN_BELOW_ONE = "lagflag: error: the Hermitian decomposition needs frame size >= 1, got {}\n"
@@ -665,8 +691,12 @@ ABOVE_FIVE = "lagflag: error: frame size 6 is above the bound 5 (LAGFLAG_MAX_N r
         ("5", ["-n", "6"], ABOVE_FIVE),
         ("5", ["-n", "6", "--theory", "k"], ABOVE_FIVE),
         ("x", ["-n", "3"], "lagflag: error: LAGFLAG_MAX_N must be an integer, got 'x'\n"),
+        ("-5", ["-n", "0"], "lagflag: error: LAGFLAG_MAX_N must be at least 0, got -5\n"),
     ],
-    ids=["O-0", "Delta-0", "O-minus-2", "k-minus-1", "O-above-bound", "k-above-bound", "bad-bound"],
+    ids=[
+        "O-0", "Delta-0", "O-minus-2", "k-minus-1", "O-above-bound", "k-above-bound", "bad-bound",
+        "negative-bound",
+    ],
 )
 def test_basis_errors_print_nothing_on_stdout(capsys, monkeypatch, bound, argv, message, fmt):
     # basis streams its summands, so the frame must be checked before the

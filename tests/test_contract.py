@@ -7,6 +7,9 @@ import pytest
 
 import lagflag
 from lagflag import (
+    Boundary,
+    DiagramClass,
+    DomainError,
     Kind,
     LagflagError,
     MapLabel,
@@ -142,3 +145,38 @@ def test_junk_in_a_plain_parameter_raises_only_lagflag_errors(name):
             except Exception as exc:  # any other escape is what this test looks for
                 escaped.append(f"argument {position} = {junk!r}: {type(exc).__name__}: {exc}")
     assert escaped == []
+
+
+ROW = RowType.FULL_TOP_ROW
+
+
+@pytest.mark.parametrize(
+    "record, args",
+    [
+        (Boundary, ("x",)),
+        (Boundary, (None,)),
+        (Boundary, ([0, 2],)),
+        (DiagramClass, (None, True, True, ROW)),
+        (DiagramClass, (0, True, True, ROW)),
+        (DiagramClass, (True, True, True, ROW)),
+        (DiagramClass, (1.0, True, True, ROW)),
+        (DiagramClass, (1, 1, True, ROW)),
+        (DiagramClass, (1, True, None, ROW)),
+        (DiagramClass, (1, True, True, "x")),
+        (DiagramClass, (1, True, True, "FullTopRow")),
+    ],
+    ids=[
+        "Boundary-str", "Boundary-None", "Boundary-list",
+        "DiagramClass-index-None", "DiagramClass-index-0", "DiagramClass-index-bool",
+        "DiagramClass-index-float", "DiagramClass-almost-even-int", "DiagramClass-k-even-None",
+        "DiagramClass-row-str", "DiagramClass-row-value",
+    ],
+)
+def test_boundary_and_diagram_class_refuse_junk_when_built(record, args):
+    """Junk fails where the record is built, not later where a property reads it.
+
+    `Boundary` checks only that its ends are a tuple: `boundary` builds one
+    per call, and a check of each end would cost more than the construction.
+    """
+    with pytest.raises(DomainError):
+        record(*args)
