@@ -14,13 +14,17 @@ them, so no summand's diagram computes its segment ends.  `_summand_role`
 is the one rule for which summand a diagram's class yields.  It gives the
 atoms two ways: `walk_atoms` reads them off the enumerated walks, and
 `gw_atoms` folds the per-class weight tables of `counting.class_weights`
-(`_counted`), which enumerates nothing.
+(`_counted`), which enumerates nothing.  Each summand stream is its
+``V…`` half followed by its ``H…`` half (`_k_halves`, `_gw_halves`), two
+streams over one frame that can be read in either order, or in two
+processes, as the CLI's ``basis`` does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import chain
 from math import comb
 from typing import Iterator
 
@@ -28,6 +32,7 @@ from . import counting
 # boundary is unused here; perfbench/test_harness.py asserts that this module binds it
 from .diagrams import (  # noqa: F401
     DOWN,
+    LEFT,
     RowType,
     ShiftedDiagram,
     _require_frame_size,
@@ -94,13 +99,25 @@ def k_summands(n: int) -> Iterator[Summand]:
 
     ``n`` is checked on the call, before the first summand is asked for.
     """
+    return chain(*_k_halves(n))
+
+
+def _k_halves(n: int) -> tuple[Iterator[Summand], Iterator[Summand]]:
+    """`k_summands` split into the summands of ``V…`` and of ``H…`` walks.
+
+    Both halves read one `enumerate_diagrams` call, and either can be read
+    first.  Frame 0's one summand has the empty walk: it leads, and the
+    second half is empty.
+    """
     _require_frame_size(n)
     if n == 0:
         # Base of the recursion: the Grassmannian of the empty frame is the
         # base itself, carried by the k = 0 descriptor at half rank 0.
         scheme = FlagDescriptor(0, (0,), (), ())
-        return iter((Summand(Kind.K, ShiftedDiagram(0, ""), scheme, MapLabel.PHI, None, None),))
-    return _k_stream(enumerate_diagrams(n))
+        base = Summand(Kind.K, ShiftedDiagram(0, ""), scheme, MapLabel.PHI, None, None)
+        return iter((base,)), iter(())
+    frame = enumerate_diagrams(n)
+    return _k_stream(frame.half(DOWN)), _k_stream(frame.half(LEFT))
 
 
 def _k_stream(frame) -> Iterator[Summand]:
@@ -139,7 +156,17 @@ def gw_summands(n: int, twist: Twist) -> Iterator[Summand]:
 
     ``n`` is checked on the call, before the first summand is asked for.
     """
-    return _gw_stream(_gw_walks(n, twist))
+    return chain(*_gw_halves(n, twist))
+
+
+def _gw_halves(n: int, twist: Twist) -> tuple[Iterator[Summand], Iterator[Summand]]:
+    """`gw_summands` split into the summands of ``V…`` and of ``H…`` walks.
+
+    Both halves read one `enumerate_diagrams` call, and either can be read
+    first; either may be empty.
+    """
+    first, second = _gw_walk_halves(n, twist)
+    return _gw_stream(first), _gw_stream(second)
 
 
 def _gw_walks(n: int, twist: Twist) -> Iterator[tuple]:
@@ -149,12 +176,21 @@ def _gw_walks(n: int, twist: Twist) -> Iterator[tuple]:
     shift is its diagram's weight; a K atom has none.  ``n`` is checked on
     the call.
     """
+    return chain(*_gw_walk_halves(n, twist))
+
+
+def _gw_walk_halves(n: int, twist: Twist) -> tuple[Iterator[tuple], Iterator[tuple]]:
+    """`_gw_walks` split into its ``V…`` and ``H…`` walks, from one frame."""
     _require_frame_size(n, 1, "the Hermitian decomposition needs")
-    return _role_stream(enumerate_diagrams(n), n % 2 == 0, _member(Twist, twist))
+    frame, even_frame, twist = enumerate_diagrams(n), n % 2 == 0, _member(Twist, twist)
+    return (
+        _role_stream(frame, even_frame, twist, DOWN),
+        _role_stream(frame, even_frame, twist, LEFT),
+    )
 
 
-def _role_stream(frame, even_frame: bool, twist: Twist) -> Iterator[tuple]:
-    """Each class's role is decided once, on its first walk.
+def _role_stream(frame, even_frame: bool, twist: Twist, first: str) -> Iterator[tuple]:
+    """The walks of one half; each class's role is decided once, on its first walk.
 
     The walk shares one `DiagramClass` among the walks of a class and keeps
     it while it runs, so a class's ``id`` names it for the whole stream.
@@ -164,7 +200,7 @@ def _role_stream(frame, even_frame: bool, twist: Twist) -> Iterator[tuple]:
     n = frame.n
     full_top_row, gw = RowType.FULL_TOP_ROW, Kind.GW
     roles: dict[int, tuple[Kind, MapLabel] | None] = {}
-    for steps, cls in frame._walks(True):
+    for steps, cls in frame._walks(True, first):
         try:
             role = roles[id(cls)]
         except KeyError:

@@ -3,8 +3,9 @@ basis generation, and ``verify``, which runs the suites of `lagflag.verify`.
 
 Every command writes deterministic output; identical invocations produce
 byte-identical text.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 141 when the reader closes stdout early (the status a shell reports
-for a SIGPIPE death; nothing is written on stderr).  ``verify`` flushes each
+error (or a failed ``basis`` worker, below), 141 when the reader closes
+stdout early (the status a shell reports for a SIGPIPE death; nothing is
+written on stderr).  ``verify`` flushes each
 suite's line as that suite ends, so its verdicts leave one by one through a
 pipe too, a run cut short keeps those it reached, and a reader that closes
 the pipe ends the run at the next suite's line.  The other commands leave
@@ -14,7 +15,33 @@ from a template, as ``json.dumps(..., indent=2)`` and ``csv.writer`` would
 (csv quotes only a ``basis`` scheme that holds a comma).  Every integer in
 those rows goes through the one memo `lagflag.text.text`: a few small
 integers recur hundreds of thousands of times, and a lookup costs less than
-half of ``str``.
+half of ``str``.  The other JSON outputs go through `_emit_json`, which
+writes ``json.JSONEncoder(indent=2)``'s chunks as they come and never
+holds the whole text.
+
+A ``basis`` process splits its frame by the walk's first step.  The frame
+runs lexicographically with ``V`` before ``H``, and each summand stream
+keeps the frame's order, so the rows of the ``V…`` walks come before every
+row of the ``H…`` walks: the output is the header, the ``V…`` half, the
+``H…`` half and the tail.  From frame 10 (`_WORKER_FROM`), when stdout
+has a file descriptor and ``os.sched_getaffinity`` offers two CPUs or
+more, the process writes and flushes its header, then forks one worker.
+The worker writes the ``H…`` half's rows into an unnamed temporary file,
+made with ``O_TMPFILE`` in ``$TMPDIR`` or ``/tmp``: a file, so the half
+does not sit in memory as it would in a ``memfd`` (unless that directory
+is a tmpfs), and gone once its descriptors close.  It never
+writes to the stdout it inherits, and it ends with ``os._exit``.  The
+parent writes the ``V…`` half meanwhile, reaps the worker, and appends the
+file with ``os.sendfile`` after the separator due, then writes the tail.
+Every exit of the parent reaps the worker, killing it first unless it has
+ended: a return, a library error, a closed pipe or an interrupt.  A worker
+that fails exits non-zero, and the parent then writes none of its half and
+exits 2 with one ``lagflag: error:`` line naming the cause.  Below frame
+10, into a stream with no descriptor, on one CPU, or where the file or the
+fork cannot be made, the process writes both halves itself.  The row
+writers are the same either way, so the bytes are too; only the producer
+of the ``H…`` half differs.  Each row still builds and validates its
+scheme once, in whichever process writes it.
 
 Each command has one entry in `COMMANDS`: its help line, the function
 that adds its arguments, its handler and its frame-size bound.  The bound
@@ -43,6 +70,7 @@ it many times in one process, and the collector never frees a frozen cycle.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -74,8 +102,14 @@ def _bound(command: str) -> int:
 
 
 def _emit_json(payload, out) -> None:
+    """Write ``payload`` as ``print(json.dumps(payload, indent=2))`` would, chunk by chunk.
+
+    The whole text is never built: a ``recursion`` report runs to megabytes.
+    """
     import json  # here, not at the top: basis and enumerate write their rows by hand
-    print(json.dumps(payload, indent=2), file=out)
+
+    out.writelines(json.JSONEncoder(indent=2).iterencode(payload))
+    out.write("\n")
 
 
 def _json_list_at(indent: int):
@@ -93,16 +127,17 @@ _scheme_list = _json_list_at(8)  # d, e and t in a summand
 _parts_list = _json_list_at(4)  # the parts of a diagram
 
 
-def _write_json_items(items, indent: str, out) -> None:
-    """Write the items of a JSON list whose ``[`` is already out, then its ``]``.
+def _write_rows(rows, out, sep: str, next_sep: str) -> str:
+    """Write the first row after ``sep`` and each later one after ``next_sep``.
 
-    The list ends at ``indent``, as ``json.dumps(..., indent=2)`` would close it.
+    Returns the separator due next: ``next_sep``, or ``sep`` when there
+    was no row.  A JSON list's items take ``"\\n"`` then ``",\\n"``; CSV
+    and text rows end their own lines and take ``""``.
     """
-    sep = "\n"
-    for item in items:
-        out.write(sep + item)
-        sep = ",\n"
-    out.write("]" if sep == "\n" else f"\n{indent}]")
+    for row in rows:
+        out.write(sep + row)
+        sep = next_sep
+    return sep
 
 
 def _parse_int_tuple(raw: str | None) -> tuple[int, ...]:
@@ -157,8 +192,8 @@ def _cmd_enumerate(args, out) -> int:
     diagrams = diag_mod.enumerate_diagrams(args.n)
     if args.format == "json":
         out.write("[")
-        _write_json_items(map(_diagram_json, diagrams), "", out)
-        out.write("\n")
+        sep = _write_rows(map(_diagram_json, diagrams), out, "\n", ",\n")
+        out.write("]\n" if sep == "\n" else "\n]\n")  # as json.dumps(..., indent=2) closes it
     elif args.format == "csv":
         out.write("n,steps,parts,weight\n")
         for d in diagrams:
@@ -335,57 +370,195 @@ def _summand_json(s) -> str:
     )
 
 
+_GW = basis_mod.Kind.GW  # read once: each enum member read is a hook call
+
+
+def _summand_csv(s) -> str:
+    """A summand's row as ``csv.writer(lineterminator="\\n")`` writes it."""
+    kind = s.kind
+    dim, components = flags_mod.dimension_and_components(s.scheme)
+    scheme = str(s.scheme)
+    if "," in scheme:  # the one field that needs csv's minimal quoting
+        scheme = f'"{scheme}"'
+    return (
+        f"{s.source_diagram.steps},{kind._value_},"
+        f"{'' if s.shift is None else text(s.shift)},{s.map_label._value_},"
+        f"{scheme},{text(dim)},{text(components)},"
+        f"{_parity_flag(s) if kind is _GW else ''}\n"
+    )
+
+
+def _text_row(n: int):
+    """How the text form of a frame-``n`` basis prints a summand."""
+    width = max(n, 1)
+
+    def row(s) -> str:
+        shift = "" if s.shift is None else f" shift={text(s.shift)}"
+        twist_note = "" if s.base_twist is None else f" base_twist=V{text(s.base_twist)}"
+        return (
+            f"  {s.source_diagram.steps or '-':<{width}} "
+            f"{s.kind._value_:<2} {s.map_label._value_:<4}{shift}{twist_note}  {s.scheme}\n"
+        )
+
+    return row
+
+
 def _cmd_basis(args, out) -> int:
     """Write each summand as soon as it is built; errors come before any output."""
-    _check_frame(args.n, args.command)
+    n = args.n
+    _check_frame(n, args.command)
     if args.theory == "k":
         if args.twist is not None:
             raise DomainError("--twist applies to the Hermitian basis only, not to --theory k")
         theory, twist = basis_mod.Kind.K, pic_mod.Twist.TRIVIAL
-        summands = basis_mod.k_summands(args.n)
+        halves = basis_mod._k_halves(n)
     else:
         theory, twist = basis_mod.Kind.GW, pic_mod.Twist(args.twist or "O")
-        summands = basis_mod.gw_summands(args.n, twist)
+        halves = basis_mod._gw_halves(n, twist)
+    sep = next_sep = ""  # what goes before the first row and before each later one
     if args.format == "json":
         out.write(
-            f'{{\n  "n": {text(args.n)},\n  "twist": "{twist.value}",\n'
+            f'{{\n  "n": {text(n)},\n  "twist": "{twist.value}",\n'
             f'  "theory": "{theory.value}",\n  "summands": ['
         )
-        _write_json_items(map(_summand_json, summands), "  ", out)
-        out.write("\n}\n")
+        row, sep, next_sep = _summand_json, "\n", ",\n"
     elif args.format == "csv":
         out.write("diagram,kind,shift,map,scheme,dim,components,parity_ok\n")
-        gw = basis_mod.Kind.GW  # read once: each enum member read is a hook call
-        for s in summands:
-            kind = s.kind
-            dim, components = flags_mod.dimension_and_components(s.scheme)
-            scheme = str(s.scheme)
-            if "," in scheme:  # the one field that needs csv's minimal quoting
-                scheme = f'"{scheme}"'
-            out.write(
-                f"{s.source_diagram.steps},{kind._value_},"
-                f"{'' if s.shift is None else text(s.shift)},{s.map_label._value_},"
-                f"{scheme},{text(dim)},{text(components)},"
-                f"{_parity_flag(s) if kind is gw else ''}\n"
-            )
+        row = _summand_csv
     else:
         if theory is basis_mod.Kind.K:
-            count = 2**args.n
+            count = 2**n
         else:
-            count = sum(basis_mod.gw_atoms(args.n, twist).values())
-        print(
-            f"{theory.value}-basis n={args.n} twist={twist.value} summands={count}",
-            file=out,
-        )
-        for s in summands:
-            shift = "" if s.shift is None else f" shift={text(s.shift)}"
-            twist_note = "" if s.base_twist is None else f" base_twist=V{text(s.base_twist)}"
-            print(
-                f"  {s.source_diagram.steps or '-':<{max(args.n, 1)}} "
-                f"{s.kind._value_:<2} {s.map_label._value_:<4}{shift}{twist_note}  {s.scheme}",
-                file=out,
-            )
+            count = sum(basis_mod.gw_atoms(n, twist).values())
+        out.write(f"{theory.value}-basis n={n} twist={twist.value} summands={count}\n")
+        row = _text_row(n)
+    first, second = (map(row, half) for half in halves)
+    sep = _write_halves(first, second, out, sep, next_sep, n)
+    if args.format == "json":
+        out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")  # as json.dumps(..., indent=2)
     return 0
+
+
+#: The smallest frame whose ``H…`` half a forked worker writes, where
+#: another CPU is free; below it the fork costs more than the half.
+_WORKER_FROM = 10
+
+
+def _write_halves(first, second, out, sep: str, next_sep: str, n: int) -> str:
+    """Write the rows of both halves of a basis in order; return the separator due next.
+
+    ``second`` goes to a worker when `_fork_writer` starts one.  This
+    process writes ``first`` meanwhile, reaps the worker, and appends the
+    worker's file after the separator due.  However it leaves, it reaps
+    the worker first, killing it unless it has ended.
+    """
+    worker = _fork_writer(second, out, next_sep) if n >= _WORKER_FROM else None
+    if worker is None:
+        return _write_rows(second, out, _write_rows(first, out, sep, next_sep), next_sep)
+    pid, spill = worker
+    try:
+        status = None
+        try:
+            sep = _write_rows(first, out, sep, next_sep)
+            _, status = os.waitpid(pid, 0)
+        finally:
+            if status is None:  # a closed pipe, a library error or an interrupt
+                import signal  # here, not at the top: its import costs about 2 ms
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if status:
+            raise LagflagError(f"the worker writing the H half failed: {_failure(spill, status)}")
+        size = os.fstat(spill).st_size
+        if size:
+            out.write(sep)
+            out.flush()
+            _append_file(spill, size, out.fileno())
+            sep = next_sep
+        return sep
+    finally:
+        os.close(spill)
+
+
+def _fork_writer(rows, out, next_sep: str) -> tuple[int, int] | None:
+    """Fork a worker that writes ``rows`` into an unnamed temporary file.
+
+    Returns the worker's pid and the file's descriptor.  Returns None, and
+    starts nothing, when ``out`` has no file descriptor, this process may
+    run on one CPU only, or the file or the fork cannot be made.  The file
+    is made with ``O_TMPFILE`` in ``$TMPDIR`` or ``/tmp``: it has no name,
+    so it goes when its last descriptor closes.  ``out`` is flushed before
+    the file is made, so the worker inherits nothing to write.
+    """
+    try:
+        out.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream in memory
+        return None
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    out.flush()
+    try:
+        spill = os.open(os.environ.get("TMPDIR") or "/tmp", os.O_TMPFILE | os.O_RDWR, 0o600)
+    except (AttributeError, OSError):  # no O_TMPFILE here, or none on that file system
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(spill)
+        return None
+    if pid == 0:
+        _spill_rows(rows, spill, out, next_sep)
+    return pid, spill
+
+
+def _spill_rows(rows, spill: int, out, next_sep: str) -> NoReturn:
+    """The worker: write ``rows`` into ``spill`` as ``out`` would, the first bare, and exit.
+
+    It never returns, so no exception reaches its caller's frames, and it
+    never writes to ``out``.  On an error it leaves the error's text in
+    place of the rows and exits 1; it exits 2 when it could not, or on an
+    interrupt.
+    """
+    code = 2
+    try:
+        try:
+            with open(
+                spill, "w", 1 << 16, out.encoding, out.errors, closefd=False
+            ) as writer:
+                _write_rows(rows, writer, "", next_sep)
+            code = 0
+        except Exception as exc:
+            os.ftruncate(spill, 0)
+            os.pwrite(spill, (str(exc) or type(exc).__name__).encode(errors="replace"), 0)
+            code = 1
+    finally:
+        os._exit(code)
+
+
+def _failure(spill: int, status: int) -> str:
+    """What ended a worker that exited with the wait status ``status``."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 1:
+        return os.pread(spill, 1 << 12, 0).decode(errors="replace")
+    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+
+
+def _append_file(src: int, size: int, dest: int) -> None:
+    """Append the first ``size`` bytes of file ``src`` to ``dest``.
+
+    Through ``os.sendfile``, which copies in the kernel, unless ``dest``
+    refuses it (``EINVAL``, e.g. a file opened for appending); then through
+    reads and writes.
+    """
+    offset = 0
+    try:
+        while offset < size:
+            offset += os.sendfile(dest, src, offset, size - offset)
+    except OSError as exc:
+        if exc.errno != errno.EINVAL:
+            raise
+    while offset < size:
+        offset += os.write(dest, os.pread(src, min(size - offset, 1 << 20), offset))
 
 
 def _cmd_recursion(args, out) -> int:

@@ -18,7 +18,10 @@ with a horizontal step, so that the alternation always starts vertically.
 
 A `Frame` holds no diagram: it builds each one as iteration reaches it, and
 `Frame.walks` yields each walk's steps and class ``(steps, cls)`` without
-one.  The scheme constructions read a diagram's steps; `boundary`,
+one.  Every walk that starts with ``V`` comes before every walk that starts
+with ``H``, so a frame is its two halves in turn: `Frame.half` iterates
+one, and the walk can run on one (the basis streams, which the CLI writes
+half by half).  The scheme constructions read a diagram's steps; `boundary`,
 `classify` and the selection views read its segment ends, which it
 computes at most once.  `_walk_class` is the one home of the class rule,
 which `classify` and the walk share, and `_require_frame_size` the
@@ -127,6 +130,18 @@ class Frame(Record):
         walks = map("".join, product((DOWN, LEFT), repeat=self.n))
         return map(ShiftedDiagram, repeat(self.n), walks)
 
+    def half(self, first: str) -> Iterator[ShiftedDiagram]:
+        """The diagrams whose walk starts with ``first``, in frame order.
+
+        Every ``V`` walk comes before every ``H`` walk, so the frame is its
+        ``V`` half followed by its ``H`` half.  Frame 0 has no halves.
+        """
+        _require_frame_size(self.n, 1, "a half of a frame needs")
+        if first not in (DOWN, LEFT):
+            raise DomainError(f"a half starts with 'V' or 'H', got {first!r}")
+        walks = map("".join, product(first, *repeat((DOWN, LEFT), self.n - 1)))
+        return map(ShiftedDiagram, repeat(self.n), walks)
+
     def walks(self) -> Iterator[tuple[str, DiagramClass]]:
         """``(steps, cls)`` of every walk, in frame order, building no diagram.
 
@@ -140,19 +155,25 @@ class Frame(Record):
         _require_frame_size(self.n, 1, "classification needs")
         return self._walks(False)
 
-    def _walks(self, cut_odd: bool) -> Iterator[tuple[str, DiagramClass]]:
+    def _walks(
+        self, cut_odd: bool, first: str | None = None
+    ) -> Iterator[tuple[str, DiagramClass]]:
         """`walks`, or with ``cut_odd`` only those that fix no odd index at a turn.
 
         A walk that does ends with more segments than its index, so it is
         neither almost even nor K-even, and the basis gives it no summand
-        under either twist.  The cut drops its whole subtree unwalked.
+        under either twist.  The cut drops its whole subtree unwalked.  With
+        ``first``, only the walks of that half (see `half`).
         """
         n = self.n
         holds = [is_index_end(i, n) for i in range(n)]
         # (first step, index, segment count) -> the class those walks share
         classes: dict[tuple[str, int, int], DiagramClass] = {}
-        # (steps, closed segments, current step, index or 0 while unfound)
-        stack = [("", 0, DOWN, 0)]
+        # (steps, closed segments, current step, index or 0 while unfound); the
+        # walk opens with a vertical segment, which a first H step closes empty,
+        # and no first step fixes the index, since it ends no segment past 0
+        starts = {DOWN: (DOWN, 0, DOWN, 0), LEFT: (LEFT, 1, LEFT, 0)}
+        stack = [starts[LEFT], starts[DOWN]] if first is None else [starts[first]]
         while stack:
             steps, closed, run, index = stack.pop()
             i = len(steps)

@@ -14,6 +14,7 @@ from lagflag import (
     Kind,
     MapLabel,
     ShiftedDiagram,
+    Summand,
     Twist,
     WittTable,
     atom_multiset,
@@ -26,6 +27,7 @@ from lagflag import (
     k_basis,
     k_summands,
     lambda_pair,
+    lf_ktheory,
     verify_geometry,
     verify_recursions,
     witt_table,
@@ -295,6 +297,40 @@ def test_the_role_stream_cuts_only_walks_without_a_role(twist):
         assert list(basis._gw_walks(n, twist)) == expected, n
     # at frame 14 the cut leaves 8,320 of the 16,384 walks
     assert sum(1 for _ in diagrams.enumerate_diagrams(14)._walks(True)) == 8320
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_chained_halves_are_the_whole_stream(n):
+    # the oracles walk the whole frame, not its halves
+    k_oracle = [
+        Summand(Kind.K, d, lf_ktheory(d), MapLabel.PHI, None, None)
+        for d in diagrams.enumerate_diagrams(n)
+    ]
+    streams = [(basis._k_halves(n), k_oracle, list(k_summands(n)))]
+    for twist in Twist:
+        walks = []
+        for steps, cls in diagrams.enumerate_diagrams(n).walks():
+            full_top = cls.row_type is diagrams.RowType.FULL_TOP_ROW
+            role = basis._summand_role(
+                n % 2 == 0, twist, full_top, cls.is_almost_even, cls.is_k_even
+            )
+            if role is not None:
+                diag = ShiftedDiagram(n, steps)
+                kind, label = role
+                walks.append((diag, cls, kind, label, diag.weight if kind is Kind.GW else None))
+        oracle = list(basis._gw_stream(iter(walks)))
+        streams.append((basis._gw_halves(n, twist), oracle, list(gw_summands(n, twist))))
+    for (down, left), oracle, whole in streams:
+        down, left = list(down), list(left)
+        assert down + left == oracle == whole
+        assert all(s.source_diagram.steps[0] == "V" for s in down)
+        assert all(s.source_diagram.steps[0] == "H" for s in left)
+
+
+def test_some_halves_are_empty():
+    # frame 0's one walk is empty: its summand leads
+    assert [list(half) for half in basis._k_halves(0)] == [list(k_basis(0).summands), []]
+    assert [len(list(half)) for half in basis._gw_halves(1, Twist.DELTA)] == [0, 1]
 
 
 def test_summand_streams_check_the_frame_on_the_call():

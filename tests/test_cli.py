@@ -8,6 +8,7 @@ import json
 import os
 import re
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -321,6 +322,223 @@ def test_a_closed_pipe_ends_quietly_with_141():
     child.stdout.close()  # the reader goes away, as `head -c 100` does
     _, err = child.communicate(timeout=60)
     assert (len(head), child.returncode, err) == (100, 141, b"")
+
+
+# --------------------------------------------------------------------------
+# a basis process writes its H… half in a forked worker
+
+
+def _cli_env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "LAGFLAG_MAX_N"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return env
+
+
+def _worker_can_run() -> bool:
+    """Whether a CLI process here may fork its worker: two CPUs and an O_TMPFILE."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        os.close(os.open(os.environ.get("TMPDIR") or "/tmp", os.O_TMPFILE | os.O_RDWR, 0o600))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+needs_worker = pytest.mark.skipif(not _worker_can_run(), reason="no second CPU or no O_TMPFILE")
+
+THEORIES = {"k": ["--theory", "k"], "O": ["--twist", "O"], "Delta": ["--twist", "Delta"]}
+
+#: A CLI process that logs the pid of each fork to argv[1] and sets the frame
+#: from which the worker runs to argv[2].  Before each JSON or CSV row, in
+#: either process, it runs ACTION, which can read ``written`` (the summands
+#: that process has written so far) and ``parent`` (the first process's pid).
+LOGGED_FORKS = """
+import os, sys
+from lagflag import cli
+from lagflag.errors import DomainError
+
+log, worker_from, *argv = sys.argv[1:]
+cli._WORKER_FROM = int(worker_from)
+fork, parent = os.fork, os.getpid()
+
+def logged():
+    pid = fork()
+    if pid:
+        with open(log, "a") as out:
+            print(pid, file=out)
+    return pid
+
+os.fork = logged
+rows = {"json": "_summand_json", "csv": "_summand_csv"}
+name = rows.get(argv[argv.index("--format") + 1]) if "--format" in argv else None
+if name:
+    row, written = getattr(cli, name), []
+
+    def acting(s):
+        written.append(s)
+        ACTION
+        return row(s)
+
+    setattr(cli, name, acting)
+cli.run(argv)
+"""
+
+
+def _logged_forks(tmp_path, argv, worker_from=10, action="pass"):
+    """Run ``argv`` in a fresh process of its own session, through pipes.
+
+    Returns its exit code, stdout and stderr, the pids it forked, and
+    whether a process of its session was left once it was reaped.
+    """
+    log = tmp_path / "forks"
+    child = subprocess.Popen(
+        [sys.executable, "-c", LOGGED_FORKS.replace("ACTION", action), str(log),
+         str(worker_from), *argv],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    out, err = child.communicate(timeout=120)
+    try:
+        os.killpg(child.pid, 0)
+    except ProcessLookupError:
+        left = False
+    else:
+        left = True
+    forks = log.read_text().split() if log.exists() else []
+    return child.returncode, out.decode(), err.decode(), forks, left
+
+
+@needs_worker
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("n", range(10, 15))
+def test_a_worker_writes_what_one_process_writes(capsys, n, theory, fmt):
+    argv = ["basis", "-n", str(n), *THEORIES[theory], "--format", fmt]
+    child = subprocess.run(
+        [sys.executable, "-m", "lagflag.cli", *argv],
+        env=_cli_env(), capture_output=True, timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == in_process(capsys, argv)[1].encode()
+
+
+@needs_worker
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("n", range(0, 4))
+def test_a_worker_at_a_small_frame_writes_what_one_process_writes(
+    tmp_path, capsys, n, theory, fmt
+):
+    # frame 0 has an empty H… half and frame 1 under Delta an empty V… half,
+    # so the JSON separators are checked at both ends
+    argv = ["basis", "-n", str(n), *THEORIES[theory], "--format", fmt]
+    expected = in_process(capsys, argv)
+    code, out, err, forks, left = _logged_forks(tmp_path, argv, worker_from=0)
+    assert ((code, out, err), left) == (expected, False)
+    assert len(forks) == (expected[0] == 0)  # usage errors come before any fork
+
+
+@needs_worker
+@pytest.mark.parametrize("n, forks", [(9, 0), (10, 1), (12, 1)])
+def test_the_worker_runs_from_frame_10_through_a_pipe(tmp_path, n, forks):
+    argv = ["basis", "-n", str(n), "--format", "csv"]
+    code, _, err, pids, left = _logged_forks(tmp_path, argv, worker_from=cli._WORKER_FROM)
+    assert (code, err, len(pids), left) == (0, "", forks, False)
+
+
+@needs_worker
+def test_a_worker_appends_to_a_file_opened_for_appending(tmp_path, capsys):
+    # sendfile refuses such a file (EINVAL); the half is then copied by reads and writes
+    argv = ["basis", "-n", "12", "--format", "json"]
+    target = tmp_path / "out.json"
+    target.write_text("before\n")
+    with open(target, "ab") as out:
+        child = subprocess.run(
+            [sys.executable, "-m", "lagflag.cli", *argv],
+            env=_cli_env(), stdout=out, stderr=subprocess.PIPE, timeout=120,
+        )
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert target.read_text() == "before\n" + in_process(capsys, argv)[1]
+
+
+def test_no_worker_runs_for_a_stream_in_memory(capsys, monkeypatch):
+    def refused():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+    code, out, _ = in_process(capsys, ["basis", "-n", "12", "--theory", "k", "--format", "csv"])
+    assert (code, len(out.splitlines())) == (0, 1 + 2**12)
+
+
+@needs_worker
+def test_a_closed_pipe_leaves_no_process_behind():
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lagflag.cli", *"basis -n 16 --theory k --format csv".split()],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    head = child.stdout.read(100)
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (len(head), child.returncode, err) == (100, 141, b"")
+    with pytest.raises(ProcessLookupError):  # the worker was reaped too
+        os.killpg(child.pid, 0)
+
+
+@needs_worker
+@pytest.mark.parametrize(
+    "action, code, message",
+    [
+        pytest.param(
+            "raise DomainError('bad row')",
+            2,
+            "lagflag: error: bad row\n",
+            id="library error",
+        ),
+        pytest.param("raise KeyboardInterrupt", -signal.SIGINT, None, id="interrupt"),
+    ],
+)
+def test_every_exit_of_the_parent_reaps_the_worker(tmp_path, action, code, message):
+    # the parent fails on its 100th row, long before the worker ends
+    action = f"if os.getpid() == parent and len(written) == 100:\n            {action}"
+    argv = ["basis", "-n", "14", "--theory", "k", "--format", "csv"]
+    got, _, err, forks, left = _logged_forks(tmp_path, argv, action=action)
+    assert (got, len(forks), left) == (code, 1, False)
+    if message is not None:
+        assert err == message
+
+
+@needs_worker
+@pytest.mark.parametrize(
+    "action, reason",
+    [
+        pytest.param(
+            "raise OSError(28, 'No space left on device')",
+            "[Errno 28] No space left on device",
+            id="error",
+        ),
+        pytest.param("os.kill(os.getpid(), 9)", "killed by signal 9", id="killed"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failed_worker_is_one_error_line_and_none_of_its_half(
+    tmp_path, capsys, action, reason, fmt
+):
+    action = f"if os.getpid() != parent and len(written) == 10:\n            {action}"
+    argv = ["basis", "-n", "12", "--twist", "Delta", "--format", fmt]
+    _, whole, _ = in_process(capsys, argv)
+    code, written, err, forks, left = _logged_forks(tmp_path, argv, action=action)
+    assert (code, len(forks), left) == (2, 1, False)
+    assert err == f"lagflag: error: the worker writing the H half failed: {reason}\n"
+    # the header and the V… half, and not one row of the H… half
+    v_row, h_row = ('"diagram": "V', '"diagram": "H') if fmt == "json" else ("\nV", "\nH")
+    assert whole.startswith(written)
+    assert written.count(v_row) == whole.count(v_row) and h_row not in written
 
 
 # one command per exit status, the last two usage errors from the library and argparse

@@ -121,6 +121,26 @@ def test_frame_matches_the_eager_product(n):
     assert len(frame) == len(listed)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_a_frame_is_its_v_half_then_its_h_half(n):
+    frame = enumerate_diagrams(n)
+    down, left = list(frame.half("V")), list(frame.half("H"))
+    assert down + left == list(frame)
+    assert {d.steps[0] for d in down} == {"V"} and {d.steps[0] for d in left} == {"H"}
+    for cut in (False, True):
+        walks = list(frame._walks(cut))
+        assert list(frame._walks(cut, "V")) + list(frame._walks(cut, "H")) == walks
+
+
+def test_a_half_needs_a_step_and_a_frame():
+    # no next(): the arguments are checked on the call
+    for first in ("", "v", "VH", None):
+        with pytest.raises(DomainError, match="a half starts with 'V' or 'H'"):
+            enumerate_diagrams(3).half(first)
+    with pytest.raises(DomainError, match="frame size >= 1, got 0"):
+        enumerate_diagrams(0).half("V")
+
+
 def test_frame_size_cannot_be_changed_after_construction():
     # a frame's n was checked when it was built; a later -1 broke len, "x" iteration
     frame = enumerate_diagrams(3)
